@@ -92,6 +92,9 @@ def _solve(loss, lam, a, cfg, shift=None, stage="single"):
     resolved = cfg.resolve(loss, lam=lam, box_level=a, box_shift=shift)
     init = np.zeros(loss.shape)
     matrix, trace = lamm_solve(loss, init, resolved)
+    if not trace.converged:
+        log.warning("%s fit did not converge in %d iterations (lam = %.4g)",
+                    stage, trace.iterations, resolved.lam)
     return Estimate(matrix=matrix, penalty_used=resolved.lam, trace=trace, stage=stage)
 
 
@@ -168,8 +171,8 @@ def trans_mc(target: MaskedDataset, sources, policy: PenaltyPolicy,
 
     pooled = pooled_fit([target, *sources], lam1, a, cfg)
 
-    rank_hint = int(np.sum(np.linalg.svd(pooled.matrix, compute_uv=False)
-                           > 1e-8 * max(1e-300, float(np.linalg.norm(pooled.matrix, 2)))))
+    sigma = np.linalg.svd(pooled.matrix, compute_uv=False)
+    rank_hint = int(np.sum(sigma > 1e-8 * max(1e-300, float(sigma[0]))))
     _check_sample_balance(n0, n_total, a, v, rank_hint, target.m1, target.m2)
 
     correction = debias_fit(target, pooled.matrix, lam2, a, cfg)

@@ -94,18 +94,25 @@ def weighted_frobenius(A, P) -> float:
 
 
 def soft_threshold(A, lam: float) -> np.ndarray:
-    """Singular-value shrinkage U @ diag(max(sigma - lam, 0)) @ V.T."""
+    """Singular-value shrinkage U @ diag(max(sigma - lam, 0)) @ V.T.
+
+    Uses the raw LAPACK factors: flipping the signs of a (U column, V column)
+    pair cancels exactly in the product, so the result is bit-identical to
+    the one built from svd()'s sign-fixed factors.
+    """
     if lam < 0.0:
         raise ValueError(f"threshold must be nonnegative, got {lam!r}")
     A = _as_matrix(A)
     if lam == 0.0:
         return A.copy()
-    f = svd(A)
-    s = np.maximum(f.singular_values - lam, 0.0)
-    keep = s > 0.0
-    if not np.any(keep):
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    k = int(np.count_nonzero(s > lam))  # s is nonincreasing: keep a prefix
+    if k == 0:
         return np.zeros_like(A)
-    return (f.U[:, keep] * s[keep]) @ f.V[:, keep].T
+    # A Fortran-ordered left factor keeps the BLAS product bit-identical to
+    # the shrinkage built from svd()'s factors; a C-ordered one can round
+    # differently.
+    return np.multiply(U[:, :k], s[:k] - lam, order="F") @ Vt[:k]
 
 
 def project_box(A, a: float, shift=None) -> np.ndarray:

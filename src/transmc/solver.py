@@ -4,8 +4,11 @@ convex programs  min L(A) + lam * ||A||_*  subject to an entrywise box.
 Each iteration takes a gradient step of length 1/phi, soft-thresholds the
 singular values at lam/phi, projects onto the box, and backtracks phi by a
 factor gamma until the local quadratic model majorizes the loss at the
-candidate. phi warm-starts at max(phi0, phi_prev / gamma) so step sizes can
-grow back after conservative iterations.
+candidate. phi is carried from one iteration to the next and lowered to
+max(phi0, phi / gamma) only when the accepted step showed slack, that is
+when the model at phi / gamma would also have majorized the loss there (the
+I-LAMM rule of Fan, Liu, Sun and Zhang, Ann. Statist. 2018). Every accepted
+step is a majorize-minimize step, so the objective never increases.
 """
 
 import math
@@ -73,10 +76,15 @@ class SolverConfig:
 
 @dataclass
 class SolveTrace:
+    """iterations counts accepted steps; prox_evals counts every proximal
+    (soft-threshold) evaluation, accepted or rejected by backtracking.
+    final_phi is the phi the next iteration would start from."""
+
     iterations: int
     objective_values: list[float]
     final_phi: float
     converged: bool
+    prox_evals: int
 
 
 def majorizer(A, B, phi: float, loss) -> float:
@@ -91,11 +99,8 @@ def majorizer(A, B, phi: float, loss) -> float:
     return float(loss.value(B) + np.sum(loss.gradient(B) * diff) + 0.5 * phi * np.sum(diff * diff))
 
 
-def _penalized_objective(loss, A, lam):
-    if lam == 0.0:
-        return loss.value(A)
-    s = np.linalg.svd(A, compute_uv=False)
-    return loss.value(A) + lam * float(s.sum())
+def _nuclear_penalty(A, lam):
+    return lam * float(np.linalg.svd(A, compute_uv=False).sum()) if lam else 0.0
 
 
 def lamm_solve(loss, init, cfg: SolverConfig):
@@ -116,25 +121,26 @@ def lamm_solve(loss, init, cfg: SolverConfig):
         raise ValueError("initial matrix violates the box constraint")
 
     phi_cap = cfg.phi0 * cfg.gamma ** MAX_BACKTRACK_DOUBLINGS
-    objective = [_penalized_objective(loss, A, cfg.lam)]
+    value_A = loss.value(A)
+    objective = [value_A + _nuclear_penalty(A, cfg.lam)]
     if not math.isfinite(objective[0]):
         raise SolverDivergedError("objective non-finite at the initial point")
 
     phi = cfg.phi0
     converged = False
     iterations = 0
+    prox_evals = 0
     for _ in range(cfg.max_iters):
         iterations += 1
-        phi = max(cfg.phi0, phi / cfg.gamma)
         grad = loss.gradient(A)
-        value_A = loss.value(A)
-        if not math.isfinite(value_A):
-            raise SolverDivergedError("loss value non-finite at current iterate")
         while True:
+            prox_evals += 1
             candidate = soft_threshold(A - grad / phi, cfg.lam / phi)
             candidate = project_box(candidate, a, shift)
             diff = candidate - A
-            quad = value_A + float(np.sum(grad * diff)) + 0.5 * phi * float(np.sum(diff * diff))
+            linear = float(np.sum(grad * diff))
+            sq_step = float(np.sum(diff * diff))
+            quad = value_A + linear + 0.5 * phi * sq_step
             value_c = loss.value(candidate)
             if not math.isfinite(value_c):
                 raise SolverDivergedError("loss value non-finite at candidate")
@@ -147,8 +153,10 @@ def lamm_solve(loss, init, cfg: SolverConfig):
                 )
         step = float(np.linalg.norm(diff))
         A = candidate
-        objective.append(value_c + (cfg.lam * float(np.linalg.svd(A, compute_uv=False).sum())
-                                    if cfg.lam else 0.0))
+        objective.append(value_c + _nuclear_penalty(A, cfg.lam))
+        if value_c - value_A - linear <= 0.5 * (phi / cfg.gamma) * sq_step:
+            phi = max(cfg.phi0, phi / cfg.gamma)
+        value_A = value_c
         if step <= cfg.epsilon:
             converged = True
             break
@@ -158,5 +166,6 @@ def lamm_solve(loss, init, cfg: SolverConfig):
         objective_values=objective,
         final_phi=phi,
         converged=converged,
+        prox_evals=prox_evals,
     )
     return A, trace

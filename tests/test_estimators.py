@@ -268,6 +268,19 @@ def test_trans_mc_warns_when_target_share_too_small(caplog):
     assert any("technical bound" in rec.message for rec in caplog.records)
 
 
+def test_unconverged_fit_logs_warning(caplog):
+    rng = np.random.default_rng(61)
+    T = np.outer(rng.standard_normal(6), rng.standard_normal(5))
+    ds = _sampled_task(T, 40, (61, 0), 0)
+    cfg = SolverConfig(max_iters=3, epsilon=1e-12)
+    with caplog.at_level(logging.WARNING, logger="transmc"):
+        est = fit_single(ds, 0.01, 10.0, cfg)
+    assert not est.trace.converged
+    messages = [rec.getMessage() for rec in caplog.records if rec.name == "transmc"]
+    assert any("single fit did not converge in 3 iterations" in m and "lam = 0.01" in m
+               for m in messages)
+
+
 def test_estimate_noise_scale_close_to_truth():
     rng = np.random.default_rng(70)
     T = np.outer(rng.standard_normal(12), rng.standard_normal(10)) * 8

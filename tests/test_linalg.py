@@ -205,6 +205,31 @@ def test_soft_threshold_nonexpansive(m1, m2, lam, seed):
     assert dist <= np.linalg.norm(A - B) + 1e-9
 
 
+def _low_rank(rng, m1, m2, r):
+    return rng.standard_normal((m1, r)) @ rng.standard_normal((r, m2))
+
+
+@pytest.mark.parametrize("A", [
+    np.random.default_rng(1).standard_normal((60, 30)),      # tall
+    np.random.default_rng(2).standard_normal((30, 60)),      # wide
+    _low_rank(np.random.default_rng(3), 40, 25, 4),           # rank-deficient
+    _low_rank(np.random.default_rng(4), 9, 17, 2),            # wide, rank-deficient
+], ids=["tall", "wide", "rank-deficient", "wide-rank-deficient"])
+@pytest.mark.parametrize("where", ["below", "between", "above"])
+def test_soft_threshold_bit_exact_against_sign_fixed_svd(A, where):
+    # Shrinkage built from the sign-fixed factors of linalg.svd must agree to
+    # the last bit with soft_threshold, which skips the sign convention.
+    f = linalg.svd(A)
+    sv = f.singular_values
+    lam = {"below": 0.5 * sv[sv > 1e-8 * sv[0]][-1],
+           "between": 0.5 * (sv[2] + sv[3]),
+           "above": 1.5 * sv[0]}[where]
+    shrunk = np.maximum(sv - lam, 0.0)
+    keep = shrunk > 0.0
+    expected = (f.U[:, keep] * shrunk[keep]) @ f.V[:, keep].T
+    assert np.array_equal(linalg.soft_threshold(A, lam), expected)
+
+
 def test_soft_threshold_reduces_nuclear_norm():
     for _ in range(50):
         A = random_matrix(RNG, scale=3.0)
