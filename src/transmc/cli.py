@@ -164,19 +164,29 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(max_iters=args.max_iters)
 
 
+def _box_level(args, datasets) -> float:
+    """--a if given, else 1.05 times the largest data_scale (max abs value, at least 1)."""
+    if args.a is not None:
+        return args.a
+    return 1.05 * max(ds.data_scale() for ds in datasets)
+
+
+def _single_penalty(ds, a, c, noise_sd, solver) -> float:
+    """Single-task theorem penalty; a noise scale left None is estimated by a pilot fit."""
+    v = noise_sd if noise_sd is not None else estimate_noise_scale(ds, a, solver)
+    return theorem_penalty(c, a, v, ds.n, min(ds.m1, ds.m2))
+
+
 def cmd_fit(args) -> int:
     if not args.data:
         raise CliError("fit needs --data FILE")
     ds = _load_dataset(args.data)
-    a = args.a if args.a is not None else 1.05 * ds.data_scale()
+    a = _box_level(args, [ds])
+    solver = _solver_config(args)
     lam = args.lam
     if lam is None:
-        m = min(ds.m1, ds.m2)
-        v = args.noise_sd
-        if v is None:
-            v = estimate_noise_scale(ds, a, _solver_config(args))
-        lam = theorem_penalty(args.c2, a, v, ds.n, m)
-    est = fit_single(ds, lam, a, _solver_config(args))
+        lam = _single_penalty(ds, a, args.c2, args.noise_sd, solver)
+    est = fit_single(ds, lam, a, solver)
     out = _out_dir(args)
     data_io.write_dense(est.matrix, out / "estimate.txt", label="single")
     _write_fit_report(out / "fit_report.txt", est)
@@ -208,9 +218,7 @@ def _load_transfer_inputs(args):
 
 def cmd_transfer(args) -> int:
     target, sources = _load_transfer_inputs(args)
-    a = args.a if args.a is not None else 1.05 * max(
-        ds.data_scale() for ds in [target, *sources]
-    )
+    a = _box_level(args, [target, *sources])
     est = trans_mc(target, sources, _policy_from_args(args, a), _solver_config(args))
     out = _out_dir(args)
     data_io.write_dense(est.matrix, out / "estimate.txt", label="transmc")
@@ -222,9 +230,7 @@ def cmd_transfer(args) -> int:
 
 def cmd_select(args) -> int:
     target, sources = _load_transfer_inputs(args)
-    a = args.a if args.a is not None else 1.05 * max(
-        ds.data_scale() for ds in [target, *sources]
-    )
+    a = _box_level(args, [target, *sources])
     sel_cfg = SelectionConfig(
         J=args.folds, c_tilde=args.c_tilde, epsilon0=args.epsilon0,
         c0=args.c1, ck=args.c2, seed=args.seed if args.seed is not None else 0,
@@ -253,6 +259,7 @@ def _write_selection_report(path, report):
         w.writerow(["epsilon0", "", f"{report.epsilon0:.12g}"])
         w.writerow(["threshold", "", f"{report.threshold:.12g}"])
         w.writerow(["selected", "", " ".join(str(k) for k in report.selected)])
+        w.writerow(["unconverged", "", ";".join(report.unconverged)])
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +273,8 @@ def _bench_worker(payload):
     solver = SolverConfig(max_iters=params["max_iters"])
     policy = PenaltyPolicy(a=spec.a_cap, c1=params["c1"], c2=params["c2"],
                            v=spec.noise_sd)
-    m = min(spec.m1, spec.m2)
-    lam_single = theorem_penalty(params["c2"], spec.a_cap, spec.noise_sd,
-                                 data.target.n, m)
+    lam_single = _single_penalty(data.target, spec.a_cap, params["c2"],
+                                 spec.noise_sd, solver)
     result = {"rep": rep, "errors": {}, "curve": None, "selected": None,
               "failures": []}
 
@@ -452,13 +458,9 @@ def cmd_evaluate(args) -> int:
         sources = [frames[i].to_dataset(task_id=j + 1)
                    for j, i in enumerate(source_idx)]
         policy = PenaltyPolicy(a=a, c1=c1, c2=c2, v=noise_sd)
-        m = min(train.m1, train.m2)
         for method in methods:
             if method == "single":
-                v = noise_sd
-                if v is None:
-                    v = estimate_noise_scale(train, a, solver)
-                lam = theorem_penalty(c2, a, v, train.n, m)
+                lam = _single_penalty(train, a, c2, noise_sd, solver)
                 est = fit_single(train, lam, a, solver)
             elif method == "transmc":
                 est = trans_mc(train, sources, policy, solver)

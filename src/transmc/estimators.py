@@ -73,9 +73,8 @@ def estimate_noise_scale(data: MaskedDataset, a: float, cfg: SolverConfig) -> fl
     ||(2/n) sum Y_i X_i||_2, the spectral norm of the naive moment fill-in
     under the mean-squared-loss convention.
     """
-    fill = np.zeros((data.m1, data.m2))
-    np.add.at(fill, (data.rows, data.cols), data.values)
-    fill *= 2.0 / data.n
+    loss = MaskedSquaredLoss.from_dataset(data)
+    fill = (2.0 / loss.n) * loss.counts * loss.means
     lam_pilot = float(np.linalg.svd(fill, compute_uv=False)[0]) / 10.0
     pilot_cfg = SolverConfig(
         phi0=cfg.phi0, gamma=cfg.gamma, epsilon=cfg.epsilon,

@@ -7,12 +7,11 @@ by more than c_tilde * max(sigma_hat, epsilon0) are dropped, and the transfer
 estimator runs on the survivors.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from transmc import kernels
-from transmc.datasets import MaskedDataset, check_compatible
+from transmc.datasets import MaskedDataset, check_compatible, concat_observations
 from transmc.estimators import (
     Estimate,
     PenaltyPolicy,
@@ -21,6 +20,7 @@ from transmc.estimators import (
     theorem_penalty,
     trans_mc,
 )
+from transmc.losses import MaskedSquaredLoss
 from transmc.solver import SolverConfig
 
 
@@ -72,6 +72,9 @@ class SelectionReport:
     epsilon0: float
     threshold: float                 # c_tilde * max(sigma_hat, epsilon0)
     selected: tuple[int, ...]        # 1-based source indices, ascending
+    # Fits that stopped at max_iters, e.g. ("fold 2", "source 7"); folds are
+    # numbered as in fold_losses (from 0), sources as in selected (from 1).
+    unconverged: tuple[str, ...] = ()
 
 
 def split_folds(target: MaskedDataset, J: int, seed) -> list[MaskedDataset]:
@@ -99,14 +102,11 @@ def fold_loss(fold: MaskedDataset, A) -> float:
     A = np.asarray(A, dtype=np.float64)
     if A.shape != fold.shape:
         raise ValueError("matrix shape does not match the fold")
-    return kernels.loss_value(A, fold.rows, fold.cols, fold.values)
+    return MaskedSquaredLoss.from_dataset(fold).value(A)
 
 
 def _complement(folds, j) -> MaskedDataset:
-    keep = [f for i, f in enumerate(folds) if i != j]
-    rows = np.concatenate([f.rows for f in keep])
-    cols = np.concatenate([f.cols for f in keep])
-    values = np.concatenate([f.values for f in keep])
+    rows, cols, values = concat_observations([f for i, f in enumerate(folds) if i != j])
     first = folds[0]
     return MaskedDataset(first.m1, first.m2, rows, cols, values, first.task_id)
 
@@ -201,13 +201,17 @@ def s_trans_mc(target: MaskedDataset, sources, cfg: SelectionConfig,
         lams = [theorem_penalty(cfg.ck, a, v, ds.n, m) for ds in sources]
 
     folds = split_folds(target, J, cfg.seed)
-    fold_vals, _, sigma_hat, _ = benchmark_loss(
+    fold_vals, _, sigma_hat, fold_fits = benchmark_loss(
         target, folds, lam0, a, solver, sigma_mode=cfg.sigma_mode
     )
     source_fits = [fit_single(ds, lam, a, solver) for ds, lam in zip(sources, lams)]
     source_vals = source_losses(target, source_fits, folds=folds, mode=cfg.source_loss_mode)
 
     report = select_sources(fold_vals, source_vals, cfg.c_tilde, epsilon0, sigma_hat)
+    unconverged = [f"fold {j}" for j, est in enumerate(fold_fits) if not est.trace.converged]
+    unconverged += [f"source {k}" for k, est in enumerate(source_fits, start=1)
+                    if not est.trace.converged]
+    report = replace(report, unconverged=tuple(unconverged))
     chosen = [sources[k - 1] for k in report.selected]
     estimate = trans_mc(target, chosen, policy, solver)
     return report, estimate

@@ -38,6 +38,15 @@ def loss_double_loop(A, rows, cols, values):
     return acc / len(values)
 
 
+def grad_double_loop(A, rows, cols, values):
+    """(2/n) sum_i (A[r_i, c_i] - y_i) e_{r_i} e_{c_i}^T, one observation at a time."""
+    G = np.zeros(np.shape(A))
+    n = len(values)
+    for i in range(n):
+        G[rows[i], cols[i]] += 2.0 * (A[rows[i], cols[i]] - values[i]) / n
+    return G
+
+
 def grad_finite_difference(loss_value, A, step=1e-6):
     """Central finite differences of a scalar loss over every matrix entry."""
     A = np.asarray(A, dtype=float)

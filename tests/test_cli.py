@@ -114,7 +114,13 @@ def test_fit_transfer_select_pipeline(tmp_path, tiny_cfg):
     rows = list(csv.reader(open(tmp_path / "sel" / "selection_report.csv")))
     kinds = {r[0] for r in rows[1:]}
     assert {"fold_loss", "benchmark", "source_loss", "sigma_hat",
-            "threshold", "selected"} <= kinds
+            "threshold", "selected", "unconverged"} <= kinds
+
+    assert run(["select", "--target", target, "--sources", sources,
+                "--out", "sel3", "--a", "30", "--noise-sd", "0.5",
+                "--max-iters", "3", "--folds", "2"], tmp_path) == 0
+    rows = list(csv.reader(open(tmp_path / "sel3" / "selection_report.csv")))
+    assert ["unconverged", "", "fold 0;fold 1;source 1;source 2"] in rows
 
 
 # ---------------------------------------------------------------------------

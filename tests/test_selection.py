@@ -254,6 +254,19 @@ def test_s_trans_mc_all_pass_matches_trans_mc():
     assert np.array_equal(est.matrix, direct.matrix)
 
 
+def test_s_trans_mc_reports_unconverged_fits():
+    rng = np.random.default_rng(16)
+    T = np.outer(rng.standard_normal(6), rng.standard_normal(5)) * 2
+    target = uniform_task(T, 90, (16, 0), 0)
+    sources = [uniform_task(T, 60, (16, k), k) for k in (1, 2)]
+    policy = PenaltyPolicy(a=8.0, mode="explicit", lam1=0.02, lam2=0.03, v=0.3)
+    cfg = SelectionConfig(J=3, seed=5, epsilon0=0.5, lam0=0.02, source_lams=(0.02, 0.02))
+    report, _ = s_trans_mc(target, sources, cfg, policy, SolverConfig(max_iters=3))
+    assert report.unconverged == ("fold 0", "fold 1", "fold 2", "source 1", "source 2")
+    report, _ = s_trans_mc(target, sources, cfg, policy, CFG)
+    assert report.unconverged == ()
+
+
 def test_selection_config_validation():
     with pytest.raises(ValueError):
         SelectionConfig(J=1)

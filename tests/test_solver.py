@@ -3,7 +3,7 @@ import pytest
 
 from transmc.datasets import MaskedDataset
 from transmc.linalg import norms
-from transmc.losses import MaskedSquaredLoss, squared_loss_oracle
+from transmc.losses import MaskedSquaredLoss
 from transmc.solver import (
     SolverConfig,
     SolverDivergedError,
@@ -42,7 +42,7 @@ def cfg_for(loss, lam, a, **kw):
 
 def test_loss_zero_at_interpolant():
     ds = random_dataset(5, 4, 12, noise=0.0)
-    loss = squared_loss_oracle(ds)
+    loss = MaskedSquaredLoss.from_dataset(ds)
     A = np.zeros((5, 4))
     A[ds.rows, ds.cols] = ds.values
     assert loss.value(A) == 0.0
@@ -51,7 +51,7 @@ def test_loss_zero_at_interpolant():
 
 def test_loss_single_observation():
     ds = MaskedDataset(2, 2, [0], [0], [3.0])
-    loss = squared_loss_oracle(ds)
+    loss = MaskedSquaredLoss.from_dataset(ds)
     A = np.zeros((2, 2))
     assert loss.value(A) == pytest.approx(9.0)
     g = loss.gradient(A)
@@ -71,7 +71,7 @@ def test_gradient_matches_finite_differences():
     for _ in range(20):
         m1, m2 = int(RNG.integers(2, 7)), int(RNG.integers(2, 7))
         ds = random_dataset(m1, m2, int(RNG.integers(4, 30)))
-        loss = squared_loss_oracle(ds)
+        loss = MaskedSquaredLoss.from_dataset(ds)
         A = RNG.standard_normal((m1, m2))
         g = loss.gradient(A)
         g_fd = grad_finite_difference(loss.value, A, step=1e-6)
@@ -88,7 +88,7 @@ def test_gradient_matches_finite_differences():
 
 def test_majorizer_anchor_point():
     ds = random_dataset(4, 3, 10)
-    loss = squared_loss_oracle(ds)
+    loss = MaskedSquaredLoss.from_dataset(ds)
     B = RNG.standard_normal((4, 3))
     assert majorizer(B, B, 2.5, loss) == pytest.approx(loss.value(B))
 
@@ -118,7 +118,7 @@ def test_majorizer_exact_for_matching_quadratic():
 
 def test_majorizer_matches_term_by_term_oracle():
     ds = random_dataset(4, 4, 14)
-    loss = squared_loss_oracle(ds)
+    loss = MaskedSquaredLoss.from_dataset(ds)
     A = RNG.standard_normal((4, 4))
     B = RNG.standard_normal((4, 4))
     expected = majorizer_term_by_term(A, B, 2.0, loss.value, loss.gradient(B))
@@ -127,7 +127,7 @@ def test_majorizer_matches_term_by_term_oracle():
 
 def test_majorizer_validates_inputs():
     ds = random_dataset(3, 3, 6)
-    loss = squared_loss_oracle(ds)
+    loss = MaskedSquaredLoss.from_dataset(ds)
     with pytest.raises(ValueError):
         majorizer(np.zeros((3, 3)), np.zeros((2, 3)), 1.0, loss)
     with pytest.raises(ValueError):
