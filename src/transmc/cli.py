@@ -78,7 +78,7 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_dataset(path, task_id=None):
+def _load_dataset(path, task_id):
     """Accept either a sample file (duplicates allowed) or a TEC-style frame."""
     path = _resolve(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -87,13 +87,43 @@ def _load_dataset(path, task_id=None):
         ds = data_io.read_samples(path)
     else:
         ds = data_io.read_frame(path).to_dataset()
-    if task_id is not None and ds.task_id != task_id:
+    if ds.task_id != task_id:
         ds = MaskedDataset(ds.m1, ds.m2, ds.rows, ds.cols, ds.values, task_id)
     return ds
 
 
-def _policy_from_args(args, box_level) -> PenaltyPolicy:
-    return PenaltyPolicy(a=box_level, c1=args.c1, c2=args.c2, v=args.noise_sd)
+def _box_level(a, value_arrays) -> float:
+    """a if given, else 1.05 times the largest absolute value (at least 1)."""
+    if a is not None:
+        return a
+    return 1.05 * max([1.0, *(float(np.max(np.abs(v))) for v in value_arrays if v.size)])
+
+
+def _estimate(method, target, sources, a, opts, solver, seed):
+    """Run one of the paper's estimators; returns (Estimate, SelectionReport or None).
+
+    opts carries the penalty multipliers c1/c2, the noise scale noise_sd
+    (None: pilot estimate), the single-task penalty lam (None: theorem
+    formula) and the selection knobs folds, c_tilde and epsilon0; seed draws
+    the s-transmc fold split.
+    """
+    if method == "single":
+        lam = opts.lam
+        if lam is None:
+            v = opts.noise_sd
+            if v is None:
+                v = estimate_noise_scale(target, a, solver)
+            lam = theorem_penalty(opts.c2, a, v, target.n, min(target.m1, target.m2))
+        return fit_single(target, lam, a, solver), None
+    policy = PenaltyPolicy(a=a, c1=opts.c1, c2=opts.c2, v=opts.noise_sd)
+    if method == "transmc":
+        return trans_mc(target, sources, policy, solver), None
+    if method == "s-transmc":
+        cfg = SelectionConfig(J=opts.folds, c_tilde=opts.c_tilde, epsilon0=opts.epsilon0,
+                              c0=opts.c1, ck=opts.c2, seed=seed)
+        report, est = s_trans_mc(target, sources, cfg, policy, solver)
+        return est, report
+    raise CliError(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -160,89 +190,31 @@ def cmd_simulate(args) -> int:
 # fit / transfer / select
 # ---------------------------------------------------------------------------
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(max_iters=args.max_iters)
-
-
-def _box_level(args, datasets) -> float:
-    """--a if given, else 1.05 times the largest data_scale (max abs value, at least 1)."""
-    if args.a is not None:
-        return args.a
-    return 1.05 * max(ds.data_scale() for ds in datasets)
-
-
-def _single_penalty(ds, a, c, noise_sd, solver) -> float:
-    """Single-task theorem penalty; a noise scale left None is estimated by a pilot fit."""
-    v = noise_sd if noise_sd is not None else estimate_noise_scale(ds, a, solver)
-    return theorem_penalty(c, a, v, ds.n, min(ds.m1, ds.m2))
-
-
-def cmd_fit(args) -> int:
-    if not args.data:
+def cmd_estimate(args) -> int:
+    """fit, transfer and select: args.method on the given files."""
+    if args.method == "single" and not args.target:
         raise CliError("fit needs --data FILE")
-    ds = _load_dataset(args.data)
-    a = _box_level(args, [ds])
-    solver = _solver_config(args)
-    lam = args.lam
-    if lam is None:
-        lam = _single_penalty(ds, a, args.c2, args.noise_sd, solver)
-    est = fit_single(ds, lam, a, solver)
+    if args.method != "single" and not (args.target and args.sources):
+        raise CliError("need --target FILE and --sources F1,F2,...")
+    paths = [args.target, *(p for p in args.sources.split(",") if p)]
+    target, *sources = [_load_dataset(p, task_id=k) for k, p in enumerate(paths)]
+    a = _box_level(args.a, [ds.values for ds in (target, *sources)])
+    est, report = _estimate(args.method, target, sources, a, args,
+                            SolverConfig(max_iters=args.max_iters), args.seed or 0)
     out = _out_dir(args)
-    data_io.write_dense(est.matrix, out / "estimate.txt", label="single")
-    _write_fit_report(out / "fit_report.txt", est)
-    print(f"single-task fit: lam={lam:.6g}, iterations={est.trace.iterations}, "
-          f"converged={est.trace.converged}")
-    return 0
-
-
-def _write_fit_report(path, est):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    data_io.write_dense(est.matrix, out / "estimate.txt", label=args.method)
+    with open(out / "fit_report.txt", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"stage: {est.stage}\n")
         fh.write(f"penalty: {est.penalty_used!r}\n")
         fh.write(f"iterations: {est.trace.iterations}\n")
         fh.write(f"converged: {est.trace.converged}\n")
         fh.write(f"objective: {est.trace.objective_values[-1]!r}\n")
-
-
-def _load_transfer_inputs(args):
-    if not args.target or not args.sources:
-        raise CliError("need --target FILE and --sources F1,F2,...")
-    target = _load_dataset(args.target, task_id=0)
-    sources = [
-        _load_dataset(p, task_id=k + 1)
-        for k, p in enumerate(args.sources.split(","))
-        if p
-    ]
-    return target, sources
-
-
-def cmd_transfer(args) -> int:
-    target, sources = _load_transfer_inputs(args)
-    a = _box_level(args, [target, *sources])
-    est = trans_mc(target, sources, _policy_from_args(args, a), _solver_config(args))
-    out = _out_dir(args)
-    data_io.write_dense(est.matrix, out / "estimate.txt", label="transmc")
-    _write_fit_report(out / "fit_report.txt", est)
-    print(f"transfer fit over {len(sources)} sources: "
+    print(f"{args.method} fit: lam={est.penalty_used:.6g}, "
           f"iterations={est.trace.iterations}, converged={est.trace.converged}")
-    return 0
-
-
-def cmd_select(args) -> int:
-    target, sources = _load_transfer_inputs(args)
-    a = _box_level(args, [target, *sources])
-    sel_cfg = SelectionConfig(
-        J=args.folds, c_tilde=args.c_tilde, epsilon0=args.epsilon0,
-        c0=args.c1, ck=args.c2, seed=args.seed if args.seed is not None else 0,
-    )
-    report, est = s_trans_mc(target, sources, sel_cfg,
-                             _policy_from_args(args, a), _solver_config(args))
-    out = _out_dir(args)
-    data_io.write_dense(est.matrix, out / "estimate.txt", label="s-transmc")
-    _write_fit_report(out / "fit_report.txt", est)
-    _write_selection_report(out / "selection_report.csv", report)
-    print(f"selected sources: {list(report.selected)} "
-          f"(threshold {report.threshold:.6g})")
+    if report is not None:
+        _write_selection_report(out / "selection_report.csv", report)
+        print(f"selected sources: {list(report.selected)} "
+              f"(threshold {report.threshold:.6g})")
     return 0
 
 
@@ -271,56 +243,27 @@ def _bench_worker(payload):
     spec, rep, methods, params = payload
     data = generate_scenario(spec, rep=rep)
     solver = SolverConfig(max_iters=params["max_iters"])
-    policy = PenaltyPolicy(a=spec.a_cap, c1=params["c1"], c2=params["c2"],
-                           v=spec.noise_sd)
-    lam_single = _single_penalty(data.target, spec.a_cap, params["c2"],
-                                 spec.noise_sd, solver)
+    opts = argparse.Namespace(**params, noise_sd=spec.noise_sd, lam=None)
     result = {"rep": rep, "errors": {}, "curve": None, "selected": None,
               "failures": []}
 
-    def run(tag, fn):
+    def run(tag, method, sources):
         try:
-            return fn()
+            est, report = _estimate(method, data.target, sources, spec.a_cap, opts,
+                                    solver, (spec.seed, 4, rep))
         except SolverDivergedError as exc:
             result["failures"].append(f"{tag}: {exc}")
             return None
-
-    if "single" in methods:
-        est = run("single", lambda: fit_single(data.target, lam_single,
-                                               spec.a_cap, solver))
-        result["errors"]["single"] = (
-            None if est is None else metrics.rel_frob_error(est.matrix, data.truth)
-        )
-    if "transmc" in methods:
-        est = run("transmc", lambda: trans_mc(data.target, data.sources,
-                                              policy, solver))
-        result["errors"]["transmc"] = (
-            None if est is None else metrics.rel_frob_error(est.matrix, data.truth)
-        )
-    if "s-transmc" in methods:
-        sel_cfg = SelectionConfig(J=params["folds"], c_tilde=params["c_tilde"],
-                                  epsilon0=params["epsilon0"], c0=params["c1"],
-                                  ck=params["c2"], seed=(spec.seed, 4, rep))
-        def run_sel():
-            report, est = s_trans_mc(data.target, data.sources, sel_cfg,
-                                     policy, solver)
-            return report, est
-        out = run("s-transmc", run_sel)
-        if out is None:
-            result["errors"]["s-transmc"] = None
-        else:
-            report, est = out
-            result["errors"]["s-transmc"] = metrics.rel_frob_error(est.matrix, data.truth)
+        if report is not None:
             result["selected"] = report.selected
-    if "curve" in methods:
-        curve = []
-        for k in range(len(data.sources) + 1):
-            est = run(f"curve-k{k}",
-                      lambda k=k: trans_mc(data.target, data.sources[:k],
-                                           policy, solver))
-            curve.append(None if est is None
-                         else metrics.rel_frob_error(est.matrix, data.truth))
-        result["curve"] = curve
+        return metrics.rel_frob_error(est.matrix, data.truth)
+
+    for method in methods:
+        if method == "curve":
+            result["curve"] = [run(f"curve-k{k}", "transmc", data.sources[:k])
+                               for k in range(len(data.sources) + 1)]
+        else:
+            result["errors"][method] = run(method, method, data.sources)
     return result
 
 
@@ -412,10 +355,14 @@ def _parse_targets(raw, n_frames):
         if not chunk:
             continue
         if "-" in chunk:
-            lo, hi = chunk.split("-")
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(x) for x in chunk.split("-"))
+            if hi < lo:
+                raise CliError(f"descending target range {chunk!r}")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(chunk))
+    if not out:
+        raise CliError("evaluate config selects no target frames")
     for t in out:
         if not (0 <= t < n_frames):
             raise CliError(f"target frame index {t} out of range (0..{n_frames - 1})")
@@ -439,38 +386,27 @@ def cmd_evaluate(args) -> int:
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     methods = [m.strip() for m in cfg.get("methods", "single,transmc,s-transmc").split(",")
                if m.strip()]
+    if not methods:
+        raise CliError("evaluate config lists no methods")
     frames = [data_io.read_frame(p) for p in frame_paths]
-    a = float(cfg["a"]) if "a" in cfg else 1.05 * max(
-        float(np.max(np.abs(f.values))) for f in frames if f.n
-    )
-    c1 = float(cfg.get("c1", args.c1))
-    c2 = float(cfg.get("c2", args.c2))
-    noise_sd = float(cfg["noise_sd"]) if "noise_sd" in cfg else None
+    a = _box_level(float(cfg["a"]) if "a" in cfg else args.a, [f.values for f in frames])
+    opts = argparse.Namespace(**{
+        **vars(args),
+        "c1": float(cfg.get("c1", args.c1)),
+        "c2": float(cfg.get("c2", args.c2)),
+        "noise_sd": float(cfg["noise_sd"]) if "noise_sd" in cfg else args.noise_sd,
+    })
     solver = SolverConfig(max_iters=args.max_iters)
 
     out = _out_dir(args)
     rows = []
     for t in targets:
-        manifest = data_io.window_sources(frame_paths, t, half_width=half_width,
-                                          holdout_fraction=fraction, seed=seed)
+        manifest = data_io.window_sources(frame_paths, t, half_width=half_width)
         train, test = data_io.holdout_split(frames[t], fraction, (seed, t))
-        source_idx = [frame_paths.index(Path(p)) for p in manifest.sources]
-        sources = [frames[i].to_dataset(task_id=j + 1)
-                   for j, i in enumerate(source_idx)]
-        policy = PenaltyPolicy(a=a, c1=c1, c2=c2, v=noise_sd)
+        sources = [frames[frame_paths.index(Path(p))].to_dataset(task_id=j + 1)
+                   for j, p in enumerate(manifest.sources)]
         for method in methods:
-            if method == "single":
-                lam = _single_penalty(train, a, c2, noise_sd, solver)
-                est = fit_single(train, lam, a, solver)
-            elif method == "transmc":
-                est = trans_mc(train, sources, policy, solver)
-            elif method == "s-transmc":
-                sel_cfg = SelectionConfig(J=args.folds, c_tilde=args.c_tilde,
-                                          epsilon0=args.epsilon0, c0=c1, ck=c2,
-                                          seed=(seed, 5, t))
-                _, est = s_trans_mc(train, sources, sel_cfg, policy, solver)
-            else:
-                raise CliError(f"unknown method {method!r}")
+            est, _ = _estimate(method, train, sources, a, opts, solver, (seed, 5, t))
             e, re = metrics.holdout_errors(est.matrix, test)
             rows.append((frames[t].frame_id, method, e, re))
 
@@ -523,20 +459,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="single-task nuclear-norm fit")
     common(p)
-    p.add_argument("--data", help="samples or frame file")
-    p.set_defaults(func=cmd_fit)
+    p.add_argument("--data", dest="target", help="samples or frame file")
+    p.set_defaults(func=cmd_estimate, method="single", sources="")
 
-    p = sub.add_parser("transfer", help="two-step transfer fit")
-    common(p)
-    p.add_argument("--target", help="target samples/frame file")
-    p.add_argument("--sources", help="comma-separated source files")
-    p.set_defaults(func=cmd_transfer)
-
-    p = sub.add_parser("select", help="informative-source selection + transfer fit")
-    common(p)
-    p.add_argument("--target", help="target samples/frame file")
-    p.add_argument("--sources", help="comma-separated source files")
-    p.set_defaults(func=cmd_select)
+    for name, method, help_text in (
+        ("transfer", "transmc", "two-step transfer fit"),
+        ("select", "s-transmc", "informative-source selection + transfer fit"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        common(p)
+        p.add_argument("--target", help="target samples/frame file")
+        p.add_argument("--sources", help="comma-separated source files")
+        p.set_defaults(func=cmd_estimate, method=method)
 
     p = sub.add_parser("benchmark", help="Monte-Carlo benchmark over a scenario")
     common(p)

@@ -1,5 +1,5 @@
-"""Persistence: masked-frame files, manifests, scenario configs, dense
-matrices, and train/test holdout splitting.
+"""Persistence: masked-frame files, scenario configs, sample files, dense
+matrices, source windows and train/test holdout splitting.
 
 Frame format (UTF-8, LF): a header line ``m1 m2 frame_id`` followed by one
 ``row col value`` line per observed entry, indices 0-based. Coordinates must
@@ -73,12 +73,6 @@ class Manifest:
 
     target: str
     sources: tuple[str, ...]
-    holdout_fraction: float
-    seed: int
-
-    def __post_init__(self):
-        if not (0.0 < self.holdout_fraction < 1.0):
-            raise ValueError("holdout fraction must lie in (0, 1)")
 
 
 def read_frame(path) -> FrameFile:
@@ -154,8 +148,7 @@ def holdout_split(frame: FrameFile, fraction: float, seed):
     return ds.subset(train_idx), ds.subset(test_idx)
 
 
-def window_sources(frame_paths, t: int, half_width: int = 10,
-                   holdout_fraction: float = 0.2, seed: int = 0) -> Manifest:
+def window_sources(frame_paths, t: int, half_width: int = 10) -> Manifest:
     """Manifest with sources at offsets +-1 .. +-half_width around index t,
     truncated at the sequence boundaries; left neighbors first, ascending."""
     frame_paths = list(frame_paths)
@@ -166,13 +159,11 @@ def window_sources(frame_paths, t: int, half_width: int = 10,
     return Manifest(
         target=str(frame_paths[t]),
         sources=tuple(str(p) for p in left + right),
-        holdout_fraction=holdout_fraction,
-        seed=seed,
     )
 
 
 # ---------------------------------------------------------------------------
-# key-value config files (manifests and scenario specs)
+# key-value config files (scenario specs and evaluation configs)
 # ---------------------------------------------------------------------------
 
 def _read_kv(path) -> dict:
@@ -188,28 +179,6 @@ def _read_kv(path) -> dict:
             key, _, value = stripped.partition(":")
             out[key.strip()] = value.strip()
     return out
-
-
-def write_manifest(manifest: Manifest, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"target: {manifest.target}\n")
-        fh.write(f"sources: {','.join(manifest.sources)}\n")
-        fh.write(f"holdout_fraction: {manifest.holdout_fraction!r}\n")
-        fh.write(f"seed: {manifest.seed}\n")
-
-
-def read_manifest(path) -> Manifest:
-    kv = _read_kv(path)
-    try:
-        sources = tuple(s for s in kv.get("sources", "").split(",") if s)
-        return Manifest(
-            target=kv["target"],
-            sources=sources,
-            holdout_fraction=float(kv["holdout_fraction"]),
-            seed=int(kv["seed"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"manifest {path} missing key {exc}")
 
 
 def write_scenario(spec: ScenarioSpec, path):

@@ -56,9 +56,6 @@ class MaskedDataset:
             self.m1, self.m2, self.rows[idx], self.cols[idx], self.values[idx], self.task_id
         )
 
-    def data_scale(self) -> float:
-        return max(1.0, float(np.max(np.abs(self.values))))
-
 
 def check_compatible(datasets) -> tuple[int, int]:
     """All datasets must describe matrices of one shape; returns that shape."""

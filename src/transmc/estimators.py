@@ -80,27 +80,32 @@ def estimate_noise_scale(data: MaskedDataset, a: float, cfg: SolverConfig) -> fl
         phi0=cfg.phi0, gamma=cfg.gamma, epsilon=cfg.epsilon,
         max_iters=min(cfg.max_iters, 150),
     )
-    est = fit_single(data, lam_pilot, a, pilot_cfg)
+    est = fit_single(data, lam_pilot, a, pilot_cfg, label="pilot")
     residuals = data.values - est.matrix[data.rows, data.cols]
     if residuals.size < 2:
         return float(np.abs(residuals[0]))
     return float(np.std(residuals, ddof=1))
 
 
-def _solve(loss, lam, a, cfg, shift=None, stage="single"):
+def _solve(loss, lam, a, cfg, shift=None, stage="single", label=None):
     resolved = cfg.resolve(loss, lam=lam, box_level=a, box_shift=shift)
     init = np.zeros(loss.shape)
     matrix, trace = lamm_solve(loss, init, resolved)
     if not trace.converged:
         log.warning("%s fit did not converge in %d iterations (lam = %.4g)",
-                    stage, trace.iterations, resolved.lam)
+                    label or stage, trace.iterations, resolved.lam)
     return Estimate(matrix=matrix, penalty_used=resolved.lam, trace=trace, stage=stage)
 
 
-def fit_single(data: MaskedDataset, lam: float, a: float, cfg: SolverConfig) -> Estimate:
-    """Nuclear-norm penalized regression on one dataset over the box |A|_inf <= a."""
+def fit_single(data: MaskedDataset, lam: float, a: float, cfg: SolverConfig,
+               label: str = "single") -> Estimate:
+    """Nuclear-norm penalized regression on one dataset over the box |A|_inf <= a.
+
+    label names the fit in the non-convergence warning only (e.g. "fold 2",
+    "source 7", "pilot"); the returned stage is always "single".
+    """
     loss = MaskedSquaredLoss.from_dataset(data)
-    return _solve(loss, lam, a, cfg, stage="single")
+    return _solve(loss, lam, a, cfg, label=label)
 
 
 def pooled_fit(datasets, lam1: float, a: float, cfg: SolverConfig) -> Estimate:

@@ -32,11 +32,6 @@ class SelectionConfig:
     lam_k = ck * sqrt(max(a^2, v^2) / (n_k m)) and
     lam_0 = c0 * sqrt(max(a^2, v^2) / (((J-1)/J) n0 m)); pass lam0/source_lams
     to override. epsilon0 left None becomes 0.05 * v_hat^2.
-
-    source_loss_mode picks between scoring each source estimate on the full
-    target data ("full_target", the default) or averaging its loss over the
-    J folds ("fold_averaged"). sigma_mode picks the fold-loss standard
-    deviation denominator: "sample" for J-1, "population" for J.
     """
 
     J: int = 4
@@ -47,8 +42,6 @@ class SelectionConfig:
     lam0: float | None = None
     source_lams: tuple[float, ...] | None = None
     seed: int | tuple = 0
-    source_loss_mode: str = "full_target"
-    sigma_mode: str = "sample"
 
     def __post_init__(self):
         if self.J < 2:
@@ -57,10 +50,6 @@ class SelectionConfig:
             raise ValueError("epsilon0 must be positive")
         if self.c_tilde <= 0.0:
             raise ValueError("threshold multiplier c_tilde must be positive")
-        if self.source_loss_mode not in ("full_target", "fold_averaged"):
-            raise ValueError(f"unknown source_loss_mode {self.source_loss_mode!r}")
-        if self.sigma_mode not in ("sample", "population"):
-            raise ValueError(f"unknown sigma_mode {self.sigma_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -112,42 +101,29 @@ def _complement(folds, j) -> MaskedDataset:
 
 
 def benchmark_loss(target: MaskedDataset, folds, lam0: float, a: float,
-                   cfg: SolverConfig, sigma_mode: str = "sample"):
+                   cfg: SolverConfig):
     """Cross-validated target loss: fit on each fold complement, score on the fold.
 
-    Returns (fold_losses, benchmark mean, sigma_hat, fitted fold estimates).
+    Returns (fold_losses, benchmark mean, sigma_hat, fitted fold estimates);
+    sigma_hat is the sample standard deviation (denominator J - 1).
     """
     losses = []
     fits = []
     for j in range(len(folds)):
-        est = fit_single(_complement(folds, j), lam0, a, cfg)
+        est = fit_single(_complement(folds, j), lam0, a, cfg, label=f"fold {j}")
         fits.append(est)
         losses.append(fold_loss(folds[j], est.matrix))
     losses = np.asarray(losses)
     mean = float(losses.mean())
-    ddof = 1 if sigma_mode == "sample" else 0
-    sigma = float(np.sqrt(np.sum((losses - mean) ** 2) / (losses.size - ddof)))
+    sigma = float(np.sqrt(np.sum((losses - mean) ** 2) / (losses.size - 1)))
     return tuple(float(x) for x in losses), mean, sigma, fits
 
 
-def source_losses(target: MaskedDataset, source_fits, folds=None,
-                  mode: str = "full_target") -> tuple[float, ...]:
-    """Target-data test error of each source-only estimate.
-
-    full_target averages over every target observation; fold_averaged
-    averages the per-fold losses instead (the two coincide when all folds
-    have equal size).
-    """
-    out = []
-    for est in source_fits:
-        A = est.matrix if isinstance(est, Estimate) else np.asarray(est)
-        if mode == "full_target":
-            out.append(fold_loss(target, A))
-        else:
-            if folds is None:
-                raise ValueError("fold_averaged mode needs the folds")
-            out.append(float(np.mean([fold_loss(f, A) for f in folds])))
-    return tuple(out)
+def source_losses(target: MaskedDataset, source_fits) -> tuple[float, ...]:
+    """Target-data test error of each source-only estimate, averaged over
+    every target observation."""
+    return tuple(fold_loss(target, est.matrix if isinstance(est, Estimate) else est)
+                 for est in source_fits)
 
 
 def select_sources(fold_losses, source_loss_values, c_tilde: float,
@@ -201,11 +177,10 @@ def s_trans_mc(target: MaskedDataset, sources, cfg: SelectionConfig,
         lams = [theorem_penalty(cfg.ck, a, v, ds.n, m) for ds in sources]
 
     folds = split_folds(target, J, cfg.seed)
-    fold_vals, _, sigma_hat, fold_fits = benchmark_loss(
-        target, folds, lam0, a, solver, sigma_mode=cfg.sigma_mode
-    )
-    source_fits = [fit_single(ds, lam, a, solver) for ds, lam in zip(sources, lams)]
-    source_vals = source_losses(target, source_fits, folds=folds, mode=cfg.source_loss_mode)
+    fold_vals, _, sigma_hat, fold_fits = benchmark_loss(target, folds, lam0, a, solver)
+    source_fits = [fit_single(ds, lam, a, solver, label=f"source {k}")
+                   for k, (ds, lam) in enumerate(zip(sources, lams), start=1)]
+    source_vals = source_losses(target, source_fits)
 
     report = select_sources(fold_vals, source_vals, cfg.c_tilde, epsilon0, sigma_hat)
     unconverged = [f"fold {j}" for j, est in enumerate(fold_fits) if not est.trace.converged]

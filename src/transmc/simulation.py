@@ -31,7 +31,6 @@ class SamplingModel:
 
     kind "uniform": every cell has probability 1/(m1 m2).
     kind "row_col_product": P[j, l] = row_probs[j] * col_probs[l].
-    kind "explicit": a full probability matrix.
     """
 
     kind: str
@@ -39,10 +38,9 @@ class SamplingModel:
     m2: int
     row_probs: np.ndarray | None = None
     col_probs: np.ndarray | None = None
-    probs: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "row_col_product", "explicit"):
+        if self.kind not in ("uniform", "row_col_product"):
             raise ValueError(f"unknown sampling kind {self.kind!r}")
         if self.kind == "row_col_product":
             r, c = np.asarray(self.row_probs), np.asarray(self.col_probs)
@@ -52,21 +50,11 @@ class SamplingModel:
                 raise ValueError("negative sampling probabilities")
             if abs(r.sum() - 1.0) > 1e-10 or abs(c.sum() - 1.0) > 1e-10:
                 raise ValueError("marginal probabilities must sum to 1")
-        if self.kind == "explicit":
-            p = np.asarray(self.probs)
-            if p.shape != (self.m1, self.m2):
-                raise ValueError("probability matrix has wrong shape")
-            if np.any(p < 0):
-                raise ValueError("negative sampling probabilities")
-            if abs(p.sum() - 1.0) > 1e-10:
-                raise ValueError("probabilities must sum to 1 within 1e-10")
 
     def prob_matrix(self) -> np.ndarray:
         if self.kind == "uniform":
             return np.full((self.m1, self.m2), 1.0 / (self.m1 * self.m2))
-        if self.kind == "row_col_product":
-            return np.outer(self.row_probs, self.col_probs)
-        return np.asarray(self.probs, dtype=np.float64)
+        return np.outer(self.row_probs, self.col_probs)
 
     def diagnostics(self) -> dict:
         """mu_hat = 1 / (m1 m2 min P) plus max cell and marginal probabilities."""
@@ -91,12 +79,9 @@ class SamplingModel:
         """n i.i.d. coordinate draws (with replacement)."""
         if self.kind == "uniform":
             return rng.integers(0, self.m1, size=n), rng.integers(0, self.m2, size=n)
-        if self.kind == "row_col_product":
-            rows = rng.choice(self.m1, size=n, p=self.row_probs)
-            cols = rng.choice(self.m2, size=n, p=self.col_probs)
-            return rows, cols
-        flat = rng.choice(self.m1 * self.m2, size=n, p=self.prob_matrix().ravel())
-        return flat // self.m2, flat % self.m2
+        rows = rng.choice(self.m1, size=n, p=self.row_probs)
+        cols = rng.choice(self.m2, size=n, p=self.col_probs)
+        return rows, cols
 
 
 @dataclass(frozen=True)

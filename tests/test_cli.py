@@ -6,6 +6,9 @@ import pytest
 
 from transmc import cli
 from transmc.data_io import read_dense, read_samples, read_scenario
+from transmc.estimators import PenaltyPolicy, trans_mc
+from transmc.selection import SelectionConfig, s_trans_mc
+from transmc.solver import SolverConfig
 
 
 def run(args, workspace):
@@ -103,14 +106,28 @@ def test_fit_transfer_select_pipeline(tmp_path, tiny_cfg):
     est = read_dense(tmp_path / "fit" / "estimate.txt")
     assert est.shape == (12, 8)
 
+    # transfer and select write what the library estimators return
+    target_ds = read_samples(target)
+    source_ds = [read_samples(p) for p in sources.split(",")]
+    policy = PenaltyPolicy(a=30.0, c1=cli.DEFAULT_MULTIPLIER, c2=cli.DEFAULT_MULTIPLIER,
+                           v=0.5)
+    solver = SolverConfig(max_iters=300)
+
     assert run(["transfer", "--target", target, "--sources", sources,
                 "--out", "tr", "--a", "30", "--noise-sd", "0.5",
                 "--max-iters", "300"], tmp_path) == 0
-    assert (tmp_path / "tr" / "estimate.txt").exists()
+    direct = trans_mc(target_ds, source_ds, policy, solver).matrix
+    np.testing.assert_allclose(read_dense(tmp_path / "tr" / "estimate.txt"), direct,
+                               rtol=1e-12, atol=0)
 
     assert run(["select", "--target", target, "--sources", sources,
                 "--out", "sel", "--a", "30", "--noise-sd", "0.5",
                 "--max-iters", "300", "--epsilon0", "0.5"], tmp_path) == 0
+    sel_cfg = SelectionConfig(J=4, c_tilde=2.0, epsilon0=0.5, c0=cli.DEFAULT_MULTIPLIER,
+                              ck=cli.DEFAULT_MULTIPLIER, seed=0)
+    _, direct = s_trans_mc(target_ds, source_ds, sel_cfg, policy, solver)
+    np.testing.assert_allclose(read_dense(tmp_path / "sel" / "estimate.txt"),
+                               direct.matrix, rtol=1e-12, atol=0)
     rows = list(csv.reader(open(tmp_path / "sel" / "selection_report.csv")))
     kinds = {r[0] for r in rows[1:]}
     assert {"fold_loss", "benchmark", "source_loss", "sigma_hat",
@@ -169,7 +186,6 @@ def test_benchmark_degenerate_matches_fit_plus_evaluate(tmp_path):
     from transmc.estimators import fit_single, theorem_penalty
     from transmc.metrics import rel_frob_error
     from transmc.simulation import generate_scenario, ScenarioSpec
-    from transmc.solver import SolverConfig
 
     spec = ScenarioSpec(m1=10, m2=8, rank=2, contrasts=(), n0_frac=0.6,
                         nk_frac=0.5, noise_sd=0.5, sampling="uniform", seed=9)
@@ -231,3 +247,41 @@ def test_evaluate_missing_frames_error(tmp_path):
     cfg = tmp_path / "eval.cfg"
     cfg.write_text("frames: does_not_exist.frame\ntargets: 0\n")
     assert run(["evaluate", "--config", str(cfg), "--out", "ev"], tmp_path) == 2
+
+
+def test_evaluate_a_flag_matches_config_a(tmp_path):
+    assert run(["simulate", "--preset", "tec-synthetic-tiny", "--out", "tec"],
+               tmp_path) == 0
+    cfg = tmp_path / "tec" / "eval.cfg"
+    text = cfg.read_text().replace("targets: 0-5", "targets: 0-1")
+    cfg.write_text(text)
+    base = ["evaluate", "--max-iters", "300"]
+    assert run(base + ["--config", str(cfg), "--out", "default"], tmp_path) == 0
+    assert run(base + ["--config", str(cfg), "--out", "flag", "--a", "5"], tmp_path) == 0
+    cfg_a = tmp_path / "tec" / "eval_a.cfg"
+    cfg_a.write_text(text + "a: 5\n")
+    assert run(base + ["--config", str(cfg_a), "--out", "cfg"], tmp_path) == 0
+    flag = (tmp_path / "flag" / "eval.csv").read_bytes()
+    assert flag == (tmp_path / "cfg" / "eval.csv").read_bytes()
+    assert flag != (tmp_path / "default" / "eval.csv").read_bytes()
+
+
+@pytest.mark.parametrize("targets, methods", [
+    ("2-0", "single"),   # descending range
+    ("", "single"),      # no targets
+    ("0", ""),           # no methods
+])
+def test_evaluate_rejects_empty_selection(tmp_path, targets, methods):
+    from transmc.data_io import FrameFile, write_frame
+
+    paths = []
+    for t in range(3):
+        path = tmp_path / f"f{t}.frame"
+        write_frame(FrameFile(4, 5, f"t{t}", [0, 1, 2, 3], [0, 1, 2, 3],
+                              [1.0, 2.0, 3.0, 4.0]), path)
+        paths.append(str(path))
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(f"frames: {','.join(paths)}\ntargets: {targets}\n"
+                   f"methods: {methods}\n")
+    assert run(["evaluate", "--config", str(cfg), "--out", "ev"], tmp_path) == 2
+    assert not (tmp_path / "ev" / "eval.csv").exists()

@@ -5,18 +5,15 @@ from hypothesis import strategies as st
 
 from transmc.data_io import (
     FrameFile,
-    Manifest,
     ParseError,
     holdout_split,
     read_dense,
     read_frame,
-    read_manifest,
     read_samples,
     read_scenario,
     window_sources,
     write_dense,
     write_frame,
-    write_manifest,
     write_samples,
     write_scenario,
 )
@@ -180,7 +177,7 @@ def test_holdout_split_property(n, fraction, seed):
 
 
 # ---------------------------------------------------------------------------
-# window_sources / manifest
+# window_sources
 # ---------------------------------------------------------------------------
 
 def test_window_sources_interior():
@@ -202,19 +199,6 @@ def test_window_sources_boundary():
 def test_window_sources_zero_width():
     manifest = window_sources(["a", "b", "c"], 1, half_width=0)
     assert manifest.sources == ()
-
-
-def test_manifest_round_trip(tmp_path):
-    manifest = Manifest(target="frames/t5", sources=("frames/t4", "frames/t6"),
-                        holdout_fraction=0.2, seed=77)
-    path = tmp_path / "m.cfg"
-    write_manifest(manifest, path)
-    assert read_manifest(path) == manifest
-
-
-def test_manifest_validation():
-    with pytest.raises(ValueError):
-        Manifest(target="t", sources=(), holdout_fraction=1.5, seed=0)
 
 
 # ---------------------------------------------------------------------------

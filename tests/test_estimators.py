@@ -279,6 +279,11 @@ def test_unconverged_fit_logs_warning(caplog):
     messages = [rec.getMessage() for rec in caplog.records if rec.name == "transmc"]
     assert any("single fit did not converge in 3 iterations" in m and "lam = 0.01" in m
                for m in messages)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="transmc"):
+        estimate_noise_scale(ds, 10.0, cfg)
+    assert any(rec.getMessage().startswith("pilot fit did not converge in 3 iterations")
+               for rec in caplog.records)
 
 
 def test_estimate_noise_scale_close_to_truth():

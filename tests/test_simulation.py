@@ -122,14 +122,25 @@ def test_product_sampling_differs_by_task():
     assert not np.allclose(a.row_probs, b.row_probs)
 
 
-def test_explicit_sampling_validation():
+def test_product_sampling_validation():
+    half = np.full(2, 0.5)
+    with pytest.raises(ValueError):  # marginal sums to 0.6
+        SamplingModel(kind="row_col_product", m1=2, m2=2,
+                      row_probs=np.full(2, 0.3), col_probs=half)
+    with pytest.raises(ValueError):  # negative entry, sum still 1
+        SamplingModel(kind="row_col_product", m1=2, m2=2,
+                      row_probs=half, col_probs=np.array([1.1, -0.1]))
+    with pytest.raises(ValueError):  # wrong length
+        SamplingModel(kind="row_col_product", m1=3, m2=2, row_probs=half, col_probs=half)
     with pytest.raises(ValueError):
-        SamplingModel(kind="explicit", m1=2, m2=2, probs=np.full((2, 2), 0.3))
-    with pytest.raises(ValueError):
-        SamplingModel(kind="explicit", m1=2, m2=2,
-                      probs=np.array([[0.8, 0.4], [-0.1, -0.1]]))
-    model = SamplingModel(kind="explicit", m1=2, m2=2, probs=np.full((2, 2), 0.25))
-    assert model.diagnostics()["mu_hat"] == pytest.approx(1.0)
+        SamplingModel(kind="explicit", m1=2, m2=2)
+    model = SamplingModel(kind="row_col_product", m1=2, m2=2,
+                          row_probs=np.array([0.75, 0.25]), col_probs=half)
+    diag = model.diagnostics()
+    assert diag["mu_hat"] == pytest.approx(1.0 / (4 * 0.125))
+    assert diag["max_prob"] == pytest.approx(0.375)
+    assert diag["max_row_marginal"] == pytest.approx(0.75)
+    assert diag["max_col_marginal"] == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------
