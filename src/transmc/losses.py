@@ -2,11 +2,12 @@
 
 A loss oracle exposes value(A) and gradient(A) for the solver; both must be
 pure functions of A. The same oracle form covers the single-task objective,
-the pooled multi-task objective (concatenated samples) and the debiasing
+the pooled multi-task objective (every task's samples) and the debiasing
 objective (observations re-centered by a fixed base matrix).
 
 Over samples drawn with replacement the loss depends on the data only through
-per-cell statistics, built once with np.bincount: the sample count W, the cell
+per-cell statistics, built once with np.bincount (task by task for a pooled
+loss, so the observations are never concatenated): the sample count W, the cell
 mean Ybar (0 where W = 0) and the within-cell residual sum of squares rss0.
 Then, exactly,
 
@@ -19,7 +20,7 @@ noise, where expanding the square would cancel terms of size sum y^2.
 
 import numpy as np
 
-from transmc.datasets import MaskedDataset, check_compatible, concat_observations
+from transmc.datasets import MaskedDataset, check_compatible
 
 
 class MaskedSquaredLoss:
@@ -37,26 +38,46 @@ class MaskedSquaredLoss:
             raise ValueError("row index out of bounds")
         if cols.min() < 0 or cols.max() >= m2:
             raise ValueError("column index out of bounds")
+        self._build(m1, m2, [(rows, cols, values)])
+
+    def _build(self, m1, m2, parts):
+        """Cell statistics of the observations in parts, a sequence of
+        (rows, cols, values) triplets, reduced one triplet at a time so the
+        triplets are never concatenated."""
+        size = m1 * m2
+
         # Per-observation temporaries are updated in place: a pooled loss
         # can hold 1e5+ observations.
-        cell = rows * m2
-        cell += cols
-        size = m1 * m2
-        counts = np.bincount(cell, minlength=size).astype(np.float64)
+        def cells():
+            for rows, cols, values in parts:
+                cell = rows * m2
+                cell += cols
+                yield cell, values
+
+        def residuals(cell, values):
+            resid = means[cell]
+            np.subtract(values, resid, out=resid)
+            return resid
+
+        counts = np.zeros(size)
+        means = np.zeros(size)
+        for cell, values in cells():
+            counts += np.bincount(cell, minlength=size)
+            means += np.bincount(cell, weights=values, minlength=size)
         observed = counts > 0
-        means = np.bincount(cell, weights=values, minlength=size)
         np.divide(means, counts, out=means, where=observed)
-        resid = means[cell]
-        np.subtract(values, resid, out=resid)
         # One correction pass makes each mean exact for repeated equal values
         # and accurate to about one rounding otherwise.
-        means += np.divide(np.bincount(cell, weights=resid, minlength=size),
-                           counts, out=np.zeros(size), where=observed)
-        del resid
-        resid = means[cell]
-        np.subtract(values, resid, out=resid)
-        self._set(counts.reshape(m1, m2), means.reshape(m1, m2),
-                  float(resid @ resid), rows.size)
+        correction = np.zeros(size)
+        for cell, values in cells():
+            correction += np.bincount(cell, weights=residuals(cell, values), minlength=size)
+        means += np.divide(correction, counts, out=correction, where=observed)
+        rss0 = 0.0
+        for cell, values in cells():
+            resid = residuals(cell, values)
+            rss0 += float(resid @ resid)
+        n = sum(values.size for _, _, values in parts)
+        self._set(counts.reshape(m1, m2), means.reshape(m1, m2), rss0, n)
 
     def _set(self, counts, means, rss0, n):
         self.counts = counts
@@ -71,9 +92,11 @@ class MaskedSquaredLoss:
 
     @classmethod
     def from_datasets(cls, datasets) -> "MaskedSquaredLoss":
+        """Loss over the pooled observations of every dataset, in the given order."""
         m1, m2 = check_compatible(datasets)
-        rows, cols, values = concat_observations(datasets)
-        return cls(m1, m2, rows, cols, values)
+        out = object.__new__(cls)
+        out._build(m1, m2, [(ds.rows, ds.cols, ds.values) for ds in datasets])
+        return out
 
     @property
     def n(self) -> int:

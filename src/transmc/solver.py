@@ -1,14 +1,31 @@
-"""Local adaptive majorize-minimization (LAMM) for nuclear-norm penalized
-convex programs  min L(A) + lam * ||A||_*  subject to an entrywise box.
+"""Accelerated local adaptive majorize-minimization (LAMM) for nuclear-norm
+penalized convex programs  min L(A) + lam * ||A||_*  subject to an entrywise box.
 
-Each iteration takes a gradient step of length 1/phi, soft-thresholds the
-singular values at lam/phi, projects onto the box, and backtracks phi by a
-factor gamma until the local quadratic model majorizes the loss at the
-candidate. phi is carried from one iteration to the next and lowered to
-max(phi0, phi / gamma) only when the accepted step showed slack, that is
-when the model at phi / gamma would also have majorized the loss there (the
-I-LAMM rule of Fan, Liu, Sun and Zhang, Ann. Statist. 2018). Every accepted
-step is a majorize-minimize step, so the objective never increases.
+Each iteration takes a gradient step of length 1/phi from a point Y,
+soft-thresholds the singular values at lam/phi, projects onto the box, and
+backtracks phi by a factor gamma until the local quadratic model at Y
+majorizes the loss at the candidate. phi is carried from one iteration to
+the next and lowered to max(phi0, phi / gamma) only when the accepted step
+showed slack, that is when the model at phi / gamma would also have
+majorized the loss there (the I-LAMM rule of Fan, Liu, Sun and Zhang, Ann.
+Statist. 2018). The fit stops when ||candidate - Y||_F <= epsilon, the norm
+of the proximal-gradient mapping at Y.
+
+Momentum (FISTA; Beck and Teboulle, SIAM J. Imaging Sci. 2009): Y is the
+extrapolated point A_k + beta_k (A_k - A_{k-1}), beta_k = (t_k - 1) / t_{k+1},
+t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2, t_1 = 1. Restart (O'Donoghue and
+Candes, Found. Comput. Math. 2015): a candidate from an extrapolated point
+whose objective exceeds the objective at A_k is dropped, t is reset to 1 and
+the step is redone from Y = A_k. Every accepted step is therefore either no
+worse than A_k or a plain majorize-minimize step from A_k. A step the box
+clips is not a proximal step of the objective and can raise it, so t is
+also reset to 1 after such a step.
+
+The penalty at a candidate needs no second SVD: for B = Y - grad L(Y) / phi
+and S = soft_threshold(B, lam / phi), ||S||_* = <S, B - S> / (lam / phi), so
+lam * ||S||_* = phi * <S, B - S>. A compute_uv=False SVD gives the penalty
+only when the box clipped S, or when lam / phi is too small next to
+||B||_F for the identity to be accurate.
 """
 
 import math
@@ -19,6 +36,10 @@ import numpy as np
 from transmc.linalg import project_box, soft_threshold
 
 MAX_BACKTRACK_DOUBLINGS = 64  # phi may not exceed phi0 * gamma**64
+# The penalty identity loses about eps * ||B||_F / tau relative accuracy to
+# cancellation in B - S; for tau below this multiple of ||B||_F (phi driven up
+# by roundoff-level backtracking next to a solution) an SVD gives the penalty.
+IDENTITY_MIN_TAU = 1e-4
 
 
 class SolverDivergedError(RuntimeError):
@@ -76,9 +97,12 @@ class SolverConfig:
 
 @dataclass
 class SolveTrace:
-    """iterations counts accepted steps; prox_evals counts every proximal
-    (soft-threshold) evaluation, accepted or rejected by backtracking.
-    final_phi is the phi the next iteration would start from."""
+    """iterations counts loop passes: accepted steps plus passes whose
+    extrapolated candidate was dropped by a restart. objective_values holds
+    the objective at the initial point and after each accepted step.
+    prox_evals counts every proximal (soft-threshold) evaluation, accepted or
+    rejected by backtracking or restart. final_phi is the phi the next
+    iteration would start from."""
 
     iterations: int
     objective_values: list[float]
@@ -113,6 +137,7 @@ def lamm_solve(loss, init, cfg: SolverConfig):
     cfg.validate()
     a = cfg.box_level
     shift = cfg.box_shift
+    lam = cfg.lam
     A = np.asarray(init, dtype=np.float64).copy()
     if not np.all(np.isfinite(A)):
         raise ValueError("initial matrix contains non-finite entries")
@@ -122,25 +147,47 @@ def lamm_solve(loss, init, cfg: SolverConfig):
 
     phi_cap = cfg.phi0 * cfg.gamma ** MAX_BACKTRACK_DOUBLINGS
     value_A = loss.value(A)
-    objective = [value_A + _nuclear_penalty(A, cfg.lam)]
-    if not math.isfinite(objective[0]):
+    obj_A = value_A + (_nuclear_penalty(A, lam) if A.any() else 0.0)
+    objective = [obj_A]
+    if not math.isfinite(obj_A):
         raise SolverDivergedError("objective non-finite at the initial point")
 
+    # Work buffers reused across iterations: the extrapolated point Y, the
+    # gradient at Y, the gradient step B and the step candidate - Y.
+    Y = np.empty_like(A)
+    grad = np.empty_like(A)
+    B = np.empty_like(A)
+    diff = np.empty_like(A)
+    A_prev = A
     phi = cfg.phi0
+    t = 1.0
     converged = False
     iterations = 0
     prox_evals = 0
     for _ in range(cfg.max_iters):
         iterations += 1
-        grad = loss.gradient(A)
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        extrapolated = t > 1.0
+        if extrapolated:
+            np.subtract(A, A_prev, out=Y)
+            Y *= (t - 1.0) / t_next
+            Y += A
+            point, value_Y = Y, loss.value(Y)
+            if not math.isfinite(value_Y):
+                raise SolverDivergedError("loss value non-finite at the extrapolated point")
+        else:
+            point, value_Y = A, value_A
+        grad = loss.gradient(point, out=grad)
         while True:
             prox_evals += 1
-            candidate = soft_threshold(A - grad / phi, cfg.lam / phi)
-            candidate = project_box(candidate, a, shift)
-            diff = candidate - A
-            linear = float(np.sum(grad * diff))
-            sq_step = float(np.sum(diff * diff))
-            quad = value_A + linear + 0.5 * phi * sq_step
+            np.divide(grad, phi, out=B)
+            np.subtract(point, B, out=B)
+            shrunk = soft_threshold(B, lam / phi)
+            candidate = project_box(shrunk, a, shift)
+            np.subtract(candidate, point, out=diff)
+            linear = float(np.vdot(grad, diff))
+            sq_step = float(np.vdot(diff, diff))
+            quad = value_Y + linear + 0.5 * phi * sq_step
             value_c = loss.value(candidate)
             if not math.isfinite(value_c):
                 raise SolverDivergedError("loss value non-finite at candidate")
@@ -151,13 +198,26 @@ def lamm_solve(loss, init, cfg: SolverConfig):
                 raise SolverDivergedError(
                     f"backtracking exceeded phi0 * gamma**{MAX_BACKTRACK_DOUBLINGS}"
                 )
-        step = float(np.linalg.norm(diff))
-        A = candidate
-        objective.append(value_c + _nuclear_penalty(A, cfg.lam))
-        if value_c - value_A - linear <= 0.5 * (phi / cfg.gamma) * sq_step:
+        clipped = not np.array_equal(candidate, shrunk)
+        if clipped or lam / phi < IDENTITY_MIN_TAU * np.linalg.norm(B):
+            penalty = _nuclear_penalty(candidate, lam)
+        else:
+            # lam * ||S||_* = phi * <S, B - S> for S = soft_threshold(B, lam / phi).
+            B -= shrunk
+            penalty = phi * float(np.vdot(shrunk, B))
+        obj_c = value_c + penalty
+        if extrapolated and obj_c > obj_A:
+            t = 1.0  # restart: redo the step from A without momentum
+            continue
+        A_prev, A = A, candidate
+        value_A, obj_A = value_c, obj_c
+        objective.append(obj_A)
+        if value_c - value_Y - linear <= 0.5 * (phi / cfg.gamma) * sq_step:
             phi = max(cfg.phi0, phi / cfg.gamma)
-        value_A = value_c
-        if step <= cfg.epsilon:
+        # A clipped step is not a proximal step of the objective (its value
+        # can rise), so no momentum is carried past it.
+        t = 1.0 if clipped else t_next
+        if math.sqrt(sq_step) <= cfg.epsilon:
             converged = True
             break
 

@@ -172,6 +172,46 @@ def test_benchmark_single_scheme_and_methods_subset(tmp_path, tiny_cfg):
     assert not (tmp_path / "b" / "curve_ss1.csv").exists()
 
 
+def test_benchmark_runs_full_source_trans_mc_once_per_replicate(tmp_path, tiny_cfg,
+                                                               monkeypatch):
+    # The `transmc` method and curve point k = K fit the same inputs: each
+    # replicate makes K + 1 trans_mc calls (k = 0..K), not K + 2.
+    calls = []
+
+    def counting(target, sources, policy, solver):
+        calls.append(len(sources))
+        return trans_mc(target, sources, policy, solver)
+
+    monkeypatch.setattr(cli, "trans_mc", counting)
+    assert run(["benchmark", "--config", str(tiny_cfg), "--out", "b", "--reps", "2",
+                "--jobs", "1", "--schemes", "uniform", "--methods", "transmc,curve",
+                "--max-iters", "300"], tmp_path) == 0
+    assert calls == [2, 0, 1] * 2
+    summary = list(csv.reader(open(tmp_path / "b" / "summary.csv")))
+    curve = list(csv.reader(open(tmp_path / "b" / "curve_ss1.csv")))
+    assert summary[1][:3] == ["transmc", "SS1", curve[-1][1]]
+
+
+def test_benchmark_shared_fit_failure_is_recorded_under_both_tags(monkeypatch):
+    from transmc.simulation import ScenarioSpec
+    from transmc.solver import SolverDivergedError
+
+    def failing(target, sources, policy, solver):
+        if len(sources) == 2:
+            raise SolverDivergedError("diverged")
+        return trans_mc(target, sources, policy, solver)
+
+    monkeypatch.setattr(cli, "trans_mc", failing)
+    spec = ScenarioSpec(m1=12, m2=8, rank=2, contrasts=(5.0, 40.0), n0_frac=0.5,
+                        nk_frac=0.4, noise_sd=0.5, sampling="uniform", seed=3)
+    params = {"c1": cli.DEFAULT_MULTIPLIER, "c2": cli.DEFAULT_MULTIPLIER,
+              "c_tilde": 2.0, "epsilon0": None, "folds": 4, "max_iters": 300}
+    result = cli._bench_worker((spec, 0, ("transmc", "curve"), params))
+    assert result["errors"]["transmc"] is None
+    assert result["curve"][2] is None and result["curve"][0] is not None
+    assert result["failures"] == ["transmc: diverged", "curve-k2: diverged"]
+
+
 def test_benchmark_degenerate_matches_fit_plus_evaluate(tmp_path):
     cfg = tmp_path / "nosrc.cfg"
     cfg.write_text("m1: 10\nm2: 8\nrank: 2\ncontrasts:\nn0_frac: 0.6\n"

@@ -108,6 +108,29 @@ def test_pooled_loss_equals_concatenated_samples():
     assert pooled.value(A) == pytest.approx(loss_double_loop(A, rows, cols, values), rel=1e-13)
 
 
+def test_pooled_statistics_match_concatenated_constructor():
+    # Three tasks sharing cells, entries near 1e3: the per-task reduction
+    # must give the statistics of one constructor call on the concatenation.
+    rng = np.random.default_rng(11)
+    m1, m2 = 7, 5
+    tasks = []
+    for task_id, n in enumerate((40, 3, 25)):
+        rows = rng.integers(0, m1, size=n)
+        cols = rng.integers(0, m2, size=n)
+        values = 1e3 + rng.standard_normal(n)
+        tasks.append(MaskedDataset(m1, m2, rows, cols, values, task_id=task_id))
+    pooled = MaskedSquaredLoss.from_datasets(tasks)
+    whole = MaskedSquaredLoss(m1, m2, *(np.concatenate([getattr(ds, f) for ds in tasks])
+                                        for f in ("rows", "cols", "values")))
+    assert pooled.n == whole.n == 68
+    assert np.array_equal(pooled.counts, whole.counts)
+    assert np.allclose(pooled.means, whole.means, rtol=1e-12, atol=0.0)
+    assert pooled.rss0 == pytest.approx(whole.rss0, rel=1e-12)
+    A = 1e3 + rng.standard_normal((m1, m2))
+    assert pooled.value(A) == pytest.approx(whole.value(A), rel=1e-12)
+    assert np.allclose(pooled.gradient(A), whole.gradient(A), rtol=1e-12, atol=0.0)
+
+
 def test_constructor_rejects_bad_input():
     with pytest.raises(ValueError):
         MaskedSquaredLoss(2, 2, [], [], [])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from transmc.datasets import MaskedDataset
-from transmc.estimators import PenaltyPolicy, fit_single
+from transmc.cli import DEFAULT_MULTIPLIER
+from transmc.estimators import PenaltyPolicy, estimate_noise_scale, fit_single, theorem_penalty
 from transmc.selection import (
     SelectionConfig,
     benchmark_loss,
@@ -14,7 +15,7 @@ from transmc.selection import (
     source_losses,
     split_folds,
 )
-from transmc.simulation import SamplingModel, sample_observations
+from transmc.simulation import PRESETS, SamplingModel, generate_scenario, sample_observations
 from transmc.solver import SolverConfig
 from _oracles import loss_double_loop
 
@@ -262,6 +263,46 @@ def test_s_trans_mc_reports_unconverged_fits(caplog):
     assert warned[:5] == list(report.unconverged)
     report, _ = s_trans_mc(target, sources, cfg, policy, CFG)
     assert report.unconverged == ()
+
+
+# ---------------------------------------------------------------------------
+# paper-5.2-small: the small-penalty fits of source detection converge
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def paper_52_small():
+    spec = PRESETS["paper-5.2-small"]
+    return spec, generate_scenario(spec, rep=0)
+
+
+def test_paper_52_source_only_fits_converge(paper_52_small):
+    # Five of these ten fits stopped at max_iters = 500 without momentum.
+    spec, data = paper_52_small
+    m = min(spec.m1, spec.m2)
+    for k, ds in enumerate(data.sources, start=1):
+        lam = theorem_penalty(DEFAULT_MULTIPLIER, spec.a_cap, spec.noise_sd, ds.n, m)
+        est = fit_single(ds, lam, spec.a_cap, SolverConfig(), label=f"source {k}")
+        assert est.trace.converged, f"source {k}"
+        assert est.trace.iterations <= 500
+
+
+def test_paper_52_s_trans_mc_reports_no_unconverged_fit(paper_52_small):
+    spec, data = paper_52_small
+    policy = PenaltyPolicy(a=spec.a_cap, c1=DEFAULT_MULTIPLIER, c2=DEFAULT_MULTIPLIER,
+                           v=spec.noise_sd)
+    cfg = SelectionConfig(J=4, c_tilde=2.0, epsilon0=1.25, c0=DEFAULT_MULTIPLIER,
+                          ck=DEFAULT_MULTIPLIER, seed=(spec.seed, 4, 0))
+    report, _ = s_trans_mc(data.target, data.sources, cfg, policy, SolverConfig())
+    assert report.unconverged == ()
+    assert report.selected == (1, 2, 3, 4, 5)
+
+
+def test_paper_52_noise_pilot_converges(paper_52_small, caplog):
+    spec, data = paper_52_small
+    with caplog.at_level(logging.WARNING, logger="transmc"):
+        sigma = estimate_noise_scale(data.target, spec.a_cap, SolverConfig())
+    assert not [r for r in caplog.records if "did not converge" in r.getMessage()]
+    assert sigma > 0.0
 
 
 def test_selection_config_validation():

@@ -226,6 +226,26 @@ def test_lamm_prox_evals_per_iteration():
     assert trace.prox_evals / trace.iterations < 1.8
 
 
+@pytest.mark.parametrize("a", [100.0, 3.0])
+def test_lamm_final_objective_matches_fresh_svd(a):
+    # a = 100 leaves every step inside the box (penalty from the prox
+    # identity); a = 3 clips one entry of the solution (penalty from an SVD
+    # of the clipped step).
+    rng = np.random.default_rng(3)
+    T = rng.standard_normal((20, 2)) @ rng.standard_normal((2, 12))
+    rows = rng.integers(0, 20, 150)
+    cols = rng.integers(0, 12, 150)
+    values = T[rows, cols] + 0.1 * rng.standard_normal(150)
+    loss = MaskedSquaredLoss.from_dataset(MaskedDataset(20, 12, rows, cols, values))
+    lam = 0.02
+    cfg = cfg_for(loss, lam=lam, a=a)
+    A, trace = lamm_solve(loss, np.zeros((20, 12)), cfg)
+    assert trace.converged
+    assert np.count_nonzero(np.abs(A) == a) == (1 if a == 3.0 else 0)
+    fresh = loss.value(A) + lam * float(np.linalg.svd(A, compute_uv=False).sum())
+    assert trace.objective_values[-1] == pytest.approx(fresh, rel=1e-10)
+
+
 class _NanLoss:
     shape = (2, 2)
 
