@@ -25,7 +25,7 @@ from transmc.estimators import (
     theorem_penalty,
     trans_mc,
 )
-from transmc.selection import SelectionConfig, s_trans_mc
+from transmc.selection import SelectionConfig, screen_sources
 from transmc.simulation import PRESETS, ScenarioSpec, generate_scenario
 from transmc.solver import SolverConfig, SolverDivergedError
 
@@ -99,13 +99,14 @@ def _box_level(a, value_arrays) -> float:
     return 1.05 * max([1.0, *(float(np.max(np.abs(v))) for v in value_arrays if v.size)])
 
 
-def _estimate(method, target, sources, a, opts, solver, seed):
+def _estimate(method, target, sources, a, opts, solver, seed, transfer=None):
     """Run one of the paper's estimators; returns (Estimate, SelectionReport or None).
 
     opts carries the penalty multipliers c1/c2, the noise scale noise_sd
     (None: pilot estimate), the single-task penalty lam (None: theorem
     formula) and the selection knobs folds, c_tilde and epsilon0; seed draws
-    the s-transmc fold split.
+    the s-transmc fold split. transfer, called like trans_mc (the default),
+    runs the transfer fit of transmc and s-transmc.
     """
     if method == "single":
         lam = opts.lam
@@ -116,13 +117,15 @@ def _estimate(method, target, sources, a, opts, solver, seed):
             lam = theorem_penalty(opts.c2, a, v, target.n, min(target.m1, target.m2))
         return fit_single(target, lam, a, solver), None
     policy = PenaltyPolicy(a=a, c1=opts.c1, c2=opts.c2, v=opts.noise_sd)
+    transfer = transfer or trans_mc
     if method == "transmc":
-        return trans_mc(target, sources, policy, solver), None
+        return transfer(target, sources, policy, solver), None
     if method == "s-transmc":
         cfg = SelectionConfig(J=opts.folds, c_tilde=opts.c_tilde, epsilon0=opts.epsilon0,
                               c0=opts.c1, ck=opts.c2, seed=seed)
-        report, est = s_trans_mc(target, sources, cfg, policy, solver)
-        return est, report
+        report = screen_sources(target, sources, cfg, policy, solver)
+        chosen = [sources[k - 1] for k in report.selected]
+        return transfer(target, chosen, policy, solver), report
     raise CliError(f"unknown method {method!r}")
 
 
@@ -246,26 +249,33 @@ def _bench_worker(payload):
     opts = argparse.Namespace(**params, noise_sd=spec.noise_sd, lam=None)
     result = {"rep": rep, "errors": {}, "curve": None, "selected": None,
               "failures": []}
-    # (method, source count) -> (error, failure); the `transmc` method and
-    # curve point k = K share inputs and seed, so that fit runs once.
-    outcomes = {}
+    # Chosen sources' task ids -> trans_mc Estimate or the error it raised.
+    # Every transfer fit of one replicate shares target, policy and solver, so
+    # the `transmc` method, curve point k = K and an s-transmc run that keeps
+    # every source make one fit between them.
+    fits = {}
+
+    def cached_trans_mc(target, chosen, policy, cfg):
+        key = tuple(ds.task_id for ds in chosen)
+        if key not in fits:
+            try:
+                fits[key] = trans_mc(target, chosen, policy, cfg)
+            except SolverDivergedError as exc:
+                fits[key] = exc
+        if isinstance(fits[key], SolverDivergedError):
+            raise fits[key]
+        return fits[key]
 
     def run(tag, method, sources):
-        key = (method, len(sources))
-        if key not in outcomes:
-            try:
-                est, report = _estimate(method, data.target, sources, spec.a_cap, opts,
-                                        solver, (spec.seed, 4, rep))
-            except SolverDivergedError as exc:
-                outcomes[key] = None, str(exc)
-            else:
-                if report is not None:
-                    result["selected"] = report.selected
-                outcomes[key] = metrics.rel_frob_error(est.matrix, data.truth), None
-        error, failure = outcomes[key]
-        if failure is not None:
-            result["failures"].append(f"{tag}: {failure}")
-        return error
+        try:
+            est, report = _estimate(method, data.target, sources, spec.a_cap, opts,
+                                    solver, (spec.seed, 4, rep), transfer=cached_trans_mc)
+        except SolverDivergedError as exc:
+            result["failures"].append(f"{tag}: {exc}")
+            return None
+        if report is not None:
+            result["selected"] = report.selected
+        return metrics.rel_frob_error(est.matrix, data.truth)
 
     for method in methods:
         if method == "curve":

@@ -5,11 +5,13 @@ Frame format (UTF-8, LF): a header line ``m1 m2 frame_id`` followed by one
 ``row col value`` line per observed entry, indices 0-based. Coordinates must
 be unique within a frame; unobserved entries are simply absent (never
 sentinel zeros). Writers emit records sorted by (row, col), so write/read is
-byte-lossless on canonicalized frames.
+byte-lossless on canonicalized frames. Sample files share the record grammar
+(see README "File formats") and allow repeated coordinates.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,9 +47,11 @@ class FrameFile:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= self.m2:
                 raise ValueError("column index out of range")
-            flat = rows * self.m2 + cols
-            if np.unique(flat).size != flat.size:
+            flat = np.sort(rows * self.m2 + cols)
+            if np.any(flat[1:] == flat[:-1]):
                 raise ValueError("duplicate coordinates within one frame")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("frame values contain non-finite entries")
         if " " in self.frame_id or not self.frame_id:
             raise ValueError("frame_id must be a nonempty token without spaces")
         object.__setattr__(self, "rows", rows)
@@ -75,6 +79,67 @@ class Manifest:
     sources: tuple[str, ...]
 
 
+# One ``row col value`` record, as loadtxt parses a whole body in C.
+_RECORD = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
+
+
+def _read_records(path, fh, m1, m2, build, unique):
+    """build(rows, cols, values) over the ``row col value`` lines after the header.
+
+    One loadtxt call parses the body and build checks the arrays (coordinates
+    in range, finite values and, for frames, unique coordinates), raising
+    ValueError on a fault. Only then does a per-line pass run, to raise the
+    ParseError that names the first offending line.
+    """
+    body = fh.read()
+    lines = body.split("\n")
+    try:
+        if body.strip():
+            records = np.loadtxt(lines, dtype=_RECORD, comments=None, ndmin=1)
+        else:  # loadtxt would warn that the input holds no data
+            records = np.empty(0, dtype=_RECORD)
+        return build(records["row"], records["col"], records["value"])
+    except ValueError:
+        _raise_first_bad_record(path, lines, m1, m2, unique)
+        raise
+
+
+def _raise_first_bad_record(path, lines, m1, m2, unique):
+    """Raise ParseError for the first line (numbered from 2) that is not a valid
+    record; return if there is none.
+
+    Tokens follow loadtxt's grammar: unlike Python's int and float, it reads
+    ASCII digits only and no '_' separators.
+    """
+    seen = set()
+    for line_no, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        fields = line.split()
+        if len(fields) != 3:
+            raise ParseError(path, line_no, f"expected 'row col value', got {line.strip()!r}")
+        try:
+            r, c, v = int(fields[0]), int(fields[1]), float(fields[2])
+            parsed = all(f.isascii() and "_" not in f for f in fields)
+        except ValueError:
+            parsed = False
+        if not parsed:
+            raise ParseError(path, line_no, f"could not parse record {line.strip()!r}")
+        if not (0 <= r < m1 and 0 <= c < m2):
+            raise ParseError(path, line_no, f"coordinate ({r}, {c}) out of range for {m1}x{m2}")
+        if not math.isfinite(v):
+            raise ParseError(path, line_no, "non-finite value")
+        if unique:
+            if (r, c) in seen:
+                raise ParseError(path, line_no, f"duplicate coordinate ({r}, {c})")
+            seen.add((r, c))
+
+
+def _write_records(fh, rows, cols, values):
+    fh.write("".join(f"{r} {c} {v!r}\n"
+                     for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist())))
+
+
 def read_frame(path) -> FrameFile:
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -90,40 +155,15 @@ def read_frame(path) -> FrameFile:
             raise ParseError(path, 1, f"non-integer dimensions in header {header.strip()!r}")
         if m1 < 1 or m2 < 1:
             raise ParseError(path, 1, "matrix dimensions must be positive")
-        frame_id = parts[2]
-        rows, cols, values = [], [], []
-        seen = set()
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 3:
-                raise ParseError(path, line_no, f"expected 'row col value', got {line.strip()!r}")
-            try:
-                r, c, v = int(fields[0]), int(fields[1]), float(fields[2])
-            except ValueError:
-                raise ParseError(path, line_no, f"could not parse record {line.strip()!r}")
-            if not (0 <= r < m1 and 0 <= c < m2):
-                raise ParseError(path, line_no, f"coordinate ({r}, {c}) out of range for {m1}x{m2}")
-            if not math.isfinite(v):
-                raise ParseError(path, line_no, "non-finite value")
-            if (r, c) in seen:
-                raise ParseError(path, line_no, f"duplicate coordinate ({r}, {c})")
-            seen.add((r, c))
-            rows.append(r)
-            cols.append(c)
-            values.append(v)
-    return FrameFile(m1, m2, frame_id,
-                     np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-                     np.array(values, dtype=np.float64))
+        return _read_records(path, fh, m1, m2, partial(FrameFile, m1, m2, parts[2]),
+                             unique=True)
 
 
 def write_frame(frame: FrameFile, path):
     frame = frame.canonical_order()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{frame.m1} {frame.m2} {frame.frame_id}\n")
-        for r, c, v in zip(frame.rows, frame.cols, frame.values):
-            fh.write(f"{r} {c} {float(v)!r}\n")
+        _write_records(fh, frame.rows, frame.cols, frame.values)
 
 
 def holdout_split(frame: FrameFile, fraction: float, seed):
@@ -231,8 +271,7 @@ def write_samples(dataset: MaskedDataset, path):
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{dataset.m1} {dataset.m2} task{dataset.task_id}\n")
-        for r, c, v in zip(dataset.rows, dataset.cols, dataset.values):
-            fh.write(f"{r} {c} {float(v)!r}\n")
+        _write_records(fh, dataset.rows, dataset.cols, dataset.values)
 
 
 def read_samples(path) -> MaskedDataset:
@@ -246,22 +285,10 @@ def read_samples(path) -> MaskedDataset:
             task_id = int(header[2][4:])
         except ValueError:
             raise ParseError(path, 1, "malformed sample header fields")
-        rows, cols, values = [], [], []
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 3:
-                raise ParseError(path, line_no, f"expected 'row col value', got {line.strip()!r}")
-            try:
-                rows.append(int(fields[0]))
-                cols.append(int(fields[1]))
-                values.append(float(fields[2]))
-            except ValueError:
-                raise ParseError(path, line_no, f"could not parse record {line.strip()!r}")
-    return MaskedDataset(m1, m2, np.array(rows, dtype=np.int64),
-                         np.array(cols, dtype=np.int64),
-                         np.array(values, dtype=np.float64), task_id)
+        if m1 < 1 or m2 < 1:
+            raise ParseError(path, 1, "matrix dimensions must be positive")
+        return _read_records(path, fh, m1, m2, partial(MaskedDataset, m1, m2, task_id=task_id),
+                             unique=False)
 
 
 def write_dense(matrix, path, label: str = "matrix"):

@@ -147,9 +147,10 @@ def select_sources(fold_losses, source_loss_values, c_tilde: float,
     )
 
 
-def s_trans_mc(target: MaskedDataset, sources, cfg: SelectionConfig,
-               policy: PenaltyPolicy, solver: SolverConfig):
-    """Full selection pipeline; returns (SelectionReport, transfer Estimate).
+def screen_sources(target: MaskedDataset, sources, cfg: SelectionConfig,
+                   policy: PenaltyPolicy, solver: SolverConfig) -> SelectionReport:
+    """Cross-validated screening: the SelectionReport naming the informative
+    sources, without the transfer fit on them.
 
     Sources keep their position in the input sequence: index k in the report
     refers to sources[k - 1].
@@ -186,7 +187,14 @@ def s_trans_mc(target: MaskedDataset, sources, cfg: SelectionConfig,
     unconverged = [f"fold {j}" for j, est in enumerate(fold_fits) if not est.trace.converged]
     unconverged += [f"source {k}" for k, est in enumerate(source_fits, start=1)
                     if not est.trace.converged]
-    report = replace(report, unconverged=tuple(unconverged))
+    return replace(report, unconverged=tuple(unconverged))
+
+
+def s_trans_mc(target: MaskedDataset, sources, cfg: SelectionConfig,
+               policy: PenaltyPolicy, solver: SolverConfig):
+    """Full selection pipeline: screen_sources, then trans_mc on the selected
+    sources; returns (SelectionReport, transfer Estimate)."""
+    sources = list(sources)
+    report = screen_sources(target, sources, cfg, policy, solver)
     chosen = [sources[k - 1] for k in report.selected]
-    estimate = trans_mc(target, chosen, policy, solver)
-    return report, estimate
+    return report, trans_mc(target, chosen, policy, solver)

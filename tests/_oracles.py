@@ -1,12 +1,23 @@
-"""Independent reference implementations used to cross-check the library.
+"""Independent reference implementations used to cross-check the library,
+and the matrix helpers only tests use.
 
-Everything here is deliberately written from scratch against the defining
+The oracles are deliberately written from scratch against the defining
 formulas (double loops, characteristic polynomials, finite differences,
-fixed-step proximal gradient) so a bug in the library cannot hide in its own
-oracle.
+fixed-step proximal gradient, one record per line) so a bug in the library
+cannot hide in its own oracle.
 """
 
+import math
+from dataclasses import dataclass
+from pathlib import Path
+
 import numpy as np
+
+from transmc.data_io import FrameFile, ParseError
+from transmc.datasets import MaskedDataset
+from transmc.linalg import _as_matrix
+
+RANK_RTOL = 1e-8  # singular values below RANK_RTOL * sigma_1 count as zero
 
 
 def gram_singular_values_2x2(A):
@@ -97,3 +108,189 @@ def prox_gradient_fixed_step(rows, cols, values, shape, lam, box, n_iters=100_00
         A = (U * s) @ Vt
         np.clip(A, -box, box, out=A)
     return A
+
+
+# ---------------------------------------------------------------------------
+# line-by-line readers of frame and sample files
+# ---------------------------------------------------------------------------
+
+def read_frame_line_by_line(path, unique=True) -> FrameFile:
+    """Frame reader that parses and checks one record at a time with Python's
+    int and float; unique=False drops the duplicate-coordinate check."""
+    path = Path(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline()
+        if not header:
+            raise ParseError(path, 1, "empty file, expected header 'm1 m2 frame_id'")
+        parts = header.split()
+        if len(parts) != 3:
+            raise ParseError(path, 1, f"malformed header {header.strip()!r}")
+        try:
+            m1, m2 = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(path, 1, f"non-integer dimensions in header {header.strip()!r}")
+        if m1 < 1 or m2 < 1:
+            raise ParseError(path, 1, "matrix dimensions must be positive")
+        frame_id = parts[2]
+        rows, cols, values = [], [], []
+        seen = set()
+        for line_no, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            fields = line.split()
+            if len(fields) != 3:
+                raise ParseError(path, line_no, f"expected 'row col value', got {line.strip()!r}")
+            try:
+                r, c, v = int(fields[0]), int(fields[1]), float(fields[2])
+            except ValueError:
+                raise ParseError(path, line_no, f"could not parse record {line.strip()!r}")
+            if not (0 <= r < m1 and 0 <= c < m2):
+                raise ParseError(path, line_no, f"coordinate ({r}, {c}) out of range for {m1}x{m2}")
+            if not math.isfinite(v):
+                raise ParseError(path, line_no, "non-finite value")
+            if unique and (r, c) in seen:
+                raise ParseError(path, line_no, f"duplicate coordinate ({r}, {c})")
+            seen.add((r, c))
+            rows.append(r)
+            cols.append(c)
+            values.append(v)
+    return FrameFile(m1, m2, frame_id,
+                     np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+                     np.array(values, dtype=np.float64))
+
+
+def read_samples_line_by_line(path) -> MaskedDataset:
+    """Sample reader that parses one record at a time with Python's int and
+    float and leaves range and finiteness to MaskedDataset."""
+    path = Path(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().split()
+        if len(header) != 3 or not header[2].startswith("task"):
+            raise ParseError(path, 1, "malformed sample header, expected 'm1 m2 taskN'")
+        try:
+            m1, m2 = int(header[0]), int(header[1])
+            task_id = int(header[2][4:])
+        except ValueError:
+            raise ParseError(path, 1, "malformed sample header fields")
+        rows, cols, values = [], [], []
+        for line_no, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            fields = line.split()
+            if len(fields) != 3:
+                raise ParseError(path, line_no, f"expected 'row col value', got {line.strip()!r}")
+            try:
+                rows.append(int(fields[0]))
+                cols.append(int(fields[1]))
+                values.append(float(fields[2]))
+            except ValueError:
+                raise ParseError(path, line_no, f"could not parse record {line.strip()!r}")
+    return MaskedDataset(m1, m2, np.array(rows, dtype=np.int64),
+                         np.array(cols, dtype=np.int64),
+                         np.array(values, dtype=np.float64), task_id)
+
+
+# ---------------------------------------------------------------------------
+# matrix helpers only tests use: sign-fixed SVD, norms, weighted Frobenius
+# norm, row/column-space projection, numerical rank
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SvdFactors:
+    """Thin SVD A = U @ diag(singular_values) @ V.T.
+
+    U is m1 x q and V is m2 x q with orthonormal columns, q = min(m1, m2),
+    singular values sorted nonincreasing. Each column of U has its
+    largest-magnitude entry nonnegative.
+    """
+
+    U: np.ndarray
+    singular_values: np.ndarray
+    V: np.ndarray
+
+    def reconstruct(self) -> np.ndarray:
+        return (self.U * self.singular_values) @ self.V.T
+
+
+@dataclass(frozen=True)
+class MatrixNorms:
+    frobenius: float
+    nuclear: float
+    spectral: float
+    max_abs_entry: float
+
+
+def svd(A) -> SvdFactors:
+    """Thin SVD with deterministic signs.
+
+    The sign of each (U column, V column) pair is chosen so the
+    largest-magnitude entry of the U column is nonnegative.
+    """
+    A = _as_matrix(A)
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    V = Vt.T
+    for j in range(s.size):
+        i = int(np.argmax(np.abs(U[:, j])))
+        if U[i, j] < 0.0:
+            U[:, j] = -U[:, j]
+            V[:, j] = -V[:, j]
+    U.flags.writeable = False
+    s.flags.writeable = False
+    V.flags.writeable = False
+    return SvdFactors(U=U, singular_values=s, V=V)
+
+
+def norms(A) -> MatrixNorms:
+    """Frobenius, nuclear, spectral and max-entry norms from one SVD."""
+    A = _as_matrix(A)
+    s = np.linalg.svd(A, compute_uv=False)
+    return MatrixNorms(
+        frobenius=float(np.linalg.norm(A)),
+        nuclear=float(s.sum()),
+        spectral=float(s[0]),
+        max_abs_entry=float(np.max(np.abs(A))),
+    )
+
+
+def weighted_frobenius(A, P) -> float:
+    """sqrt(sum_ij A_ij^2 P_ij) for a probability matrix P over the entries."""
+    A = _as_matrix(A)
+    P = np.asarray(P, dtype=np.float64)
+    if P.shape != A.shape:
+        raise ValueError(f"P shape {P.shape} does not match A shape {A.shape}")
+    if np.any(P < 0.0):
+        raise ValueError("P has negative entries")
+    total = float(P.sum())
+    if abs(total - 1.0) > 1e-8:
+        raise ValueError(f"P sums to {total!r}, expected 1 within 1e-8")
+    return float(np.sqrt(np.sum(A * A * P)))
+
+
+def project_rowcol(A, B):
+    """Projection of B onto the row/column spaces of A and its complement.
+
+    Returns (P_A(B), B - P_A(B)) where P_A(B) = U U^T B V V^T built from the
+    singular vectors of A with singular value above RANK_RTOL * sigma_1.
+    rank(P_A(B)) <= 2 rank(A).
+    """
+    A = _as_matrix(A)
+    B = _as_matrix(B)
+    if A.shape != B.shape:
+        raise ValueError(f"shape mismatch: A {A.shape} vs B {B.shape}")
+    f = svd(A)
+    s = f.singular_values
+    if s[0] == 0.0:
+        proj = np.zeros_like(B)
+        return proj, B - proj
+    keep = s > RANK_RTOL * s[0]
+    U = f.U[:, keep]
+    V = f.V[:, keep]
+    proj = U @ (U.T @ B @ V) @ V.T
+    return proj, B - proj
+
+
+def numerical_rank(A, rtol: float = RANK_RTOL) -> int:
+    s = np.linalg.svd(_as_matrix(A), compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > rtol * s[0]))

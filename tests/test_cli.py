@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from transmc import cli
+from transmc import cli, selection
 from transmc.data_io import read_dense, read_samples, read_scenario
 from transmc.estimators import PenaltyPolicy, trans_mc
 from transmc.selection import SelectionConfig, s_trans_mc
@@ -190,6 +190,34 @@ def test_benchmark_runs_full_source_trans_mc_once_per_replicate(tmp_path, tiny_c
     summary = list(csv.reader(open(tmp_path / "b" / "summary.csv")))
     curve = list(csv.reader(open(tmp_path / "b" / "curve_ss1.csv")))
     assert summary[1][:3] == ["transmc", "SS1", curve[-1][1]]
+
+
+def test_benchmark_s_transmc_reuses_the_transfer_fit_of_its_sources(tiny_cfg, monkeypatch):
+    # s-transmc's transfer fit is keyed by the chosen sources' task ids: when
+    # it keeps every source it is the `transmc` method's fit, and when it
+    # keeps source 1 alone it is curve point k = 1. Each replicate then makes
+    # K + 1 trans_mc calls (k = 0..K), not K + 2.
+    calls = []
+
+    def counting(target, sources, policy, solver):
+        calls.append(len(sources))
+        return trans_mc(target, sources, policy, solver)
+
+    monkeypatch.setattr(cli, "trans_mc", counting)
+    monkeypatch.setattr(selection, "trans_mc", counting)
+    spec = read_scenario(tiny_cfg)
+    params = {"c1": cli.DEFAULT_MULTIPLIER, "c2": cli.DEFAULT_MULTIPLIER,
+              "c_tilde": 2.0, "epsilon0": None, "folds": 4, "max_iters": 300}
+    selected = []
+    for rep in range(3):
+        calls.clear()
+        result = cli._bench_worker((spec, rep, ("transmc", "s-transmc", "curve"), params))
+        selected.append(result["selected"])
+        k = len(result["selected"])
+        assert sorted(calls) == [0, 1, 2]
+        assert result["errors"]["s-transmc"] == result["curve"][k]
+        assert result["errors"]["transmc"] == result["curve"][2]
+    assert selected == [(1, 2), (1, 2), (1,)]
 
 
 def test_benchmark_shared_fit_failure_is_recorded_under_both_tags(monkeypatch):

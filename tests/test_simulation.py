@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from transmc import linalg
 from transmc.simulation import (
     CONTRAST_BAND,
     PRESETS,
@@ -16,6 +15,7 @@ from transmc.simulation import (
     scenario_matrices,
     synthetic_frames,
 )
+from _oracles import norms, numerical_rank
 
 SMALL = ScenarioSpec(m1=12, m2=8, rank=2, contrasts=(6.0, 0.0, 20.0),
                      n0_frac=0.5, nk_frac=0.4, noise_sd=0.5, sampling="uniform",
@@ -29,9 +29,9 @@ SMALL = ScenarioSpec(m1=12, m2=8, rank=2, contrasts=(6.0, 0.0, 20.0),
 def test_gen_target_rank_exact():
     spec = ScenarioSpec(m1=10, m2=7, rank=1, seed=3)
     A0 = gen_target(spec)
-    assert linalg.numerical_rank(A0) == 1
+    assert numerical_rank(A0) == 1
     spec = ScenarioSpec(m1=10, m2=7, rank=4, seed=3)
-    assert linalg.numerical_rank(gen_target(spec)) == 4
+    assert numerical_rank(gen_target(spec)) == 4
 
 
 def test_gen_target_entry_cap_binds_with_equality():
@@ -72,7 +72,7 @@ def test_gen_sources_hit_band_and_cap():
     for target_h, got, Ak in zip(SMALL.contrasts, achieved, mats):
         if target_h > 0:
             assert abs(got - target_h) <= CONTRAST_BAND * target_h
-            delta_nuc = linalg.norms(Ak - A0).nuclear
+            delta_nuc = norms(Ak - A0).nuclear
             assert delta_nuc == pytest.approx(got, rel=1e-9)
         assert np.max(np.abs(Ak)) <= SMALL.a_cap + 1e-12
 
@@ -110,7 +110,7 @@ def test_product_sampling_is_rank_one():
     model = gen_sampling(spec, task=2)
     P = model.prob_matrix()
     assert abs(P.sum() - 1.0) <= 1e-10
-    assert linalg.numerical_rank(P) == 1
+    assert numerical_rank(P) == 1
     outer = np.outer(model.row_probs, model.col_probs)
     assert np.max(np.abs(P - outer)) <= 1e-12
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from transmc.datasets import MaskedDataset
-from transmc.linalg import norms
 from transmc.losses import MaskedSquaredLoss
 from transmc.solver import (
     SolverConfig,
@@ -10,7 +9,12 @@ from transmc.solver import (
     lamm_solve,
     majorizer,
 )
-from _oracles import grad_finite_difference, majorizer_term_by_term, prox_gradient_fixed_step
+from _oracles import (
+    grad_finite_difference,
+    majorizer_term_by_term,
+    norms,
+    prox_gradient_fixed_step,
+)
 
 RNG = np.random.default_rng(31)
 
