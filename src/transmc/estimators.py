@@ -9,7 +9,7 @@ constraint, and returns the sum of the two stages.
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,10 +76,7 @@ def estimate_noise_scale(data: MaskedDataset, a: float, cfg: SolverConfig) -> fl
     loss = MaskedSquaredLoss.from_dataset(data)
     fill = (2.0 / loss.n) * loss.counts * loss.means
     lam_pilot = float(np.linalg.svd(fill, compute_uv=False)[0]) / 10.0
-    pilot_cfg = SolverConfig(
-        phi0=cfg.phi0, gamma=cfg.gamma, epsilon=cfg.epsilon,
-        max_iters=min(cfg.max_iters, 150),
-    )
+    pilot_cfg = replace(cfg, max_iters=min(cfg.max_iters, 150))
     est = fit_single(data, lam_pilot, a, pilot_cfg, label="pilot")
     residuals = data.values - est.matrix[data.rows, data.cols]
     if residuals.size < 2:
@@ -88,20 +85,22 @@ def estimate_noise_scale(data: MaskedDataset, a: float, cfg: SolverConfig) -> fl
 
 
 def _solve(loss, lam, a, cfg, shift=None, stage="single", label=None):
-    resolved = cfg.resolve(loss, lam=lam, box_level=a, box_shift=shift)
-    init = np.zeros(loss.shape)
-    matrix, trace = lamm_solve(loss, init, resolved)
+    lam = float(lam)
+    matrix, trace = lamm_solve(loss, np.zeros(loss.shape), lam, a, cfg, shift)
     if not trace.converged:
         log.warning("%s fit did not converge in %d iterations (lam = %.4g)",
-                    label or stage, trace.iterations, resolved.lam)
-    return Estimate(matrix=matrix, penalty_used=resolved.lam, trace=trace, stage=stage)
+                    label or stage, trace.iterations, lam)
+    if trace.box_active:
+        log.warning("%s fit is not certified: the box clipped its last step "
+                    "(a = %.4g, lam = %.4g)", label or stage, a, lam)
+    return Estimate(matrix=matrix, penalty_used=lam, trace=trace, stage=stage)
 
 
 def fit_single(data: MaskedDataset, lam: float, a: float, cfg: SolverConfig,
                label: str = "single") -> Estimate:
     """Nuclear-norm penalized regression on one dataset over the box |A|_inf <= a.
 
-    label names the fit in the non-convergence warning only (e.g. "fold 2",
+    label names the fit in the solver warnings only (e.g. "fold 2",
     "source 7", "pilot"); the returned stage is always "single".
     """
     loss = MaskedSquaredLoss.from_dataset(data)

@@ -1,5 +1,6 @@
 """Dense linear-algebra primitives of the proximal solver: singular-value
-soft-thresholding and the entrywise box projection.
+soft-thresholding (with the nuclear norm of its result) and the entrywise box
+projection.
 
 Both functions are pure, operate on float64 numpy arrays and reject
 non-finite input.
@@ -17,26 +18,29 @@ def _as_matrix(A) -> np.ndarray:
     return A
 
 
-def soft_threshold(A, lam: float) -> np.ndarray:
-    """Singular-value shrinkage U @ diag(max(sigma - lam, 0)) @ V.T.
+def soft_threshold(A, lam: float) -> tuple[np.ndarray, float]:
+    """Singular-value shrinkage S = U @ diag(max(sigma - lam, 0)) @ V.T and its
+    nuclear norm sum(max(sigma - lam, 0)), taken from the same singular values.
 
     Uses the raw LAPACK factors of a thin SVD: flipping the signs of a
-    (U column, V column) pair cancels exactly in the product, so the result is
-    bit-identical to the one built from sign-normalized factors.
+    (U column, V column) pair cancels exactly in the product, so S is
+    bit-identical to the one built from sign-normalized factors. With lam = 0,
+    S is an exact copy of A.
     """
     if lam < 0.0:
         raise ValueError(f"threshold must be nonnegative, got {lam!r}")
     A = _as_matrix(A)
     if lam == 0.0:
-        return A.copy()
+        return A.copy(), float(np.linalg.svd(A, compute_uv=False).sum())
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     k = int(np.count_nonzero(s > lam))  # s is nonincreasing: keep a prefix
     if k == 0:
-        return np.zeros_like(A)
+        return np.zeros_like(A), 0.0
+    kept = s[:k] - lam
     # A Fortran-ordered left factor keeps the BLAS product bit-identical to
     # the shrinkage built from sign-normalized factors; a C-ordered one can
     # round differently.
-    return np.multiply(U[:, :k], s[:k] - lam, order="F") @ Vt[:k]
+    return np.multiply(U[:, :k], kept, order="F") @ Vt[:k], float(kept.sum())
 
 
 def project_box(A, a: float, shift=None) -> np.ndarray:

@@ -8,7 +8,6 @@ fixed per scenario seed; sampling and noise are redrawn per replicate from
 derived seed streams.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,25 +54,6 @@ class SamplingModel:
         if self.kind == "uniform":
             return np.full((self.m1, self.m2), 1.0 / (self.m1 * self.m2))
         return np.outer(self.row_probs, self.col_probs)
-
-    def diagnostics(self) -> dict:
-        """mu_hat = 1 / (m1 m2 min P) plus max cell and marginal probabilities."""
-        if self.kind == "uniform":
-            cell = 1.0 / (self.m1 * self.m2)
-            return {
-                "mu_hat": 1.0,
-                "max_prob": cell,
-                "max_row_marginal": 1.0 / self.m1,
-                "max_col_marginal": 1.0 / self.m2,
-            }
-        P = self.prob_matrix()
-        min_p = float(P.min())
-        return {
-            "mu_hat": math.inf if min_p == 0.0 else 1.0 / (self.m1 * self.m2 * min_p),
-            "max_prob": float(P.max()),
-            "max_row_marginal": float(P.sum(axis=1).max()),
-            "max_col_marginal": float(P.sum(axis=0).max()),
-        }
 
     def draw(self, rng: np.random.Generator, n: int):
         """n i.i.d. coordinate draws (with replacement)."""

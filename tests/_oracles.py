@@ -1,5 +1,5 @@
 """Independent reference implementations used to cross-check the library,
-and the matrix helpers only tests use.
+and the matrix, solver and sampling helpers only tests use.
 
 The oracles are deliberately written from scratch against the defining
 formulas (double loops, characteristic polynomials, finite differences,
@@ -294,3 +294,40 @@ def numerical_rank(A, rtol: float = RANK_RTOL) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > rtol * s[0]))
+
+
+# ---------------------------------------------------------------------------
+# solver and sampling helpers only tests use
+# ---------------------------------------------------------------------------
+
+def majorizer(A, B, phi: float, loss) -> float:
+    """Quadratic model Q(A; B, phi) = L(B) + <grad L(B), A - B> + (phi/2)||A - B||_F^2."""
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    if A.shape != B.shape:
+        raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
+    if phi <= 0.0:
+        raise ValueError(f"phi must be positive, got {phi!r}")
+    diff = A - B
+    return float(loss.value(B) + np.sum(loss.gradient(B) * diff) + 0.5 * phi * np.sum(diff * diff))
+
+
+def sampling_diagnostics(model) -> dict:
+    """mu_hat = 1 / (m1 m2 min P) plus max cell and marginal probabilities of a
+    SamplingModel."""
+    if model.kind == "uniform":
+        cell = 1.0 / (model.m1 * model.m2)
+        return {
+            "mu_hat": 1.0,
+            "max_prob": cell,
+            "max_row_marginal": 1.0 / model.m1,
+            "max_col_marginal": 1.0 / model.m2,
+        }
+    P = model.prob_matrix()
+    min_p = float(P.min())
+    return {
+        "mu_hat": math.inf if min_p == 0.0 else 1.0 / (model.m1 * model.m2 * min_p),
+        "max_prob": float(P.max()),
+        "max_row_marginal": float(P.sum(axis=1).max()),
+        "max_col_marginal": float(P.sum(axis=0).max()),
+    }

@@ -154,10 +154,9 @@ def test_criterion_5_solver_oracle_equivalence():
         ds = MaskedDataset(6, 5, rows, cols, values)
         lam = float(rng.uniform(0.03, 0.12))
         loss = MaskedSquaredLoss.from_dataset(ds)
-        cfg = SolverConfig(max_iters=20000, epsilon=1e-11).resolve(
-            loss, lam=lam, box_level=50.0
-        )
-        A, trace = lamm_solve(loss, np.zeros((6, 5)), cfg)
+        cfg = SolverConfig(max_iters=20000, epsilon=1e-11)
+        A, trace = lamm_solve(loss, np.zeros((6, 5)), lam, 50.0, cfg)
+        assert trace.final_phi <= loss.curvature_bound()
         obj = trace.objective_values
         tol = 1e-9 * (1.0 + abs(obj[0]))
         monotone = monotone and all(
@@ -208,7 +207,7 @@ def _cases_soft_threshold_nonexpansive(rng):
     lam = float(rng.uniform(0, 4))
     A = rng.standard_normal((m1, m2)) * 3
     B = rng.standard_normal((m1, m2)) * 3
-    lhs = np.linalg.norm(linalg.soft_threshold(A, lam) - linalg.soft_threshold(B, lam))
+    lhs = np.linalg.norm(linalg.soft_threshold(A, lam)[0] - linalg.soft_threshold(B, lam)[0])
     return lhs <= np.linalg.norm(A - B) + 1e-9
 
 

@@ -172,17 +172,17 @@ def test_weighted_frobenius_rejects_bad_weights():
 
 def test_soft_threshold_zero_lambda_is_identity():
     A = RNG.standard_normal((4, 3))
-    assert np.array_equal(linalg.soft_threshold(A, 0.0), A)
+    assert np.array_equal(linalg.soft_threshold(A, 0.0)[0], A)
 
 
 def test_soft_threshold_full_shrinkage():
     A = RNG.standard_normal((4, 3))
     lam = np.linalg.svd(A, compute_uv=False)[0] + 0.1
-    assert np.allclose(linalg.soft_threshold(A, lam), 0.0)
+    assert np.allclose(linalg.soft_threshold(A, lam)[0], 0.0)
 
 
 def test_soft_threshold_diagonal():
-    out = linalg.soft_threshold(np.diag([3.0, 1.0]), 1.0)
+    out, _ = linalg.soft_threshold(np.diag([3.0, 1.0]), 1.0)
     assert np.allclose(out, np.diag([2.0, 0.0]), atol=1e-12)
 
 
@@ -195,7 +195,7 @@ def test_soft_threshold_nuclear_norm_identity():
     A = RNG.standard_normal((6, 5)) * 3
     lam = 0.7
     s = np.linalg.svd(A, compute_uv=False)
-    out = linalg.soft_threshold(A, lam)
+    out, _ = linalg.soft_threshold(A, lam)
     assert norms(out).nuclear == pytest.approx(
         np.maximum(s - lam, 0.0).sum(), abs=1e-9
     )
@@ -208,9 +208,31 @@ def test_soft_threshold_nonexpansive(m1, m2, lam, seed):
     A = rng.standard_normal((m1, m2)) * 2
     B = rng.standard_normal((m1, m2)) * 2
     dist = np.linalg.norm(
-        linalg.soft_threshold(A, lam) - linalg.soft_threshold(B, lam)
+        linalg.soft_threshold(A, lam)[0] - linalg.soft_threshold(B, lam)[0]
     )
     assert dist <= np.linalg.norm(A - B) + 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 12),
+       st.sampled_from(["zero", "inside", "above"]), st.integers(0, 2**32 - 1))
+def test_soft_threshold_returns_nuclear_norm_of_its_result(m1, m2, rank, where, seed):
+    # The returned sum(max(sigma - lam, 0)) must be the nuclear norm of the
+    # returned matrix as a fresh SVD measures it.
+    rng = np.random.default_rng(seed)
+    r = min(rank, m1, m2)
+    A = 3.0 * rng.standard_normal((m1, r)) @ rng.standard_normal((r, m2))
+    top = float(np.linalg.svd(A, compute_uv=False)[0])
+    lam = {"zero": 0.0,
+           "inside": float(rng.uniform(0.0, top)),
+           "above": top * float(rng.uniform(1.01, 2.0)) + 1e-3}[where]
+    S, nuclear = linalg.soft_threshold(A, lam)
+    fresh = float(np.linalg.svd(S, compute_uv=False).sum())
+    assert abs(nuclear - fresh) <= 1e-12 * fresh
+    if where == "zero":
+        assert np.array_equal(S, A)
+    if where == "above":
+        assert nuclear == 0.0 and not S.any()
 
 
 def _low_rank(rng, m1, m2, r):
@@ -235,7 +257,7 @@ def test_soft_threshold_bit_exact_against_sign_fixed_svd(A, where):
     shrunk = np.maximum(sv - lam, 0.0)
     keep = shrunk > 0.0
     expected = (f.U[:, keep] * shrunk[keep]) @ f.V[:, keep].T
-    assert np.array_equal(linalg.soft_threshold(A, lam), expected)
+    assert np.array_equal(linalg.soft_threshold(A, lam)[0], expected)
 
 
 def test_soft_threshold_reduces_nuclear_norm():
@@ -243,7 +265,7 @@ def test_soft_threshold_reduces_nuclear_norm():
         A = random_matrix(RNG, scale=3.0)
         lam = float(RNG.uniform(0, 2))
         before = norms(A)
-        out = linalg.soft_threshold(A, lam)
+        out, _ = linalg.soft_threshold(A, lam)
         survivors = int(np.sum(np.linalg.svd(A, compute_uv=False) > lam))
         after = 0.0 if not np.any(out) else norms(out).nuclear
         assert after <= before.nuclear - lam * survivors + 1e-9

@@ -15,7 +15,7 @@ from transmc.simulation import (
     scenario_matrices,
     synthetic_frames,
 )
-from _oracles import norms, numerical_rank
+from _oracles import norms, numerical_rank, sampling_diagnostics
 
 SMALL = ScenarioSpec(m1=12, m2=8, rank=2, contrasts=(6.0, 0.0, 20.0),
                      n0_frac=0.5, nk_frac=0.4, noise_sd=0.5, sampling="uniform",
@@ -101,7 +101,7 @@ def test_uniform_sampling_probabilities():
     model = gen_sampling(spec, task=0)
     P = model.prob_matrix()
     assert np.allclose(P, 1.0 / 45000)
-    diag = model.diagnostics()
+    diag = sampling_diagnostics(model)
     assert diag["mu_hat"] == pytest.approx(1.0)
 
 
@@ -136,7 +136,7 @@ def test_product_sampling_validation():
         SamplingModel(kind="explicit", m1=2, m2=2)
     model = SamplingModel(kind="row_col_product", m1=2, m2=2,
                           row_probs=np.array([0.75, 0.25]), col_probs=half)
-    diag = model.diagnostics()
+    diag = sampling_diagnostics(model)
     assert diag["mu_hat"] == pytest.approx(1.0 / (4 * 0.125))
     assert diag["max_prob"] == pytest.approx(0.375)
     assert diag["max_row_marginal"] == pytest.approx(0.75)

@@ -1,16 +1,15 @@
+import logging
+
 import numpy as np
 import pytest
 
 from transmc.datasets import MaskedDataset
+from transmc.estimators import fit_single
 from transmc.losses import MaskedSquaredLoss
-from transmc.solver import (
-    SolverConfig,
-    SolverDivergedError,
-    lamm_solve,
-    majorizer,
-)
+from transmc.solver import SolverConfig, SolverDivergedError, lamm_solve
 from _oracles import (
     grad_finite_difference,
+    majorizer,
     majorizer_term_by_term,
     norms,
     prox_gradient_fixed_step,
@@ -34,10 +33,6 @@ def random_dataset(m1, m2, n, rng=RNG, noise=0.1):
     truth = rng.standard_normal((m1, m2))
     values = truth[rows, cols] + noise * rng.standard_normal(n)
     return MaskedDataset(m1, m2, rows, cols, values)
-
-
-def cfg_for(loss, lam, a, **kw):
-    return SolverConfig(**kw).resolve(loss, lam=lam, box_level=a)
 
 
 # ---------------------------------------------------------------------------
@@ -145,21 +140,20 @@ def test_majorizer_validates_inputs():
 def test_lamm_recovers_fully_observed_target_without_penalty():
     T = RNG.standard_normal((5, 4))
     loss = MaskedSquaredLoss.from_dataset(full_observation_dataset(T))
-    cfg = cfg_for(loss, lam=0.0, a=100.0, epsilon=1e-8, max_iters=2000)
-    A, trace = lamm_solve(loss, np.zeros((5, 4)), cfg)
+    cfg = SolverConfig(epsilon=1e-8, max_iters=2000)
+    A, trace = lamm_solve(loss, np.zeros((5, 4)), 0.0, 100.0, cfg)
     assert trace.converged
     assert np.linalg.norm(A - T) <= 1e-6 * np.linalg.norm(T)
 
 
 def test_lamm_full_shrinkage_first_step():
-    # penalty above the top singular value, phi held at 1: the first proximal
-    # step annihilates every singular value and zero is a fixed point
+    # penalty above the top singular value: the first proximal step
+    # annihilates every singular value and zero is a fixed point
     T = RNG.standard_normal((4, 4))
     loss = MaskedSquaredLoss.from_dataset(full_observation_dataset(T))
     lam = norms(T).spectral * 1.1
-    cfg = SolverConfig(phi0=1.0, lam=lam, epsilon=1e-9, max_iters=5,
-                       box_level=100.0)
-    A, trace = lamm_solve(loss, np.zeros((4, 4)), cfg)
+    cfg = SolverConfig(epsilon=1e-9, max_iters=5)
+    A, trace = lamm_solve(loss, np.zeros((4, 4)), lam, 100.0, cfg)
     assert np.array_equal(A, np.zeros((4, 4)))
     assert trace.converged and trace.iterations == 1
 
@@ -172,8 +166,8 @@ def test_lamm_matches_long_run_prox_gradient_oracle():
     ds = full_observation_dataset(T)
     loss = MaskedSquaredLoss.from_dataset(ds)
     lam = 0.1
-    cfg = cfg_for(loss, lam=lam, a=50.0, epsilon=1e-10, max_iters=5000)
-    A, trace = lamm_solve(loss, np.zeros(T.shape), cfg)
+    cfg = SolverConfig(epsilon=1e-10, max_iters=5000)
+    A, trace = lamm_solve(loss, np.zeros(T.shape), lam, 50.0, cfg)
     oracle = prox_gradient_fixed_step(ds.rows, ds.cols, ds.values, T.shape,
                                       lam, box=50.0, n_iters=20000)
     assert np.linalg.norm(A - oracle) <= 1e-6 * (1 + np.linalg.norm(oracle))
@@ -185,8 +179,7 @@ def test_lamm_objective_monotone_and_feasible():
         ds = random_dataset(6, 5, 18, rng=rng)
         loss = MaskedSquaredLoss.from_dataset(ds)
         a = 3.0
-        cfg = cfg_for(loss, lam=0.05, a=a, max_iters=300)
-        A, trace = lamm_solve(loss, np.zeros((6, 5)), cfg)
+        A, trace = lamm_solve(loss, np.zeros((6, 5)), 0.05, a, SolverConfig(max_iters=300))
         assert np.max(np.abs(A)) <= a + 1e-12
         obj = trace.objective_values
         scale = abs(obj[0]) + 1.0
@@ -197,8 +190,8 @@ def test_lamm_fixed_point_stays_put():
     T = np.outer([1.0, 2.0], [0.5, -1.0, 2.0])
     ds = full_observation_dataset(T)
     loss = MaskedSquaredLoss.from_dataset(ds)
-    cfg = cfg_for(loss, lam=0.0, a=50.0, epsilon=1e-6, max_iters=50)
-    A, trace = lamm_solve(loss, T.copy(), cfg)
+    cfg = SolverConfig(epsilon=1e-6, max_iters=50)
+    A, trace = lamm_solve(loss, T.copy(), 0.0, 50.0, cfg)
     assert trace.iterations == 1
     assert trace.converged
     assert np.linalg.norm(A - T) <= 1e-6
@@ -207,8 +200,8 @@ def test_lamm_fixed_point_stays_put():
 def test_lamm_max_iters_reports_not_converged():
     ds = random_dataset(6, 5, 20)
     loss = MaskedSquaredLoss.from_dataset(ds)
-    cfg = cfg_for(loss, lam=0.001, a=10.0, epsilon=1e-14, max_iters=3)
-    _, trace = lamm_solve(loss, np.zeros((6, 5)), cfg)
+    cfg = SolverConfig(epsilon=1e-14, max_iters=3)
+    _, trace = lamm_solve(loss, np.zeros((6, 5)), 0.001, 10.0, cfg)
     assert not trace.converged
     assert trace.iterations == 3
 
@@ -224,28 +217,34 @@ def test_lamm_prox_evals_per_iteration():
     cols = rng.integers(0, 30, 300)
     values = T[rows, cols] + 0.5 * rng.standard_normal(300)
     loss = MaskedSquaredLoss.from_dataset(MaskedDataset(60, 30, rows, cols, values))
-    cfg = cfg_for(loss, lam=0.005, a=float(np.max(np.abs(T))))
-    _, trace = lamm_solve(loss, np.zeros((60, 30)), cfg)
+    a = float(np.max(np.abs(T)))
+    _, trace = lamm_solve(loss, np.zeros((60, 30)), 0.005, a, SolverConfig())
     assert trace.prox_evals >= trace.iterations
     assert trace.prox_evals / trace.iterations < 1.8
 
 
 @pytest.mark.parametrize("a", [100.0, 3.0])
-def test_lamm_final_objective_matches_fresh_svd(a):
-    # a = 100 leaves every step inside the box (penalty from the prox
-    # identity); a = 3 clips one entry of the solution (penalty from an SVD
-    # of the clipped step).
+def test_lamm_final_objective_matches_fresh_svd(a, caplog):
+    # a = 100 leaves every step inside the box (penalty from the prox's
+    # nuclear norm); a = 3 clips one entry of the solution (penalty from an
+    # SVD of the clipped step), which the trace and a warning report.
     rng = np.random.default_rng(3)
     T = rng.standard_normal((20, 2)) @ rng.standard_normal((2, 12))
     rows = rng.integers(0, 20, 150)
     cols = rng.integers(0, 12, 150)
     values = T[rows, cols] + 0.1 * rng.standard_normal(150)
-    loss = MaskedSquaredLoss.from_dataset(MaskedDataset(20, 12, rows, cols, values))
+    ds = MaskedDataset(20, 12, rows, cols, values)
+    loss = MaskedSquaredLoss.from_dataset(ds)
     lam = 0.02
-    cfg = cfg_for(loss, lam=lam, a=a)
-    A, trace = lamm_solve(loss, np.zeros((20, 12)), cfg)
+    with caplog.at_level(logging.WARNING, logger="transmc"):
+        est = fit_single(ds, lam, a, SolverConfig(), label="fold 1")
+    A, trace = est.matrix, est.trace
     assert trace.converged
     assert np.count_nonzero(np.abs(A) == a) == (1 if a == 3.0 else 0)
+    assert trace.box_active == (a == 3.0)
+    uncertified = [rec.message for rec in caplog.records if "not certified" in rec.message]
+    assert len(uncertified) == (1 if a == 3.0 else 0)
+    assert all(msg.startswith("fold 1 fit") for msg in uncertified)
     fresh = loss.value(A) + lam * float(np.linalg.svd(A, compute_uv=False).sum())
     assert trace.objective_values[-1] == pytest.approx(fresh, rel=1e-10)
 
@@ -264,37 +263,32 @@ class _NanLoss:
 
 
 def test_lamm_nonfinite_loss_raises():
-    cfg = SolverConfig(phi0=1.0, lam=0.0, epsilon=1e-6, max_iters=10, box_level=1.0)
+    cfg = SolverConfig(epsilon=1e-6, max_iters=10)
     with pytest.raises(SolverDivergedError):
-        lamm_solve(_NanLoss(), np.zeros((2, 2)), cfg)
+        lamm_solve(_NanLoss(), np.zeros((2, 2)), 0.0, 1.0, cfg)
 
 
 def test_lamm_infeasible_init_rejected():
     ds = random_dataset(3, 3, 6)
     loss = MaskedSquaredLoss.from_dataset(ds)
-    cfg = cfg_for(loss, lam=0.0, a=0.5, max_iters=5)
     with pytest.raises(ValueError):
-        lamm_solve(loss, np.full((3, 3), 2.0), cfg)
+        lamm_solve(loss, np.full((3, 3), 2.0), 0.0, 0.5, SolverConfig(max_iters=5))
 
 
 def test_lamm_backtracking_stays_bounded():
     ds = random_dataset(8, 6, 60)
     loss = MaskedSquaredLoss.from_dataset(ds)
-    cfg = cfg_for(loss, lam=0.01, a=10.0, max_iters=200)
-    _, trace = lamm_solve(loss, np.zeros((8, 6)), cfg)
-    assert trace.final_phi <= cfg.phi0 * cfg.gamma**64
+    _, trace = lamm_solve(loss, np.zeros((8, 6)), 0.01, 10.0, SolverConfig(max_iters=200))
+    assert trace.final_phi <= loss.curvature_bound()
 
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(phi0=1.0, gamma=1.0, lam=0.0, epsilon=1e-6,
-                     max_iters=10, box_level=1.0).validate()
+        SolverConfig(epsilon=1e-6, max_iters=0)
     with pytest.raises(ValueError):
-        SolverConfig(phi0=-1.0, lam=0.0, epsilon=1e-6, max_iters=10,
-                     box_level=1.0).validate()
+        SolverConfig(epsilon=0.0)
+    loss = MaskedSquaredLoss.from_dataset(random_dataset(3, 3, 6))
     with pytest.raises(ValueError):
-        SolverConfig(phi0=1.0, lam=-0.1, epsilon=1e-6, max_iters=10,
-                     box_level=1.0).validate()
+        lamm_solve(loss, np.zeros((3, 3)), -0.1, 1.0, SolverConfig())
     with pytest.raises(ValueError):
-        SolverConfig(phi0=1.0, lam=0.0, epsilon=1e-6, max_iters=0,
-                     box_level=1.0).validate()
+        lamm_solve(loss, np.zeros((3, 3)), 0.0, 0.0, SolverConfig())
