@@ -3,16 +3,26 @@ penalized least squares  min L(A) + lam * ||A||_*  subject to an entrywise box.
 
 Each iteration takes a gradient step of length 1/phi from a point Y,
 soft-thresholds the singular values at lam/phi, projects onto the box, and
-doubles phi until the local quadratic model at Y majorizes the loss at the
+raises phi until the local quadratic model at Y majorizes the loss at the
 candidate. The loss is quadratic with Hessian at most L =
 loss.curvature_bound(), so every phi >= L majorizes it exactly: phi starts
 at 1e-3 * L, never exceeds L, and a candidate at phi = L is accepted without
-the comparison, which there can only fail by roundoff. phi is carried from
-one iteration to the next and halved, down to 1e-3 * L, only when the
-accepted step showed slack, that is when the model at phi / 2 would also
-have majorized the loss there (the I-LAMM rule of Fan, Liu, Sun and Zhang,
-Ann. Statist. 2018). The fit stops when ||candidate - Y||_F <= epsilon, the
-norm of the proximal-gradient mapping at Y.
+the comparison, which there can only fail by roundoff. A candidate c rejected
+at phi would have passed at any phi >= rho, its exact curvature along the step,
+rho = 2 (L(c) - L(Y) - <grad L(Y), c - Y>) / ||c - Y||^2, so backtracking jumps
+to min(L, max(GAMMA * phi, rho)) instead of climbing by doublings. For the
+quadratic loss the numerator equals <grad L(c) - grad L(Y), c - Y>, and the
+test uses that form: the loss-value difference cancels to roundoff once steps
+are small, which would leave phi stuck at L in tight solves. phi is
+carried from one iteration to the next and halved, down to 1e-3 * L, only
+after PATIENCE accepted steps in a row showed slack, that is when the model
+at phi / 2 would also have majorized the loss there (the slack test of I-LAMM,
+Fan, Liu, Sun and Zhang, Ann. Statist. 2018; step sizes that grow and shrink
+under FISTA are analysed by Scheinberg, Goldfarb and Bai, Found. Comput. Math.
+2014). Lowering phi after a single slack step often gets the next step
+rejected, and each rejection costs a full proximal evaluation. The fit stops
+when ||candidate - Y||_F <= epsilon, the norm of the proximal-gradient mapping
+at Y.
 
 Momentum (FISTA; Beck and Teboulle, SIAM J. Imaging Sci. 2009): Y is the
 extrapolated point A_k + beta_k (A_k - A_{k-1}), beta_k = (t_k - 1) / t_{k+1},
@@ -38,7 +48,8 @@ import numpy as np
 
 from transmc.linalg import project_box, soft_threshold
 
-GAMMA = 2.0  # factor by which backtracking raises phi and the slack rule lowers it
+GAMMA = 2.0  # least factor by which backtracking raises phi; the slack rule lowers it by GAMMA
+PATIENCE = 3  # accepted steps with slack in a row before phi is lowered
 PHI0_SCALE = 1e-3  # phi starts at, and is never lowered below, PHI0_SCALE * L
 
 
@@ -109,21 +120,23 @@ def lamm_solve(loss, init, lam: float, a: float, cfg: SolverConfig, shift=None):
 
     curvature = loss.curvature_bound()
     phi_min = PHI0_SCALE * curvature
-    value_A = loss.value(A)
-    obj_A = value_A + (_nuclear_penalty(A, lam) if A.any() else 0.0)
+    obj_A = loss.value(A) + (_nuclear_penalty(A, lam) if A.any() else 0.0)
     objective = [obj_A]
     if not math.isfinite(obj_A):
         raise SolverDivergedError("objective non-finite at the initial point")
 
     # Work buffers reused across iterations: the extrapolated point Y, the
-    # gradient at Y, the gradient step B and the step candidate - Y.
+    # gradients at Y and at the candidate, the gradient step B and the step
+    # candidate - Y.
     Y = np.empty_like(A)
     grad = np.empty_like(A)
+    grad_c = np.empty_like(A)
     B = np.empty_like(A)
     diff = np.empty_like(A)
     A_prev = A
     phi = phi_min
     t = 1.0
+    slack_steps = 0
     converged = False
     box_active = False
     iterations = 0
@@ -136,11 +149,7 @@ def lamm_solve(loss, init, lam: float, a: float, cfg: SolverConfig, shift=None):
             np.subtract(A, A_prev, out=Y)
             Y *= (t - 1.0) / t_next
             Y += A
-            point, value_Y = Y, loss.value(Y)
-            if not math.isfinite(value_Y):
-                raise SolverDivergedError("loss value non-finite at the extrapolated point")
-        else:
-            point, value_Y = A, value_A
+        point = Y if extrapolated else A
         grad = loss.gradient(point, out=grad)
         while True:
             prox_evals += 1
@@ -154,19 +163,27 @@ def lamm_solve(loss, init, lam: float, a: float, cfg: SolverConfig, shift=None):
             value_c = loss.value(candidate)
             if not math.isfinite(value_c):
                 raise SolverDivergedError("loss value non-finite at candidate")
-            if phi >= curvature or value_Y + linear + 0.5 * phi * sq_step >= value_c:
+            # L(c) - L(Y) - <grad L(Y), c - Y> of the quadratic loss, taken as
+            # <grad L(c) - grad L(Y), c - Y> / 2: the value difference cancels
+            # to roundoff once steps are small, this form does not.
+            grad_c = loss.gradient(candidate, out=grad_c)
+            excess = 0.5 * (float(np.vdot(grad_c, diff)) - linear)
+            if phi >= curvature or excess <= 0.5 * phi * sq_step:
                 break
-            phi = min(phi * GAMMA, curvature)
+            # A rejected step has sq_step > 0: at candidate == point the test passes.
+            phi = min(curvature, max(GAMMA * phi, 2.0 * excess / sq_step))
         clipped = not np.array_equal(candidate, shrunk)
         obj_c = value_c + (_nuclear_penalty(candidate, lam) if clipped else lam * nuclear)
         if extrapolated and obj_c > obj_A:
             t = 1.0  # restart: redo the step from A without momentum
             continue
         A_prev, A = A, candidate
-        value_A, obj_A = value_c, obj_c
+        obj_A = obj_c
         objective.append(obj_A)
-        if value_c - value_Y - linear <= 0.5 * (phi / GAMMA) * sq_step:
+        slack_steps = slack_steps + 1 if excess <= 0.5 * (phi / GAMMA) * sq_step else 0
+        if slack_steps == PATIENCE:
             phi = max(phi_min, phi / GAMMA)
+            slack_steps = 0
         box_active = clipped
         t = 1.0 if clipped else t_next
         if math.sqrt(sq_step) <= epsilon:

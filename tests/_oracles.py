@@ -89,6 +89,9 @@ def prox_gradient_fixed_step(rows, cols, values, shape, lam, box, n_iters=100_00
 
     The default step is 1 / (2 * max entry multiplicity), i.e. 1 over
     (2 * max entry-probability * n) for the empirical sampling measure.
+    A step is a deterministic function of A alone, so once one returns A
+    bit for bit every later step would too, and the loop stops there with
+    the same result.
     """
     rows = np.asarray(rows)
     cols = np.asarray(cols)
@@ -105,8 +108,11 @@ def prox_gradient_fixed_step(rows, cols, values, shape, lam, box, n_iters=100_00
         B = A - step * grad
         U, s, Vt = np.linalg.svd(B, full_matrices=False)
         s = np.maximum(s - lam * step, 0.0)
-        A = (U * s) @ Vt
-        np.clip(A, -box, box, out=A)
+        A_next = (U * s) @ Vt
+        np.clip(A_next, -box, box, out=A_next)
+        if np.array_equal(A_next, A):
+            break
+        A = A_next
     return A
 
 

@@ -245,19 +245,25 @@ def _low_rank(rng, m1, m2, r):
     _low_rank(np.random.default_rng(3), 40, 25, 4),           # rank-deficient
     _low_rank(np.random.default_rng(4), 9, 17, 2),            # wide, rank-deficient
 ], ids=["tall", "wide", "rank-deficient", "wide-rank-deficient"])
-@pytest.mark.parametrize("where", ["below", "between", "above"])
-def test_soft_threshold_bit_exact_against_sign_fixed_svd(A, where):
-    # Shrinkage built from the sign-fixed factors of svd must agree to
-    # the last bit with soft_threshold, which skips the sign convention.
+@pytest.mark.parametrize("where", ["below", "between", "above", "1e-3", "1e-5"])
+def test_soft_threshold_matches_sign_fixed_svd_shrinkage(A, where):
+    # soft_threshold works through the Gram matrix of the short side, which
+    # squares the conditioning; the small thresholds keep singular values
+    # down to 1e-3 and 1e-5 of the largest, where that matters most.
     f = svd(A)
     sv = f.singular_values
     lam = {"below": 0.5 * sv[sv > 1e-8 * sv[0]][-1],
            "between": 0.5 * (sv[2] + sv[3]),
-           "above": 1.5 * sv[0]}[where]
+           "above": 1.5 * sv[0],
+           "1e-3": 1e-3 * sv[0],
+           "1e-5": 1e-5 * sv[0]}[where]
     shrunk = np.maximum(sv - lam, 0.0)
     keep = shrunk > 0.0
     expected = (f.U[:, keep] * shrunk[keep]) @ f.V[:, keep].T
-    assert np.array_equal(linalg.soft_threshold(A, lam)[0], expected)
+    S, nuclear = linalg.soft_threshold(A, lam)
+    assert np.linalg.norm(S - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert abs(nuclear - shrunk.sum()) <= 1e-12 * shrunk.sum()
+    assert np.array_equal(linalg.soft_threshold(A.T, lam)[0], S.T)
 
 
 def test_soft_threshold_reduces_nuclear_norm():
