@@ -239,13 +239,32 @@ def _low_rank(rng, m1, m2, r):
     return rng.standard_normal((m1, r)) @ rng.standard_normal((r, m2))
 
 
-@pytest.mark.parametrize("A", [
+_SHRINK_CASES = pytest.mark.parametrize("A", [
     np.random.default_rng(1).standard_normal((60, 30)),      # tall
     np.random.default_rng(2).standard_normal((30, 60)),      # wide
     _low_rank(np.random.default_rng(3), 40, 25, 4),           # rank-deficient
     _low_rank(np.random.default_rng(4), 9, 17, 2),            # wide, rank-deficient
 ], ids=["tall", "wide", "rank-deficient", "wide-rank-deficient"])
-@pytest.mark.parametrize("where", ["below", "between", "above", "1e-3", "1e-5"])
+
+
+@_SHRINK_CASES
+@pytest.mark.parametrize("where", ["above"])
+def test_soft_threshold_bit_exact_against_sign_fixed_svd(A, where):
+    # A threshold above the top singular value keeps no factor, so the
+    # shrinkage from the sign-fixed factors of svd is the zero matrix and
+    # soft_threshold must return it to the last bit, in either orientation.
+    f = svd(A)
+    lam = 1.5 * f.singular_values[0]
+    keep = np.zeros(f.singular_values.shape, dtype=bool)
+    expected = (f.U[:, keep] * f.singular_values[keep]) @ f.V[:, keep].T
+    S, nuclear = linalg.soft_threshold(A, lam)
+    assert np.array_equal(S, expected)
+    assert nuclear == 0.0
+    assert np.array_equal(linalg.soft_threshold(A.T, lam)[0], expected.T)
+
+
+@_SHRINK_CASES
+@pytest.mark.parametrize("where", ["below", "between", "1e-3", "1e-5"])
 def test_soft_threshold_matches_sign_fixed_svd_shrinkage(A, where):
     # soft_threshold works through the Gram matrix of the short side, which
     # squares the conditioning; the small thresholds keep singular values
@@ -254,7 +273,6 @@ def test_soft_threshold_matches_sign_fixed_svd_shrinkage(A, where):
     sv = f.singular_values
     lam = {"below": 0.5 * sv[sv > 1e-8 * sv[0]][-1],
            "between": 0.5 * (sv[2] + sv[3]),
-           "above": 1.5 * sv[0],
            "1e-3": 1e-3 * sv[0],
            "1e-5": 1e-5 * sv[0]}[where]
     shrunk = np.maximum(sv - lam, 0.0)
