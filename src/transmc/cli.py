@@ -18,13 +18,7 @@ import numpy as np
 
 from transmc import data_io, metrics, simulation
 from transmc.datasets import MaskedDataset
-from transmc.estimators import (
-    PenaltyPolicy,
-    estimate_noise_scale,
-    fit_single,
-    theorem_penalty,
-    trans_mc,
-)
+from transmc.estimators import PenaltyPolicy, fit_single, trans_mc
 from transmc.selection import SelectionConfig, screen_sources
 from transmc.simulation import PRESETS, ScenarioSpec, generate_scenario
 from transmc.solver import SolverConfig, SolverDivergedError
@@ -99,30 +93,35 @@ def _box_level(a, value_arrays) -> float:
     return 1.05 * max([1.0, *(float(np.max(np.abs(v))) for v in value_arrays if v.size)])
 
 
-def _estimate(method, target, sources, a, opts, solver, seed, transfer=None):
+def _policy(target, a, opts, solver, methods) -> PenaltyPolicy:
+    """The penalty policy of every method in methods on one target, with the
+    noise scale resolved once: opts.noise_sd, else a pilot fit on target. No
+    pilot runs when every method is `single` with an explicit opts.lam."""
+    policy = PenaltyPolicy(a=a, c1=opts.c1, c2=opts.c2, v=opts.noise_sd)
+    if opts.lam is not None and set(methods) == {"single"}:
+        return policy
+    return policy.resolve(target, solver)
+
+
+def _estimate(method, target, sources, policy, opts, solver, seed, transfer=None):
     """Run one of the paper's estimators; returns (Estimate, SelectionReport or None).
 
-    opts carries the penalty multipliers c1/c2, the noise scale noise_sd
-    (None: pilot estimate), the single-task penalty lam (None: theorem
-    formula) and the selection knobs folds, c_tilde and epsilon0; seed draws
-    the s-transmc fold split. transfer, called like trans_mc (the default),
-    runs the transfer fit of transmc and s-transmc.
+    policy comes from _policy; opts carries the single-task penalty lam (None:
+    the policy's rule with c2) and the selection knobs folds, c_tilde and
+    epsilon0; seed draws the s-transmc fold split. transfer, called like
+    trans_mc (the default), runs the transfer fit of transmc and s-transmc.
     """
     if method == "single":
         lam = opts.lam
         if lam is None:
-            v = opts.noise_sd
-            if v is None:
-                v = estimate_noise_scale(target, a, solver)
-            lam = theorem_penalty(opts.c2, a, v, target.n, min(target.m1, target.m2))
-        return fit_single(target, lam, a, solver), None
-    policy = PenaltyPolicy(a=a, c1=opts.c1, c2=opts.c2, v=opts.noise_sd)
+            lam = policy.penalty(policy.c2, target.n, min(target.m1, target.m2))
+        return fit_single(target, lam, policy.a, solver), None
     transfer = transfer or trans_mc
     if method == "transmc":
         return transfer(target, sources, policy, solver), None
     if method == "s-transmc":
         cfg = SelectionConfig(J=opts.folds, c_tilde=opts.c_tilde, epsilon0=opts.epsilon0,
-                              c0=opts.c1, ck=opts.c2, seed=seed)
+                              c0=policy.c1, ck=policy.c2, seed=seed)
         report = screen_sources(target, sources, cfg, policy, solver)
         chosen = [sources[k - 1] for k in report.selected]
         return transfer(target, chosen, policy, solver), report
@@ -202,15 +201,19 @@ def cmd_estimate(args) -> int:
     paths = [args.target, *(p for p in args.sources.split(",") if p)]
     target, *sources = [_load_dataset(p, task_id=k) for k, p in enumerate(paths)]
     a = _box_level(args.a, [ds.values for ds in (target, *sources)])
-    est, report = _estimate(args.method, target, sources, a, args,
-                            SolverConfig(max_iters=args.max_iters), args.seed or 0)
+    solver = SolverConfig(max_iters=args.max_iters)
+    policy = _policy(target, a, args, solver, [args.method])
+    est, report = _estimate(args.method, target, sources, policy, args, solver,
+                            args.seed or 0)
     out = _out_dir(args)
     data_io.write_dense(est.matrix, out / "estimate.txt", label=args.method)
     with open(out / "fit_report.txt", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"stage: {est.stage}\n")
         fh.write(f"penalty: {est.penalty_used!r}\n")
         fh.write(f"iterations: {est.trace.iterations}\n")
+        fh.write(f"prox_evals: {est.trace.prox_evals}\n")
         fh.write(f"converged: {est.trace.converged}\n")
+        fh.write(f"box_active: {est.trace.box_active}\n")
         fh.write(f"objective: {est.trace.objective_values[-1]!r}\n")
     print(f"{args.method} fit: lam={est.penalty_used:.6g}, "
           f"iterations={est.trace.iterations}, converged={est.trace.converged}")
@@ -247,6 +250,7 @@ def _bench_worker(payload):
     data = generate_scenario(spec, rep=rep)
     solver = SolverConfig(max_iters=params["max_iters"])
     opts = argparse.Namespace(**params, noise_sd=spec.noise_sd, lam=None)
+    policy = _policy(data.target, spec.a_cap, opts, solver, methods)
     result = {"rep": rep, "errors": {}, "curve": None, "selected": None,
               "failures": []}
     # Chosen sources' task ids -> trans_mc Estimate or the error it raised.
@@ -268,8 +272,8 @@ def _bench_worker(payload):
 
     def run(tag, method, sources):
         try:
-            est, report = _estimate(method, data.target, sources, spec.a_cap, opts,
-                                    solver, (spec.seed, 4, rep), transfer=cached_trans_mc)
+            est, report = _estimate(method, data.target, sources, policy, opts, solver,
+                                    (spec.seed, 4, rep), transfer=cached_trans_mc)
         except SolverDivergedError as exc:
             result["failures"].append(f"{tag}: {exc}")
             return None
@@ -424,8 +428,9 @@ def cmd_evaluate(args) -> int:
         train, test = data_io.holdout_split(frames[t], fraction, (seed, t))
         sources = [frames[frame_paths.index(Path(p))].to_dataset(task_id=j + 1)
                    for j, p in enumerate(manifest.sources)]
+        policy = _policy(train, a, opts, solver, methods)
         for method in methods:
-            est, _ = _estimate(method, train, sources, a, opts, solver, (seed, 5, t))
+            est, _ = _estimate(method, train, sources, policy, opts, solver, (seed, 5, t))
             e, re = metrics.holdout_errors(est.matrix, test)
             rows.append((frames[t].frame_id, method, e, re))
 
@@ -458,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=1, help="worker processes")
         p.add_argument("--max-iters", type=int, default=500, dest="max_iters")
         p.add_argument("--a", type=float, default=None, help="entrywise box level")
-        p.add_argument("--lam", type=float, default=None, help="explicit penalty")
         p.add_argument("--c1", type=float, default=DEFAULT_MULTIPLIER,
                        help="pooling penalty multiplier")
         p.add_argument("--c2", type=float, default=DEFAULT_MULTIPLIER,
@@ -478,6 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="single-task nuclear-norm fit")
     common(p)
+    p.add_argument("--lam", type=float, default=None, help="explicit penalty")
     p.add_argument("--data", dest="target", help="samples or frame file")
     p.set_defaults(func=cmd_estimate, method="single", sources="")
 
@@ -489,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
         common(p)
         p.add_argument("--target", help="target samples/frame file")
         p.add_argument("--sources", help="comma-separated source files")
-        p.set_defaults(func=cmd_estimate, method=method)
+        p.set_defaults(func=cmd_estimate, method=method, lam=None)
 
     p = sub.add_parser("benchmark", help="Monte-Carlo benchmark over a scenario")
     common(p)
@@ -501,6 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="holdout evaluation over a frame sequence")
     common(p)
+    p.add_argument("--lam", type=float, default=None,
+                   help="explicit penalty of the single method")
     p.set_defaults(func=cmd_evaluate)
     return parser
 

@@ -34,31 +34,40 @@ class Estimate:
 
 @dataclass(frozen=True)
 class PenaltyPolicy:
-    """How the two transfer penalties are chosen.
+    """The paper's penalty rule, lam = c * sqrt(max(a^2, v^2) / (n m)) with
+    m = min(m1, m2), for every fit of one target dataset.
 
-    theorem_formula mode sets lam1 = c1 * sqrt(max(a^2, v^2) / (N m)) over the
-    pooled sample count N and lam2 = c2 * sqrt(max(a^2, v^2) / (n0 m)) over the
-    target sample count, with m = min(m1, m2). v left None is estimated from
-    pilot-fit residuals on the target. explicit mode uses lam1/lam2 verbatim.
+    trans_mc takes lam1 with c1 over the pooled sample count N and lam2 with
+    c2 over the target sample count n0; the single-task fit takes c2 over n0.
+    Source screening takes its own multipliers c0 and ck (SelectionConfig).
+    v left None is estimated from a pilot fit on the target by resolve().
     """
 
     a: float
-    mode: str = "theorem_formula"
     c1: float = 2.0
     c2: float = 2.0
     v: float | None = None
-    lam1: float | None = None
-    lam2: float | None = None
 
     def __post_init__(self):
-        if self.mode not in ("theorem_formula", "explicit"):
-            raise ValueError(f"unknown penalty mode {self.mode!r}")
         if self.a <= 0.0:
             raise ValueError("entry bound a must be positive")
         if self.c1 <= 0.0 or self.c2 <= 0.0:
             raise ValueError("penalty multipliers must be positive")
-        if self.mode == "explicit" and (self.lam1 is None or self.lam2 is None):
-            raise ValueError("explicit mode requires lam1 and lam2")
+
+    def resolve(self, target: MaskedDataset, cfg: SolverConfig) -> "PenaltyPolicy":
+        """This policy with v filled in: unchanged when v is given, else v is
+        the residual scale of a pilot fit on target (estimate_noise_scale).
+
+        Every estimator resolves its policy on the target; pass the resolved
+        policy on so that the pilot runs once per target dataset.
+        """
+        if self.v is not None:
+            return self
+        return replace(self, v=estimate_noise_scale(target, self.a, cfg))
+
+    def penalty(self, c: float, n: float, m: int) -> float:
+        """theorem_penalty(c, a, v, n, m) of a resolved policy."""
+        return theorem_penalty(c, self.a, self.v, n, m)
 
 
 def theorem_penalty(c: float, a: float, v: float, n: int, m: int) -> float:
@@ -157,27 +166,19 @@ def trans_mc(target: MaskedDataset, sources, policy: PenaltyPolicy,
     """
     sources = list(sources)
     check_compatible([target, *sources])
+    policy = policy.resolve(target, cfg)
     a = policy.a
     n0 = target.n
     n_total = n0 + sum(ds.n for ds in sources)
     m = min(target.m1, target.m2)
 
-    if policy.mode == "explicit":
-        lam1, lam2 = policy.lam1, policy.lam2
-        v = policy.v if policy.v is not None else 0.0
-    else:
-        v = policy.v
-        if v is None:
-            v = estimate_noise_scale(target, a, cfg)
-        lam1 = theorem_penalty(policy.c1, a, v, n_total, m)
-        lam2 = theorem_penalty(policy.c2, a, v, n0, m)
-
-    pooled = pooled_fit([target, *sources], lam1, a, cfg)
+    pooled = pooled_fit([target, *sources], policy.penalty(policy.c1, n_total, m), a, cfg)
 
     sigma = np.linalg.svd(pooled.matrix, compute_uv=False)
     rank_hint = int(np.sum(sigma > 1e-8 * max(1e-300, float(sigma[0]))))
-    _check_sample_balance(n0, n_total, a, v, rank_hint, target.m1, target.m2)
+    _check_sample_balance(n0, n_total, a, policy.v, rank_hint, target.m1, target.m2)
 
+    lam2 = policy.penalty(policy.c2, n0, m)
     correction = debias_fit(target, pooled.matrix, lam2, a, cfg)
     combined = pooled.matrix + correction.matrix
     return Estimate(matrix=combined, penalty_used=lam2, trace=correction.trace,

@@ -12,14 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from transmc.datasets import MaskedDataset, check_compatible, concat_observations
-from transmc.estimators import (
-    Estimate,
-    PenaltyPolicy,
-    estimate_noise_scale,
-    fit_single,
-    theorem_penalty,
-    trans_mc,
-)
+from transmc.estimators import PenaltyPolicy, fit_single, trans_mc
 from transmc.losses import MaskedSquaredLoss
 from transmc.solver import SolverConfig
 
@@ -28,10 +21,10 @@ from transmc.solver import SolverConfig
 class SelectionConfig:
     """Knobs for the source-selection procedure.
 
-    Penalties default to the selection-theory formulas
-    lam_k = ck * sqrt(max(a^2, v^2) / (n_k m)) and
-    lam_0 = c0 * sqrt(max(a^2, v^2) / (((J-1)/J) n0 m)); pass lam0/source_lams
-    to override. epsilon0 left None becomes 0.05 * v_hat^2.
+    The penalties follow PenaltyPolicy's rule with the selection-theory
+    multipliers: lam_k = ck * sqrt(max(a^2, v^2) / (n_k m)) for source k and
+    lam_0 = c0 * sqrt(max(a^2, v^2) / (((J-1)/J) n0 m)) for the fold fits.
+    epsilon0 left None becomes 0.05 * v^2.
     """
 
     J: int = 4
@@ -39,8 +32,6 @@ class SelectionConfig:
     c_tilde: float = 2.0
     c0: float = 2.0
     ck: float = 2.0
-    lam0: float | None = None
-    source_lams: tuple[float, ...] | None = None
     seed: int | tuple = 0
 
     def __post_init__(self):
@@ -120,10 +111,9 @@ def benchmark_loss(target: MaskedDataset, folds, lam0: float, a: float,
 
 
 def source_losses(target: MaskedDataset, source_fits) -> tuple[float, ...]:
-    """Target-data test error of each source-only estimate, averaged over
-    every target observation."""
-    return tuple(fold_loss(target, est.matrix if isinstance(est, Estimate) else est)
-                 for est in source_fits)
+    """Target-data test error of each source-only estimate matrix, averaged
+    over every target observation."""
+    return tuple(fold_loss(target, A) for A in source_fits)
 
 
 def select_sources(fold_losses, source_loss_values, c_tilde: float,
@@ -157,31 +147,19 @@ def screen_sources(target: MaskedDataset, sources, cfg: SelectionConfig,
     """
     sources = list(sources)
     check_compatible([target, *sources])
+    policy = policy.resolve(target, solver)
     a = policy.a
     m = min(target.m1, target.m2)
     J = cfg.J
-
-    v = policy.v
-    if v is None:
-        v = estimate_noise_scale(target, a, solver)
-    epsilon0 = cfg.epsilon0 if cfg.epsilon0 is not None else 0.05 * v * v
-
-    lam0 = cfg.lam0
-    if lam0 is None:
-        n_train = (J - 1) / J * target.n
-        lam0 = theorem_penalty(cfg.c0, a, v, n_train, m)
-    if cfg.source_lams is not None:
-        if len(cfg.source_lams) != len(sources):
-            raise ValueError("source_lams length must match the source count")
-        lams = list(cfg.source_lams)
-    else:
-        lams = [theorem_penalty(cfg.ck, a, v, ds.n, m) for ds in sources]
+    epsilon0 = cfg.epsilon0 if cfg.epsilon0 is not None else 0.05 * policy.v * policy.v
 
     folds = split_folds(target, J, cfg.seed)
+    lam0 = policy.penalty(cfg.c0, (J - 1) / J * target.n, m)
     fold_vals, _, sigma_hat, fold_fits = benchmark_loss(target, folds, lam0, a, solver)
-    source_fits = [fit_single(ds, lam, a, solver, label=f"source {k}")
-                   for k, (ds, lam) in enumerate(zip(sources, lams), start=1)]
-    source_vals = source_losses(target, source_fits)
+    source_fits = [fit_single(ds, policy.penalty(cfg.ck, ds.n, m), a, solver,
+                              label=f"source {k}")
+                   for k, ds in enumerate(sources, start=1)]
+    source_vals = source_losses(target, [est.matrix for est in source_fits])
 
     report = select_sources(fold_vals, source_vals, cfg.c_tilde, epsilon0, sigma_hat)
     unconverged = [f"fold {j}" for j, est in enumerate(fold_fits) if not est.trace.converged]
@@ -193,8 +171,10 @@ def screen_sources(target: MaskedDataset, sources, cfg: SelectionConfig,
 def s_trans_mc(target: MaskedDataset, sources, cfg: SelectionConfig,
                policy: PenaltyPolicy, solver: SolverConfig):
     """Full selection pipeline: screen_sources, then trans_mc on the selected
-    sources; returns (SelectionReport, transfer Estimate)."""
+    sources; returns (SelectionReport, transfer Estimate). Both stages share
+    one resolved policy, so a pilot fit estimates v (when None) only once."""
     sources = list(sources)
+    policy = policy.resolve(target, solver)
     report = screen_sources(target, sources, cfg, policy, solver)
     chosen = [sources[k - 1] for k in report.selected]
     return report, trans_mc(target, chosen, policy, solver)

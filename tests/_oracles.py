@@ -337,3 +337,9 @@ def sampling_diagnostics(model) -> dict:
         "max_row_marginal": float(P.sum(axis=1).max()),
         "max_col_marginal": float(P.sum(axis=0).max()),
     }
+
+
+def penalty_multiplier(lam: float, a: float, v: float, n: float, m: int) -> float:
+    """The multiplier c for which theorem_penalty(c, a, v, n, m) is lam (up
+    to roundoff): lam / sqrt(max(a^2, v^2) / (n m))."""
+    return lam / math.sqrt(max(a * a, v * v) / (n * m))

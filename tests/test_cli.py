@@ -140,6 +140,43 @@ def test_fit_transfer_select_pipeline(tmp_path, tiny_cfg):
     assert ["unconverged", "", "fold 0;fold 1;source 1;source 2"] in rows
 
 
+def test_fit_report_shows_prox_evals_and_box_activity(tmp_path, tiny_cfg):
+    assert run(["simulate", "--config", str(tiny_cfg), "--out", "sim"], tmp_path) == 0
+    target = str(tmp_path / "sim" / "target.samples")
+    base = ["fit", "--data", target, "--noise-sd", "0.5", "--max-iters", "300"]
+    assert run(base + ["--out", "tight", "--a", "1"], tmp_path) == 0
+    assert run(base + ["--out", "default"], tmp_path) == 0
+    tight = (tmp_path / "tight" / "fit_report.txt").read_text().splitlines()
+    default = (tmp_path / "default" / "fit_report.txt").read_text().splitlines()
+    assert "box_active: True" in tight
+    assert "box_active: False" in default
+    for lines in (tight, default):
+        prox_evals = [int(x.split(": ")[1]) for x in lines if x.startswith("prox_evals: ")]
+        iterations = [int(x.split(": ")[1]) for x in lines if x.startswith("iterations: ")]
+        assert len(prox_evals) == 1 and prox_evals[0] >= iterations[0] > 0
+
+
+@pytest.mark.parametrize("command", [
+    ["transfer", "--target", "t.samples", "--sources", "s.samples"],
+    ["select", "--target", "t.samples", "--sources", "s.samples"],
+    ["benchmark", "--preset", "paper-5.1-small"],
+])
+def test_lam_rejected_where_no_single_fit_reads_it(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        run(command + ["--lam", "0.1", "--out", "x"], tmp_path)
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_select_runs_the_noise_pilot_once(tmp_path, tiny_cfg, pilot_calls):
+    assert run(["simulate", "--config", str(tiny_cfg), "--out", "sim"], tmp_path) == 0
+    sources = ",".join(str(tmp_path / "sim" / f"source_{k:02d}.samples") for k in (1, 2))
+    assert run(["select", "--target", str(tmp_path / "sim" / "target.samples"),
+                "--sources", sources, "--out", "sel", "--max-iters", "300",
+                "--epsilon0", "0.5"], tmp_path) == 0
+    assert len(pilot_calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # benchmark
 # ---------------------------------------------------------------------------
@@ -283,6 +320,21 @@ def test_evaluate_three_methods_three_rows_per_frame(tmp_path):
     body = rows[1:]
     assert len(body) == 6  # 2 frames x 3 methods
     assert [r[1] for r in body[:3]] == ["single", "transmc", "s-transmc"]
+
+
+def test_evaluate_runs_the_noise_pilot_once_per_target_frame(tmp_path, pilot_calls):
+    assert run(["simulate", "--preset", "tec-synthetic-tiny", "--out", "tec"],
+               tmp_path) == 0
+    cfg = tmp_path / "tec" / "eval.cfg"
+    lines = [line for line in cfg.read_text().splitlines()
+             if not line.startswith(("noise_sd:", "targets:", "methods:"))]
+    cfg.write_text("\n".join(lines + ["targets: 0-1",
+                                       "methods: single,transmc,s-transmc"]) + "\n")
+    assert run(["evaluate", "--config", str(cfg), "--out", "ev", "--max-iters", "300",
+                "--epsilon0", "0.5"], tmp_path) == 0
+    assert len(pilot_calls) == 2
+    rows = list(csv.reader(open(tmp_path / "ev" / "eval.csv")))
+    assert [r[1] for r in rows[1:]] == ["single", "transmc", "s-transmc"] * 2
 
 
 def test_evaluate_perfect_frames_zero_errors(tmp_path):

@@ -17,7 +17,7 @@ from transmc.losses import MaskedSquaredLoss
 from transmc.metrics import rel_frob_error
 from transmc.simulation import SamplingModel, sample_observations
 from transmc.solver import SolverConfig
-from _oracles import prox_gradient_fixed_step
+from _oracles import penalty_multiplier, prox_gradient_fixed_step
 
 RNG = np.random.default_rng(1234)
 
@@ -196,9 +196,11 @@ def test_trans_mc_zero_sources_matches_fit_single():
     ds = _sampled_task(T, 60, (8, 0), 0)
     lam = 0.05
     cfg = SolverConfig(max_iters=3000, epsilon=1e-8)
-    policy = PenaltyPolicy(a=10.0, mode="explicit", lam1=lam, lam2=lam)
+    c = penalty_multiplier(lam, 10.0, 0.5, 60, 5)
+    policy = PenaltyPolicy(a=10.0, c1=c, c2=c, v=0.5)
     combined = trans_mc(ds, [], policy, cfg)
     assert combined.stage == "combined"
+    assert combined.penalty_used == pytest.approx(lam)
     single = fit_single(ds, lam, 10.0, cfg)
     assert np.linalg.norm(combined.matrix - single.matrix) <= 10 * cfg.epsilon
 
@@ -226,9 +228,11 @@ def test_trans_mc_source_order_invariance():
     T = np.outer(rng.standard_normal(5), rng.standard_normal(4))
     target = _sampled_task(T, 40, (33, 0), 0)
     sources = [_sampled_task(T, 20, (33, k), k) for k in (1, 2, 3)]
-    policy = PenaltyPolicy(a=8.0, mode="explicit", lam1=0.05, lam2=0.08)
+    policy = PenaltyPolicy(a=8.0, c1=penalty_multiplier(0.05, 8.0, 0.5, 100, 4),
+                           c2=penalty_multiplier(0.08, 8.0, 0.5, 40, 4), v=0.5)
     fwd = trans_mc(target, sources, policy, CFG)
     rev = trans_mc(target, sources[::-1], policy, CFG)
+    assert fwd.penalty_used == pytest.approx(0.08)
     assert np.array_equal(fwd.matrix, rev.matrix)
 
 
@@ -252,8 +256,10 @@ def test_trans_mc_combined_box_feasible():
     a = 0.8 * float(np.max(np.abs(T)))
     target = _sampled_task(np.clip(T, -a, a), 45, (50, 0), 0)
     sources = [_sampled_task(np.clip(T, -a, a), 25, (50, k), k) for k in (1, 2)]
-    policy = PenaltyPolicy(a=a, mode="explicit", lam1=0.01, lam2=0.01)
+    policy = PenaltyPolicy(a=a, c1=penalty_multiplier(0.01, a, 0.5, 95, 4),
+                           c2=penalty_multiplier(0.01, a, 0.5, 45, 4), v=0.5)
     est = trans_mc(target, sources, policy, CFG)
+    assert est.penalty_used == pytest.approx(0.01)
     assert np.max(np.abs(est.matrix)) <= a + 1e-12
 
 
@@ -262,9 +268,11 @@ def test_trans_mc_warns_when_target_share_too_small(caplog):
     T = np.outer(rng.standard_normal(6), rng.standard_normal(5))
     target = _sampled_task(T, 5, (60, 0), 0)
     sources = [_sampled_task(T, 5000, (60, 1), 1)]
-    policy = PenaltyPolicy(a=30.0, mode="explicit", lam1=0.01, lam2=0.05, v=0.1)
+    policy = PenaltyPolicy(a=30.0, c1=penalty_multiplier(0.01, 30.0, 0.1, 5005, 5),
+                           c2=penalty_multiplier(0.05, 30.0, 0.1, 5, 5), v=0.1)
     with caplog.at_level(logging.WARNING, logger="transmc"):
-        trans_mc(target, sources, policy, CFG)
+        est = trans_mc(target, sources, policy, CFG)
+    assert est.penalty_used == pytest.approx(0.05)
     assert any("technical bound" in rec.message for rec in caplog.records)
 
 
@@ -298,9 +306,5 @@ def test_estimate_noise_scale_close_to_truth():
 def test_penalty_policy_validation():
     with pytest.raises(ValueError):
         PenaltyPolicy(a=-1.0)
-    with pytest.raises(ValueError):
-        PenaltyPolicy(a=1.0, mode="explicit")
-    with pytest.raises(ValueError):
-        PenaltyPolicy(a=1.0, mode="bogus")
     with pytest.raises(ValueError):
         PenaltyPolicy(a=1.0, c1=0.0)

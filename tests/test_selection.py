@@ -17,7 +17,7 @@ from transmc.selection import (
 )
 from transmc.simulation import PRESETS, SamplingModel, generate_scenario, sample_observations
 from transmc.solver import SolverConfig
-from _oracles import loss_double_loop
+from _oracles import loss_double_loop, penalty_multiplier
 
 RNG = np.random.default_rng(777)
 CFG = SolverConfig(max_iters=1000)
@@ -127,7 +127,7 @@ def test_source_loss_near_zero_for_identical_dense_source():
     target = uniform_task(T, 200, 30, 0, noise=0.0)
     source = uniform_task(T, 200, 31, 1, noise=0.0)
     est = fit_single(source, 1e-6, 10.0, CFG)
-    (lk,) = source_losses(target, [est])
+    (lk,) = source_losses(target, [est.matrix])
     assert lk <= 1e-4
 
 
@@ -150,7 +150,7 @@ def test_source_loss_orders_by_contrast():
                                0.02, 12.0, CFG)
         fit_far = fit_single(uniform_task(far, 150, (13, rep), 2, noise=0.3),
                              0.02, 12.0, CFG)
-        la, lb = source_losses(target, [fit_close, fit_far])
+        la, lb = source_losses(target, [fit_close.matrix, fit_far.matrix])
         wins += la < lb
     assert wins >= 15
 
@@ -212,11 +212,13 @@ def test_selection_report_invariants():
 def test_s_trans_mc_no_sources_degenerates():
     T = np.outer([1.0, -1.0, 2.0], [0.5, 1.0, -0.5, 2.0])
     target = uniform_task(T, 120, 8, noise=0.1)
-    policy = PenaltyPolicy(a=5.0, mode="explicit", lam1=0.02, lam2=0.02, v=0.1)
+    c = penalty_multiplier(0.02, 5.0, 0.1, 120, 3)
+    policy = PenaltyPolicy(a=5.0, c1=c, c2=c, v=0.1)
     cfg = SelectionConfig(J=4, seed=3)
     report, est = s_trans_mc(target, [], cfg, policy, CFG)
     assert report.selected == ()
     assert est.stage == "combined"
+    assert est.penalty_used == pytest.approx(0.02)
 
 
 def test_s_trans_mc_determinism():
@@ -224,10 +226,12 @@ def test_s_trans_mc_determinism():
     T = np.outer(rng.standard_normal(6), rng.standard_normal(5)) * 2
     target = uniform_task(T, 90, (14, 0), 0)
     sources = [uniform_task(T, 60, (14, k), k) for k in (1, 2)]
-    policy = PenaltyPolicy(a=8.0, mode="explicit", lam1=0.02, lam2=0.03, v=0.3)
+    policy = PenaltyPolicy(a=8.0, c1=penalty_multiplier(0.02, 8.0, 0.3, 210, 5),
+                           c2=penalty_multiplier(0.03, 8.0, 0.3, 90, 5), v=0.3)
     cfg = SelectionConfig(J=3, seed=5, epsilon0=0.5)
     r1, e1 = s_trans_mc(target, sources, cfg, policy, CFG)
     r2, e2 = s_trans_mc(target, sources, cfg, policy, CFG)
+    assert e1.penalty_used == pytest.approx(0.03)
     assert r1 == r2
     assert np.array_equal(e1.matrix, e2.matrix)
 
@@ -239,10 +243,12 @@ def test_s_trans_mc_all_pass_matches_trans_mc():
     T = np.outer(rng.standard_normal(6), rng.standard_normal(5)) * 2
     target = uniform_task(T, 100, (15, 0), 0)
     sources = [uniform_task(T, 70, (15, k), k) for k in (1, 2, 3)]
-    policy = PenaltyPolicy(a=8.0, mode="explicit", lam1=0.02, lam2=0.03, v=0.3)
+    policy = PenaltyPolicy(a=8.0, c1=penalty_multiplier(0.02, 8.0, 0.3, 310, 5),
+                           c2=penalty_multiplier(0.03, 8.0, 0.3, 100, 5), v=0.3)
     cfg = SelectionConfig(J=4, seed=6, epsilon0=100.0)  # threshold passes everything
     report, est = s_trans_mc(target, sources, cfg, policy, CFG)
     assert report.selected == (1, 2, 3)
+    assert est.penalty_used == pytest.approx(0.03)
     direct = trans_mc(target, sources, policy, CFG)
     assert np.array_equal(est.matrix, direct.matrix)
 
@@ -252,10 +258,14 @@ def test_s_trans_mc_reports_unconverged_fits(caplog):
     T = np.outer(rng.standard_normal(6), rng.standard_normal(5)) * 2
     target = uniform_task(T, 90, (16, 0), 0)
     sources = [uniform_task(T, 60, (16, k), k) for k in (1, 2)]
-    policy = PenaltyPolicy(a=8.0, mode="explicit", lam1=0.02, lam2=0.03, v=0.3)
-    cfg = SelectionConfig(J=3, seed=5, epsilon0=0.5, lam0=0.02, source_lams=(0.02, 0.02))
+    policy = PenaltyPolicy(a=8.0, c1=penalty_multiplier(0.02, 8.0, 0.3, 210, 5),
+                           c2=penalty_multiplier(0.03, 8.0, 0.3, 90, 5), v=0.3)
+    # lam0 = 0.02 over the 60 observations of two folds; lam_k = 0.02 over n_k = 60
+    c = penalty_multiplier(0.02, 8.0, 0.3, 60, 5)
+    cfg = SelectionConfig(J=3, seed=5, epsilon0=0.5, c0=c, ck=c)
     with caplog.at_level(logging.WARNING, logger="transmc"):
-        report, _ = s_trans_mc(target, sources, cfg, policy, SolverConfig(max_iters=3))
+        report, est = s_trans_mc(target, sources, cfg, policy, SolverConfig(max_iters=3))
+    assert est.penalty_used == pytest.approx(0.03)
     assert report.unconverged == ("fold 0", "fold 1", "fold 2", "source 1", "source 2")
     # the warnings name the fits as the report does; the transfer stages follow
     warned = [rec.getMessage().split(" fit did not converge")[0]
@@ -263,6 +273,22 @@ def test_s_trans_mc_reports_unconverged_fits(caplog):
     assert warned[:5] == list(report.unconverged)
     report, _ = s_trans_mc(target, sources, cfg, policy, CFG)
     assert report.unconverged == ()
+
+
+def test_s_trans_mc_runs_the_noise_pilot_once(pilot_calls):
+    rng = np.random.default_rng(17)
+    T = np.outer(rng.standard_normal(6), rng.standard_normal(5)) * 2
+    target = uniform_task(T, 90, (17, 0), 0)
+    sources = [uniform_task(T, 60, (17, k), k) for k in (1, 2)]
+    cfg = SelectionConfig(J=3, seed=5, epsilon0=0.5, c0=0.3, ck=0.3)
+    report, est = s_trans_mc(target, sources, cfg, PenaltyPolicy(a=8.0, c1=0.3, c2=0.3),
+                             CFG)
+    assert len(pilot_calls) == 1
+    given = PenaltyPolicy(a=8.0, c1=0.3, c2=0.3, v=pilot_calls[0])
+    report_given, est_given = s_trans_mc(target, sources, cfg, given, CFG)
+    assert len(pilot_calls) == 1
+    assert report == report_given
+    assert np.array_equal(est.matrix, est_given.matrix)
 
 
 # ---------------------------------------------------------------------------
