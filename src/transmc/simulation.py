@@ -50,11 +50,6 @@ class SamplingModel:
             if abs(r.sum() - 1.0) > 1e-10 or abs(c.sum() - 1.0) > 1e-10:
                 raise ValueError("marginal probabilities must sum to 1")
 
-    def prob_matrix(self) -> np.ndarray:
-        if self.kind == "uniform":
-            return np.full((self.m1, self.m2), 1.0 / (self.m1 * self.m2))
-        return np.outer(self.row_probs, self.col_probs)
-
     def draw(self, rng: np.random.Generator, n: int):
         """n i.i.d. coordinate draws (with replacement)."""
         if self.kind == "uniform":

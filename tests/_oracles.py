@@ -318,6 +318,13 @@ def majorizer(A, B, phi: float, loss) -> float:
     return float(loss.value(B) + np.sum(loss.gradient(B) * diff) + 0.5 * phi * np.sum(diff * diff))
 
 
+def prob_matrix(model) -> np.ndarray:
+    """The m1 x m2 matrix of cell probabilities of a SamplingModel."""
+    if model.kind == "uniform":
+        return np.full((model.m1, model.m2), 1.0 / (model.m1 * model.m2))
+    return np.outer(model.row_probs, model.col_probs)
+
+
 def sampling_diagnostics(model) -> dict:
     """mu_hat = 1 / (m1 m2 min P) plus max cell and marginal probabilities of a
     SamplingModel."""
@@ -329,7 +336,7 @@ def sampling_diagnostics(model) -> dict:
             "max_row_marginal": 1.0 / model.m1,
             "max_col_marginal": 1.0 / model.m2,
         }
-    P = model.prob_matrix()
+    P = prob_matrix(model)
     min_p = float(P.min())
     return {
         "mu_hat": math.inf if min_p == 0.0 else 1.0 / (model.m1 * model.m2 * min_p),

@@ -239,12 +239,27 @@ def _low_rank(rng, m1, m2, r):
     return rng.standard_normal((m1, r)) @ rng.standard_normal((r, m2))
 
 
+def _with_spectrum(rng, m1, m2, sv):
+    # U diag(sv) V.T with U, V drawn from orthonormalized Gaussian matrices.
+    U = np.linalg.qr(rng.standard_normal((m1, sv.size)))[0]
+    V = np.linalg.qr(rng.standard_normal((m2, sv.size)))[0]
+    return (U * sv) @ V.T
+
+
+_BLOCKS = np.array([5.0, 3.0, 1.0, 0.5, 0.1])
+
 _SHRINK_CASES = pytest.mark.parametrize("A", [
     np.random.default_rng(1).standard_normal((60, 30)),      # tall
     np.random.default_rng(2).standard_normal((30, 60)),      # wide
     _low_rank(np.random.default_rng(3), 40, 25, 4),           # rank-deficient
     _low_rank(np.random.default_rng(4), 9, 17, 2),            # wide, rank-deficient
-], ids=["tall", "wide", "rank-deficient", "wide-rank-deficient"])
+    np.random.default_rng(5).standard_normal((91, 180)),     # a holdout frame
+    np.random.default_rng(6).standard_normal((300, 150)),    # a full preset, tall
+    # Each block value repeated q/5 = 3 times: "between" falls between the
+    # blocks 5 and 3, "below" between the block 0.1 and zero.
+    _with_spectrum(np.random.default_rng(7), 45, 15, np.repeat(_BLOCKS, 3)),
+], ids=["tall", "wide", "rank-deficient", "wide-rank-deficient",
+        "holdout-frame-91x180", "full-tall-300x150", "clustered"])
 
 
 @_SHRINK_CASES
@@ -282,6 +297,53 @@ def test_soft_threshold_matches_sign_fixed_svd_shrinkage(A, where):
     assert np.linalg.norm(S - expected) <= 1e-12 * np.linalg.norm(expected)
     assert abs(nuclear - shrunk.sum()) <= 1e-12 * shrunk.sum()
     assert np.array_equal(linalg.soft_threshold(A.T, lam)[0], S.T)
+
+
+@pytest.mark.parametrize("i", [10, 17, 26, 35])
+def test_soft_threshold_splits_a_tight_cluster(i):
+    # Blocks of 8 singular values within 1e-6 relative of 5, 3, 1, 0.5 and
+    # 0.1; lam lies inside a block, midway between two of its values, so
+    # about 1e-7 relative from either. The eigensolver then has to separate
+    # nearly equal eigenvalues of the Gram matrix. (Inside the top block S
+    # is about 1e-6 of A, and the full-SVD reference itself is then only
+    # good to about 1e-9 relative.)
+    sv = np.repeat(_BLOCKS, 8) * (1.0 + 1e-6 * np.tile(np.linspace(1.0, -1.0, 8), 5))
+    A = _with_spectrum(np.random.default_rng(8), 40, 80, sv)
+    lam = 0.5 * (sv[i] + sv[i + 1])
+    f = svd(A)
+    shrunk = np.maximum(f.singular_values - lam, 0.0)
+    keep = shrunk > 0.0
+    assert np.count_nonzero(keep) == i + 1
+    expected = (f.U[:, keep] * shrunk[keep]) @ f.V[:, keep].T
+    S, nuclear = linalg.soft_threshold(A, lam)
+    assert np.linalg.norm(S - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert abs(nuclear - shrunk.sum()) <= 1e-12 * shrunk.sum()
+    assert np.array_equal(linalg.soft_threshold(A.T, lam)[0], S.T)
+
+
+@pytest.mark.parametrize("shape", [(30, 60), (60, 30), (91, 180)])
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_soft_threshold_makes_one_svd_with_vectors(shape, scale, monkeypatch):
+    # One hermitian np.linalg.svd of the Gram matrix per call, whatever is
+    # kept (scale 2 is above the top singular value), and no direct eigh:
+    # the benchmark counts np.linalg.svd calls with vectors as prox evaluations.
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(kwargs)
+        return real_svd(*args, **kwargs)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("soft_threshold called np.linalg.eigh directly")
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    A = np.random.default_rng(9).standard_normal(shape)
+    lam = scale * float(real_svd(A, compute_uv=False)[0])
+    linalg.soft_threshold(A, lam)
+    assert len(calls) == 1
+    assert calls[0].get("compute_uv", True) and calls[0].get("hermitian") is True
 
 
 def test_soft_threshold_reduces_nuclear_norm():

@@ -15,7 +15,7 @@ from transmc.simulation import (
     scenario_matrices,
     synthetic_frames,
 )
-from _oracles import norms, numerical_rank, sampling_diagnostics
+from _oracles import norms, numerical_rank, prob_matrix, sampling_diagnostics
 
 SMALL = ScenarioSpec(m1=12, m2=8, rank=2, contrasts=(6.0, 0.0, 20.0),
                      n0_frac=0.5, nk_frac=0.4, noise_sd=0.5, sampling="uniform",
@@ -99,7 +99,7 @@ def test_gen_sources_infeasible_cap_raises():
 def test_uniform_sampling_probabilities():
     spec = ScenarioSpec(m1=300, m2=150, rank=3, seed=1)
     model = gen_sampling(spec, task=0)
-    P = model.prob_matrix()
+    P = prob_matrix(model)
     assert np.allclose(P, 1.0 / 45000)
     diag = sampling_diagnostics(model)
     assert diag["mu_hat"] == pytest.approx(1.0)
@@ -108,7 +108,7 @@ def test_uniform_sampling_probabilities():
 def test_product_sampling_is_rank_one():
     spec = ScenarioSpec(m1=20, m2=15, rank=2, sampling="product", seed=4)
     model = gen_sampling(spec, task=2)
-    P = model.prob_matrix()
+    P = prob_matrix(model)
     assert abs(P.sum() - 1.0) <= 1e-10
     assert numerical_rank(P) == 1
     outer = np.outer(model.row_probs, model.col_probs)
