@@ -447,6 +447,32 @@ def cmd_evaluate(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# Every option of the subcommands, by dest; each subcommand takes the ones it reads.
+OPTIONS = {
+    "config": ("--config", dict(help="scenario or evaluation config file")),
+    "preset": ("--preset", dict(help="named scenario preset")),
+    "out": ("--out", dict(default="out", help="output directory")),
+    "seed": ("--seed", dict(type=int, default=None, help="seed override")),
+    "reps": ("--reps", dict(type=int, default=1, help="replication count")),
+    "jobs": ("--jobs", dict(type=int, default=1, help="worker processes")),
+    "max_iters": ("--max-iters", dict(type=int, default=500)),
+    "a": ("--a", dict(type=float, default=None, help="entrywise box level")),
+    "c1": ("--c1", dict(type=float, default=DEFAULT_MULTIPLIER,
+                        help="pooling penalty multiplier")),
+    "c2": ("--c2", dict(type=float, default=DEFAULT_MULTIPLIER,
+                        help="debias / single-task penalty multiplier")),
+    "c_tilde": ("--c-tilde", dict(type=float, default=2.0,
+                                  help="selection threshold multiplier")),
+    "epsilon0": ("--epsilon0", dict(type=float, default=None,
+                                    help="selection threshold floor")),
+    "folds": ("--folds", dict(type=int, default=4, help="cross-validation folds")),
+    "noise_sd": ("--noise-sd", dict(type=float, default=None,
+                                    help="known noise scale (skips the pilot estimate)")),
+}
+FIT_OPTIONS = ("max_iters", "a", "c1", "c2", "noise_sd")
+SELECTION_OPTIONS = ("c_tilde", "epsilon0", "folds")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="transmc",
@@ -454,58 +480,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
-        p.add_argument("--config", help="scenario or evaluation config file")
-        p.add_argument("--preset", help="named scenario preset")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--reps", type=int, default=1, help="replication count")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
-        p.add_argument("--max-iters", type=int, default=500, dest="max_iters")
-        p.add_argument("--a", type=float, default=None, help="entrywise box level")
-        p.add_argument("--c1", type=float, default=DEFAULT_MULTIPLIER,
-                       help="pooling penalty multiplier")
-        p.add_argument("--c2", type=float, default=DEFAULT_MULTIPLIER,
-                       help="debias / single-task penalty multiplier")
-        p.add_argument("--c-tilde", type=float, default=2.0, dest="c_tilde",
-                       help="selection threshold multiplier")
-        p.add_argument("--epsilon0", type=float, default=None,
-                       help="selection threshold floor")
-        p.add_argument("--folds", type=int, default=4, help="cross-validation folds")
-        p.add_argument("--noise-sd", type=float, default=None, dest="noise_sd",
-                       help="known noise scale (skips the pilot estimate)")
+    def command(name, help_text, *options):
+        p = sub.add_parser(name, help=help_text)
+        for dest in ("out", "seed", *options):
+            flag, kwargs = OPTIONS[dest]
+            p.add_argument(flag, dest=dest, **kwargs)
+        return p
 
-    p = sub.add_parser("simulate", help="generate scenario datasets on disk")
-    common(p)
+    p = command("simulate", "generate scenario datasets on disk", "config", "preset")
     p.add_argument("--rep", type=int, default=0, help="replicate index to materialize")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fit", help="single-task nuclear-norm fit")
-    common(p)
+    p = command("fit", "single-task nuclear-norm fit", *FIT_OPTIONS)
     p.add_argument("--lam", type=float, default=None, help="explicit penalty")
     p.add_argument("--data", dest="target", help="samples or frame file")
     p.set_defaults(func=cmd_estimate, method="single", sources="")
 
-    for name, method, help_text in (
-        ("transfer", "transmc", "two-step transfer fit"),
-        ("select", "s-transmc", "informative-source selection + transfer fit"),
+    for name, method, help_text, options in (
+        ("transfer", "transmc", "two-step transfer fit", FIT_OPTIONS),
+        ("select", "s-transmc", "informative-source selection + transfer fit",
+         FIT_OPTIONS + SELECTION_OPTIONS),
     ):
-        p = sub.add_parser(name, help=help_text)
-        common(p)
+        p = command(name, help_text, *options)
         p.add_argument("--target", help="target samples/frame file")
         p.add_argument("--sources", help="comma-separated source files")
         p.set_defaults(func=cmd_estimate, method=method, lam=None)
 
-    p = sub.add_parser("benchmark", help="Monte-Carlo benchmark over a scenario")
-    common(p)
+    p = command("benchmark", "Monte-Carlo benchmark over a scenario", "config", "preset",
+                "reps", "jobs", "max_iters", "c1", "c2", *SELECTION_OPTIONS)
     p.add_argument("--methods", default="single,transmc,s-transmc,curve",
                    help="comma list out of single,transmc,s-transmc,curve")
     p.add_argument("--schemes", default="uniform,product",
                    help="sampling schemes to run (uniform and/or product)")
     p.set_defaults(func=cmd_benchmark)
 
-    p = sub.add_parser("evaluate", help="holdout evaluation over a frame sequence")
-    common(p)
+    p = command("evaluate", "holdout evaluation over a frame sequence", "config",
+                *FIT_OPTIONS, *SELECTION_OPTIONS)
     p.add_argument("--lam", type=float, default=None,
                    help="explicit penalty of the single method")
     p.set_defaults(func=cmd_evaluate)

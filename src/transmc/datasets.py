@@ -69,11 +69,3 @@ def check_compatible(datasets) -> tuple[int, int]:
             )
     return m1, m2
 
-
-def concat_observations(datasets):
-    """Concatenate observation triplets across tasks in the given order."""
-    check_compatible(datasets)
-    rows = np.concatenate([ds.rows for ds in datasets])
-    cols = np.concatenate([ds.cols for ds in datasets])
-    values = np.concatenate([ds.values for ds in datasets])
-    return rows, cols, values

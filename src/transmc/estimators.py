@@ -86,14 +86,21 @@ def estimate_noise_scale(data: MaskedDataset, a: float, cfg: SolverConfig) -> fl
     fill = (2.0 / loss.n) * loss.counts * loss.means
     lam_pilot = float(np.linalg.svd(fill, compute_uv=False)[0]) / 10.0
     pilot_cfg = replace(cfg, max_iters=min(cfg.max_iters, 150))
-    est = fit_single(data, lam_pilot, a, pilot_cfg, label="pilot")
+    est = fit_loss(loss, lam_pilot, a, pilot_cfg, label="pilot")
     residuals = data.values - est.matrix[data.rows, data.cols]
     if residuals.size < 2:
         return float(np.abs(residuals[0]))
     return float(np.std(residuals, ddof=1))
 
 
-def _solve(loss, lam, a, cfg, shift=None, stage="single", label=None):
+def fit_loss(loss: MaskedSquaredLoss, lam: float, a: float, cfg: SolverConfig,
+             shift=None, stage: str = "single", label: str | None = None) -> Estimate:
+    """Nuclear-norm penalized fit of loss, started from zero, over the box
+    |A + shift|_inf <= a (|A|_inf <= a when shift is None).
+
+    stage is the returned Estimate's stage; label (default: stage) names the
+    fit in the solver warnings only, e.g. "fold 2", "source 7" or "pilot".
+    """
     lam = float(lam)
     matrix, trace = lamm_solve(loss, np.zeros(loss.shape), lam, a, cfg, shift)
     if not trace.converged:
@@ -107,13 +114,9 @@ def _solve(loss, lam, a, cfg, shift=None, stage="single", label=None):
 
 def fit_single(data: MaskedDataset, lam: float, a: float, cfg: SolverConfig,
                label: str = "single") -> Estimate:
-    """Nuclear-norm penalized regression on one dataset over the box |A|_inf <= a.
-
-    label names the fit in the solver warnings only (e.g. "fold 2",
-    "source 7", "pilot"); the returned stage is always "single".
-    """
-    loss = MaskedSquaredLoss.from_dataset(data)
-    return _solve(loss, lam, a, cfg, label=label)
+    """Nuclear-norm penalized regression on one dataset over the box |A|_inf <= a;
+    label names the fit in the solver warnings (see fit_loss)."""
+    return fit_loss(MaskedSquaredLoss.from_dataset(data), lam, a, cfg, label=label)
 
 
 def pooled_fit(datasets, lam1: float, a: float, cfg: SolverConfig) -> Estimate:
@@ -123,9 +126,7 @@ def pooled_fit(datasets, lam1: float, a: float, cfg: SolverConfig) -> Estimate:
     depend on how the caller ordered the sequence.
     """
     datasets = sorted(datasets, key=lambda ds: ds.task_id)
-    check_compatible(datasets)
-    loss = MaskedSquaredLoss.from_datasets(datasets)
-    return _solve(loss, lam1, a, cfg, stage="pooled")
+    return fit_loss(MaskedSquaredLoss.from_datasets(datasets), lam1, a, cfg, stage="pooled")
 
 
 def debias_fit(target: MaskedDataset, a_tilde, lam2: float, a: float,
@@ -140,7 +141,7 @@ def debias_fit(target: MaskedDataset, a_tilde, lam2: float, a: float,
     if np.max(np.abs(a_tilde)) > a + BOX_FEASIBILITY_TOL:
         raise ValueError("pooled estimate lies outside the box; cannot debias")
     loss = MaskedSquaredLoss.from_dataset(target).shifted(a_tilde)
-    return _solve(loss, lam2, a, cfg, shift=a_tilde, stage="debiased")
+    return fit_loss(loss, lam2, a, cfg, shift=a_tilde, stage="debiased")
 
 
 def _check_sample_balance(n0: int, n_total: int, a: float, v: float, rank_hint: int,

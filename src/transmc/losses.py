@@ -2,13 +2,15 @@
 
 A loss oracle exposes value(A) and gradient(A) for the solver; both must be
 pure functions of A. The same oracle form covers the single-task objective,
-the pooled multi-task objective (every task's samples) and the debiasing
-objective (observations re-centered by a fixed base matrix).
+the pooled multi-task objective (every task's samples), a cross-validation
+fold complement (the other folds' samples) and the debiasing objective
+(observations re-centered by a fixed base matrix).
 
 Over samples drawn with replacement the loss depends on the data only through
-per-cell statistics, built once with np.bincount (task by task for a pooled
-loss, so the observations are never concatenated): the sample count W, the cell
-mean Ybar (0 where W = 0) and the within-cell residual sum of squares rss0.
+per-cell statistics, built once with np.bincount (dataset by dataset for a
+loss over several, so the observations are never concatenated): the sample
+count W, the cell mean Ybar (0 where W = 0) and the within-cell residual sum
+of squares rss0.
 Then, exactly,
 
     sum_i (y_i - A[r_i, c_i])^2 = sum W * (A - Ybar)^2 + rss0,
@@ -24,35 +26,38 @@ from transmc.datasets import MaskedDataset, check_compatible
 
 
 class MaskedSquaredLoss:
-    """L(A) = (1/n) sum_i (y_i - A[r_i, c_i])^2 over fixed observations."""
+    """L(A) = (1/n) sum_i (y_i - A[r_i, c_i])^2 over fixed observations.
 
-    def __init__(self, m1: int, m2: int, rows, cols, values):
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if not rows.shape == cols.shape == values.shape or rows.ndim != 1:
-            raise ValueError("rows, cols and values must be 1-d arrays of equal length")
-        if rows.size == 0:
-            raise ValueError("loss needs at least one observation")
-        if rows.min() < 0 or rows.max() >= m1:
-            raise ValueError("row index out of bounds")
-        if cols.min() < 0 or cols.max() >= m2:
-            raise ValueError("column index out of bounds")
-        self._build(m1, m2, [(rows, cols, values)])
+    Built from datasets by from_dataset / from_datasets; the constructor takes
+    the cell statistics themselves: counts W, means Ybar, rss0 and n.
+    """
 
-    def _build(self, m1, m2, parts):
-        """Cell statistics of the observations in parts, a sequence of
-        (rows, cols, values) triplets, reduced one triplet at a time so the
-        triplets are never concatenated."""
+    def __init__(self, counts, means, rss0: float, n: int):
+        self.counts = counts
+        self.means = means
+        self.rss0 = rss0
+        self.n = n
+        self._weights = (2.0 / n) * counts
+
+    @classmethod
+    def from_dataset(cls, ds: MaskedDataset) -> "MaskedSquaredLoss":
+        return cls.from_datasets([ds])
+
+    @classmethod
+    def from_datasets(cls, datasets) -> "MaskedSquaredLoss":
+        """Loss over the pooled observations of every dataset, in the given
+        order, reduced one dataset at a time so the observations are never
+        concatenated."""
+        m1, m2 = check_compatible(datasets)
         size = m1 * m2
 
         # Per-observation temporaries are updated in place: a pooled loss
         # can hold 1e5+ observations.
         def cells():
-            for rows, cols, values in parts:
-                cell = rows * m2
-                cell += cols
-                yield cell, values
+            for ds in datasets:
+                cell = ds.rows * m2
+                cell += ds.cols
+                yield cell, ds.values
 
         def residuals(cell, values):
             resid = means[cell]
@@ -76,31 +81,8 @@ class MaskedSquaredLoss:
         for cell, values in cells():
             resid = residuals(cell, values)
             rss0 += float(resid @ resid)
-        n = sum(values.size for _, _, values in parts)
-        self._set(counts.reshape(m1, m2), means.reshape(m1, m2), rss0, n)
-
-    def _set(self, counts, means, rss0, n):
-        self.counts = counts
-        self.means = means
-        self.rss0 = rss0
-        self._n = n
-        self._weights = (2.0 / n) * counts
-
-    @classmethod
-    def from_dataset(cls, ds: MaskedDataset) -> "MaskedSquaredLoss":
-        return cls(ds.m1, ds.m2, ds.rows, ds.cols, ds.values)
-
-    @classmethod
-    def from_datasets(cls, datasets) -> "MaskedSquaredLoss":
-        """Loss over the pooled observations of every dataset, in the given order."""
-        m1, m2 = check_compatible(datasets)
-        out = object.__new__(cls)
-        out._build(m1, m2, [(ds.rows, ds.cols, ds.values) for ds in datasets])
-        return out
-
-    @property
-    def n(self) -> int:
-        return self._n
+        n = sum(ds.n for ds in datasets)
+        return cls(counts.reshape(m1, m2), means.reshape(m1, m2), rss0, n)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -108,7 +90,7 @@ class MaskedSquaredLoss:
 
     def value(self, A) -> float:
         d = A - self.means
-        return (float(np.vdot(self.counts * d, d)) + self.rss0) / self._n
+        return (float(np.vdot(self.counts * d, d)) + self.rss0) / self.n
 
     def gradient(self, A, out=None) -> np.ndarray:
         """(2/n) W * (A - Ybar), written into out when given."""
@@ -121,11 +103,9 @@ class MaskedSquaredLoss:
         base = np.asarray(base, dtype=np.float64)
         if base.shape != self.shape:
             raise ValueError("base matrix shape mismatch")
-        out = object.__new__(MaskedSquaredLoss)
         means = np.where(self.counts > 0, self.means - base, 0.0)
-        out._set(self.counts, means, self.rss0, self._n)
-        return out
+        return MaskedSquaredLoss(self.counts, means, self.rss0, self.n)
 
     def curvature_bound(self) -> float:
         """Lipschitz constant of the gradient: (2/n) * max coordinate multiplicity."""
-        return 2.0 * float(self.counts.max()) / self._n
+        return 2.0 * float(self.counts.max()) / self.n

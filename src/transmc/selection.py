@@ -11,8 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from transmc.datasets import MaskedDataset, check_compatible, concat_observations
-from transmc.estimators import PenaltyPolicy, fit_single, trans_mc
+from transmc.datasets import MaskedDataset, check_compatible
+from transmc.estimators import PenaltyPolicy, fit_loss, fit_single, trans_mc
 from transmc.losses import MaskedSquaredLoss
 from transmc.solver import SolverConfig
 
@@ -85,12 +85,6 @@ def fold_loss(fold: MaskedDataset, A) -> float:
     return MaskedSquaredLoss.from_dataset(fold).value(A)
 
 
-def _complement(folds, j) -> MaskedDataset:
-    rows, cols, values = concat_observations([f for i, f in enumerate(folds) if i != j])
-    first = folds[0]
-    return MaskedDataset(first.m1, first.m2, rows, cols, values, first.task_id)
-
-
 def benchmark_loss(target: MaskedDataset, folds, lam0: float, a: float,
                    cfg: SolverConfig):
     """Cross-validated target loss: fit on each fold complement, score on the fold.
@@ -101,7 +95,8 @@ def benchmark_loss(target: MaskedDataset, folds, lam0: float, a: float,
     losses = []
     fits = []
     for j in range(len(folds)):
-        est = fit_single(_complement(folds, j), lam0, a, cfg, label=f"fold {j}")
+        complement = MaskedSquaredLoss.from_datasets(folds[:j] + folds[j + 1:])
+        est = fit_loss(complement, lam0, a, cfg, label=f"fold {j}")
         fits.append(est)
         losses.append(fold_loss(folds[j], est.matrix))
     losses = np.asarray(losses)
@@ -112,8 +107,9 @@ def benchmark_loss(target: MaskedDataset, folds, lam0: float, a: float,
 
 def source_losses(target: MaskedDataset, source_fits) -> tuple[float, ...]:
     """Target-data test error of each source-only estimate matrix, averaged
-    over every target observation."""
-    return tuple(fold_loss(target, A) for A in source_fits)
+    over every target observation; the target's loss is built once."""
+    loss = MaskedSquaredLoss.from_dataset(target)
+    return tuple(loss.value(A) for A in source_fits)
 
 
 def select_sources(fold_losses, source_loss_values, c_tilde: float,

@@ -184,7 +184,7 @@ def test_criterion_6_gradient_check():
         rows = rng.integers(0, m1, size=n)
         cols = rng.integers(0, m2, size=n)
         values = rng.standard_normal(n) * 2
-        loss = MaskedSquaredLoss(m1, m2, rows, cols, values)
+        loss = MaskedSquaredLoss.from_dataset(MaskedDataset(m1, m2, rows, cols, values))
         A = rng.standard_normal((m1, m2))
         g = loss.gradient(A)
         g_fd = grad_finite_difference(loss.value, A, step=1e-6)

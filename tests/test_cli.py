@@ -168,6 +168,21 @@ def test_lam_rejected_where_no_single_fit_reads_it(tmp_path, command):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["benchmark", "--preset", "paper-5.1-small", "--noise-sd", "0.5"],
+    ["benchmark", "--preset", "paper-5.1-small", "--a", "10"],
+    ["fit", "--data", "t.samples", "--jobs", "2"],
+    ["transfer", "--target", "t.samples", "--sources", "s.samples", "--folds", "2"],
+    ["simulate", "--preset", "paper-5.1-small", "--c1", "0.1"],
+    ["evaluate", "--config", "eval.cfg", "--preset", "paper-5.1-small"],
+])
+def test_options_rejected_where_the_command_does_not_read_them(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        run(command + ["--out", "x"], tmp_path)
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
+
+
 def test_select_runs_the_noise_pilot_once(tmp_path, tiny_cfg, pilot_calls):
     assert run(["simulate", "--config", str(tiny_cfg), "--out", "sim"], tmp_path) == 0
     sources = ",".join(str(tmp_path / "sim" / f"source_{k:02d}.samples") for k in (1, 2))

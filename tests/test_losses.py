@@ -21,7 +21,7 @@ def random_instance(m1=8, m2=6, n=40, duplicates=True):
 
 def test_matches_per_observation_reference():
     A, rows, cols, values = random_instance()
-    loss = MaskedSquaredLoss(*A.shape, rows, cols, values)
+    loss = MaskedSquaredLoss.from_dataset(MaskedDataset(*A.shape, rows, cols, values))
     assert loss.n == values.size and loss.shape == A.shape
     assert np.allclose(loss.gradient(A), grad_double_loop(A, rows, cols, values),
                        rtol=0.0, atol=1e-13)
@@ -32,7 +32,7 @@ def test_matches_per_observation_reference():
 
 def test_loss_value_matches_double_loop():
     A, rows, cols, values = random_instance()
-    loss = MaskedSquaredLoss(*A.shape, rows, cols, values)
+    loss = MaskedSquaredLoss.from_dataset(MaskedDataset(*A.shape, rows, cols, values))
     assert loss.value(A) == pytest.approx(loss_double_loop(A, rows, cols, values), rel=1e-13)
 
 
@@ -44,14 +44,15 @@ def test_value_precise_for_large_entries():
     rows = RNG.integers(0, m1, size=n)
     cols = RNG.integers(0, m2, size=n)
     values = truth[rows, cols] + RNG.standard_normal(n)
-    loss = MaskedSquaredLoss(m1, m2, rows, cols, values)
+    loss = MaskedSquaredLoss.from_dataset(MaskedDataset(m1, m2, rows, cols, values))
     for A in (truth, truth + 0.01 * RNG.standard_normal((m1, m2))):
         assert loss.value(A) == pytest.approx(loss_double_loop(A, rows, cols, values),
                                               rel=1e-12)
 
 
 def test_gradient_accumulates_duplicates():
-    loss = MaskedSquaredLoss(2, 2, [0, 0, 1], [0, 0, 1], [1.0, 3.0, 2.0])
+    loss = MaskedSquaredLoss.from_dataset(
+        MaskedDataset(2, 2, [0, 0, 1], [0, 0, 1], [1.0, 3.0, 2.0]))
     g = loss.gradient(np.zeros((2, 2)))
     # (2/3) * ((0-1) + (0-3)) at (0,0), (2/3) * (0-2) at (1,1)
     assert g[0, 0] == pytest.approx(-8.0 / 3.0)
@@ -63,7 +64,7 @@ def test_gradient_accumulates_duplicates():
 
 def test_gradient_zero_at_interpolant():
     A, rows, cols, _ = random_instance(duplicates=False)
-    loss = MaskedSquaredLoss(*A.shape, rows, cols, A[rows, cols])
+    loss = MaskedSquaredLoss.from_dataset(MaskedDataset(*A.shape, rows, cols, A[rows, cols]))
     assert np.allclose(loss.gradient(A), 0.0)
     assert loss.value(A) == 0.0
 
@@ -74,7 +75,7 @@ def test_zero_at_interpolant_with_repeated_cells():
     A = np.array([[0.1, 1.0 / 3.0], [2.7, -5.3]])
     rows = np.array([0, 0, 0, 1] + [0] * 7)
     cols = np.array([0, 0, 0, 1] + [1] * 7)
-    loss = MaskedSquaredLoss(2, 2, rows, cols, A[rows, cols])
+    loss = MaskedSquaredLoss.from_dataset(MaskedDataset(2, 2, rows, cols, A[rows, cols]))
     assert loss.value(A) == 0.0
     assert not np.any(loss.gradient(A))
 
@@ -82,8 +83,10 @@ def test_zero_at_interpolant_with_repeated_cells():
 def test_shifted_matches_recentered_values():
     A, rows, cols, values = random_instance()
     base = RNG.standard_normal(A.shape)
-    shifted = MaskedSquaredLoss(*A.shape, rows, cols, values).shifted(base)
-    direct = MaskedSquaredLoss(*A.shape, rows, cols, values - base[rows, cols])
+    shifted = MaskedSquaredLoss.from_dataset(
+        MaskedDataset(*A.shape, rows, cols, values)).shifted(base)
+    direct = MaskedSquaredLoss.from_dataset(
+        MaskedDataset(*A.shape, rows, cols, values - base[rows, cols]))
     assert shifted.n == direct.n
     assert shifted.value(A) == pytest.approx(direct.value(A), rel=1e-13)
     assert np.allclose(shifted.gradient(A), direct.gradient(A), rtol=0.0, atol=1e-13)
@@ -95,7 +98,7 @@ def test_shifted_matches_recentered_values():
 def test_curvature_bound_is_twice_max_count_over_n():
     rows = np.array([0, 1, 1, 2, 1, 0])
     cols = np.array([0, 2, 2, 1, 2, 0])
-    loss = MaskedSquaredLoss(3, 3, rows, cols, np.ones(6))
+    loss = MaskedSquaredLoss.from_dataset(MaskedDataset(3, 3, rows, cols, np.ones(6)))
     assert loss.curvature_bound() == 2.0 * 3 / 6
 
 
@@ -120,8 +123,9 @@ def test_pooled_statistics_match_concatenated_constructor():
         values = 1e3 + rng.standard_normal(n)
         tasks.append(MaskedDataset(m1, m2, rows, cols, values, task_id=task_id))
     pooled = MaskedSquaredLoss.from_datasets(tasks)
-    whole = MaskedSquaredLoss(m1, m2, *(np.concatenate([getattr(ds, f) for ds in tasks])
-                                        for f in ("rows", "cols", "values")))
+    whole = MaskedSquaredLoss.from_dataset(
+        MaskedDataset(m1, m2, *(np.concatenate([getattr(ds, f) for ds in tasks])
+                                for f in ("rows", "cols", "values"))))
     assert pooled.n == whole.n == 68
     assert np.array_equal(pooled.counts, whole.counts)
     assert np.allclose(pooled.means, whole.means, rtol=1e-12, atol=0.0)
@@ -133,10 +137,10 @@ def test_pooled_statistics_match_concatenated_constructor():
 
 def test_constructor_rejects_bad_input():
     with pytest.raises(ValueError):
-        MaskedSquaredLoss(2, 2, [], [], [])
+        MaskedSquaredLoss.from_dataset(MaskedDataset(2, 2, [], [], []))
     with pytest.raises(ValueError):
-        MaskedSquaredLoss(2, 2, [2], [0], [1.0])
+        MaskedSquaredLoss.from_dataset(MaskedDataset(2, 2, [2], [0], [1.0]))
     with pytest.raises(ValueError):
-        MaskedSquaredLoss(2, 2, [0], [-1], [1.0])
+        MaskedSquaredLoss.from_dataset(MaskedDataset(2, 2, [0], [-1], [1.0]))
     with pytest.raises(ValueError):
-        MaskedSquaredLoss(2, 2, [0], [0, 1], [1.0, 2.0])
+        MaskedSquaredLoss.from_dataset(MaskedDataset(2, 2, [0], [0, 1], [1.0, 2.0]))

@@ -3,9 +3,12 @@ import logging
 import numpy as np
 import pytest
 
+from transmc import selection
 from transmc.datasets import MaskedDataset
 from transmc.cli import DEFAULT_MULTIPLIER
-from transmc.estimators import PenaltyPolicy, estimate_noise_scale, fit_single, theorem_penalty
+from transmc.estimators import (PenaltyPolicy, estimate_noise_scale, fit_loss, fit_single,
+                                theorem_penalty)
+from transmc.losses import MaskedSquaredLoss
 from transmc.selection import (
     SelectionConfig,
     benchmark_loss,
@@ -101,6 +104,34 @@ def test_benchmark_loss_near_zero_in_easy_regime():
     assert mean <= 1e-4
     assert sigma <= 1e-4
     assert len(fits) == 4
+
+
+def test_benchmark_loss_fits_each_fold_complement(monkeypatch):
+    # The loss fitted for fold j holds every target observation outside fold
+    # j: the statistics of the concatenated complement, reduced fold by fold.
+    # Entries near 1e3 with repeated cells make the two summation orders round
+    # differently.
+    T = 1e3 + RNG.standard_normal((6, 5))
+    target = uniform_task(T, 200, 8)
+    folds = split_folds(target, 4, seed=3)
+    fitted = []
+
+    def recording(loss, lam, a, cfg, label=None):
+        fitted.append((label, loss))
+        return fit_loss(loss, lam, a, cfg, label=label)
+
+    monkeypatch.setattr(selection, "fit_loss", recording)
+    benchmark_loss(target, folds, 0.05, 2e3, SolverConfig(max_iters=5))
+    assert [label for label, _ in fitted] == [f"fold {j}" for j in range(4)]
+    for j, (_, loss) in enumerate(fitted):
+        rest = [f for i, f in enumerate(folds) if i != j]
+        whole = MaskedSquaredLoss.from_dataset(MaskedDataset(
+            6, 5, *(np.concatenate([getattr(f, name) for f in rest])
+                    for name in ("rows", "cols", "values"))))
+        assert loss.n == target.n - folds[j].n == whole.n
+        assert np.array_equal(loss.counts, whole.counts)
+        assert np.allclose(loss.means, whole.means, rtol=1e-12, atol=0.0)
+        assert loss.rss0 == pytest.approx(whole.rss0, rel=1e-12)
 
 
 def test_benchmark_sigma_closed_forms():
