@@ -79,10 +79,14 @@ def split_folds(target: MaskedDataset, J: int, seed) -> list[MaskedDataset]:
 
 def fold_loss(fold: MaskedDataset, A) -> float:
     """Mean squared prediction error of A on the fold's observations."""
+    return _score(MaskedSquaredLoss.from_dataset(fold), A)
+
+
+def _score(loss: MaskedSquaredLoss, A) -> float:
     A = np.asarray(A, dtype=np.float64)
-    if A.shape != fold.shape:
-        raise ValueError("matrix shape does not match the fold")
-    return MaskedSquaredLoss.from_dataset(fold).value(A)
+    if A.shape != loss.shape:
+        raise ValueError("matrix shape does not match the observed matrix")
+    return loss.value(A)
 
 
 def benchmark_loss(target: MaskedDataset, folds, lam0: float, a: float,
@@ -109,7 +113,7 @@ def source_losses(target: MaskedDataset, source_fits) -> tuple[float, ...]:
     """Target-data test error of each source-only estimate matrix, averaged
     over every target observation; the target's loss is built once."""
     loss = MaskedSquaredLoss.from_dataset(target)
-    return tuple(loss.value(A) for A in source_fits)
+    return tuple(_score(loss, A) for A in source_fits)
 
 
 def select_sources(fold_losses, source_loss_values, c_tilde: float,

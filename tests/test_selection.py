@@ -167,6 +167,8 @@ def test_source_loss_zero_matrix_is_mean_square():
     ds = uniform_task(T, 15, 7, noise=0.1)
     (lk,) = source_losses(ds, [np.zeros((4, 4))])
     assert lk == pytest.approx(float(np.mean(ds.values**2)))
+    with pytest.raises(ValueError):  # would broadcast against the 4 x 4 statistics
+        source_losses(ds, [np.zeros((4, 4)), np.zeros((1, 4))])
 
 
 def test_source_loss_orders_by_contrast():
