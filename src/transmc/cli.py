@@ -238,6 +238,9 @@ def _write_selection_report(path, report):
         w.writerow(["threshold", "", f"{report.threshold:.12g}"])
         w.writerow(["selected", "", " ".join(str(k) for k in report.selected)])
         w.writerow(["unconverged", "", ";".join(report.unconverged)])
+        for name, t in report.fit_traces():
+            w.writerow(["fit", name, f"iterations={t.iterations} prox_evals={t.prox_evals} "
+                                     f"converged={t.converged} box_active={t.box_active}"])
 
 
 # ---------------------------------------------------------------------------
@@ -482,39 +485,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, help_text, *options):
         p = sub.add_parser(name, help=help_text)
-        for dest in ("out", "seed", *options):
+        for dest in ("out", *options):
             flag, kwargs = OPTIONS[dest]
             p.add_argument(flag, dest=dest, **kwargs)
         return p
 
-    p = command("simulate", "generate scenario datasets on disk", "config", "preset")
+    p = command("simulate", "generate scenario datasets on disk", "config", "preset", "seed")
     p.add_argument("--rep", type=int, default=0, help="replicate index to materialize")
     p.set_defaults(func=cmd_simulate)
 
     p = command("fit", "single-task nuclear-norm fit", *FIT_OPTIONS)
     p.add_argument("--lam", type=float, default=None, help="explicit penalty")
     p.add_argument("--data", dest="target", help="samples or frame file")
-    p.set_defaults(func=cmd_estimate, method="single", sources="")
+    p.set_defaults(func=cmd_estimate, method="single", sources="", seed=None)
 
+    # Only select draws a fold split, so only select takes --seed.
     for name, method, help_text, options in (
         ("transfer", "transmc", "two-step transfer fit", FIT_OPTIONS),
         ("select", "s-transmc", "informative-source selection + transfer fit",
-         FIT_OPTIONS + SELECTION_OPTIONS),
+         FIT_OPTIONS + SELECTION_OPTIONS + ("seed",)),
     ):
         p = command(name, help_text, *options)
         p.add_argument("--target", help="target samples/frame file")
         p.add_argument("--sources", help="comma-separated source files")
-        p.set_defaults(func=cmd_estimate, method=method, lam=None)
+        p.set_defaults(func=cmd_estimate, method=method, lam=None, seed=None)
 
     p = command("benchmark", "Monte-Carlo benchmark over a scenario", "config", "preset",
-                "reps", "jobs", "max_iters", "c1", "c2", *SELECTION_OPTIONS)
+                "seed", "reps", "jobs", "max_iters", "c1", "c2", *SELECTION_OPTIONS)
     p.add_argument("--methods", default="single,transmc,s-transmc,curve",
                    help="comma list out of single,transmc,s-transmc,curve")
     p.add_argument("--schemes", default="uniform,product",
                    help="sampling schemes to run (uniform and/or product)")
     p.set_defaults(func=cmd_benchmark)
 
-    p = command("evaluate", "holdout evaluation over a frame sequence", "config",
+    p = command("evaluate", "holdout evaluation over a frame sequence", "config", "seed",
                 *FIT_OPTIONS, *SELECTION_OPTIONS)
     p.add_argument("--lam", type=float, default=None,
                    help="explicit penalty of the single method")

@@ -9,6 +9,8 @@ constraint, and returns the sum of the two stages.
 
 import logging
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,6 +22,9 @@ from transmc.solver import SolveTrace, SolverConfig, lamm_solve
 log = logging.getLogger("transmc")
 
 BOX_FEASIBILITY_TOL = 1e-12
+# Thread-count variables of the BLAS libraries numpy links (OpenBLAS, MKL, and
+# OpenMP builds of either); _worker_count reads them.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -93,6 +98,18 @@ def estimate_noise_scale(data: MaskedDataset, a: float, cfg: SolverConfig) -> fl
     return float(np.std(residuals, ddof=1))
 
 
+@dataclass(frozen=True)
+class FitProblem:
+    """One fit of fit_losses: the arguments of fit_loss but the solver config."""
+
+    loss: MaskedSquaredLoss
+    lam: float
+    a: float
+    shift: np.ndarray | None = None
+    stage: str = "single"
+    label: str | None = None
+
+
 def fit_loss(loss: MaskedSquaredLoss, lam: float, a: float, cfg: SolverConfig,
              shift=None, stage: str = "single", label: str | None = None) -> Estimate:
     """Nuclear-norm penalized fit of loss, started from zero, over the box
@@ -101,15 +118,79 @@ def fit_loss(loss: MaskedSquaredLoss, lam: float, a: float, cfg: SolverConfig,
     stage is the returned Estimate's stage; label (default: stage) names the
     fit in the solver warnings only, e.g. "fold 2", "source 7" or "pilot".
     """
-    lam = float(lam)
-    matrix, trace = lamm_solve(loss, np.zeros(loss.shape), lam, a, cfg, shift)
-    if not trace.converged:
-        log.warning("%s fit did not converge in %d iterations (lam = %.4g)",
-                    label or stage, trace.iterations, lam)
-    if trace.box_active:
-        log.warning("%s fit is not certified: the box clipped its last step "
-                    "(a = %.4g, lam = %.4g)", label or stage, a, lam)
-    return Estimate(matrix=matrix, penalty_used=lam, trace=trace, stage=stage)
+    return fit_losses([FitProblem(loss, float(lam), a, shift, stage, label)], cfg)[0]
+
+
+def fit_losses(problems, cfg: SolverConfig) -> list[Estimate]:
+    """fit_loss of each FitProblem, returned and warned about in input order.
+
+    The solves run side by side in forked worker processes, as many as the
+    cores hold beside BLAS's own threads (_worker_count); each worker runs
+    only the pure lamm_solve, so the estimates do not depend on the worker
+    count. The pool lives for this call only.
+    """
+    problems = list(problems)
+    workers = _worker_count(len(problems))
+    if workers == 1:
+        solved = [_solve(p, cfg) for p in problems]
+    else:
+        # Imported here, so that a run making one fit at a time never loads
+        # them. fork, not spawn: a spawned worker would import numpy and
+        # transmc afresh, which costs more than the solves it runs.
+        import concurrent.futures
+        import multiprocessing
+
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            solved = list(pool.map(_solve, problems, [cfg] * len(problems)))
+    estimates = []
+    for p, (matrix, trace) in zip(problems, solved):
+        if not trace.converged:
+            log.warning("%s fit did not converge in %d iterations (lam = %.4g)",
+                        p.label or p.stage, trace.iterations, p.lam)
+        if trace.box_active:
+            log.warning("%s fit is not certified: the box clipped its last step "
+                        "(a = %.4g, lam = %.4g)", p.label or p.stage, p.a, p.lam)
+        estimates.append(Estimate(matrix=matrix, penalty_used=p.lam, trace=trace,
+                                  stage=p.stage))
+    return estimates
+
+
+def _solve(problem: FitProblem, cfg: SolverConfig):
+    """lamm_solve of one problem from zero: (solution, SolveTrace)."""
+    loss = problem.loss
+    return lamm_solve(loss, np.zeros(loss.shape), problem.lam, problem.a, cfg, problem.shift)
+
+
+def _worker_count(n: int) -> int:
+    """Worker processes for n independent solves: the available cores divided
+    by the BLAS threads each process runs, at most n.
+
+    Every worker's BLAS runs as many threads as BLAS_THREAD_VARS ask for (the
+    largest one set), or one per core when none is set. More workers than
+    that ratio allows oversubscribe the cores, and BLAS threads spin while
+    they wait: on 2 cores with 2-thread BLAS, 2 workers screened
+    paper-5.2-full 9x slower than one. So an unpinned BLAS means 1 worker.
+    It is also 1, and the solves run in this process, where a fork pool is
+    unsafe: no fork start method, inside a multiprocessing worker (``transmc
+    benchmark --jobs``), or with other threads running, whose locks a fork
+    would copy in an unknown state."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    cores = cores or 1
+    pinned = [os.environ.get(var, "") for var in BLAS_THREAD_VARS]
+    try:
+        blas_threads = max(int(v) for v in pinned if v) if any(pinned) else cores
+    except ValueError:
+        blas_threads = cores
+    n = min(n, cores // max(blas_threads, 1))
+    if n <= 1:
+        return 1
+    import multiprocessing
+
+    if (multiprocessing.parent_process() is not None or threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
+    return n
 
 
 def fit_single(data: MaskedDataset, lam: float, a: float, cfg: SolverConfig,

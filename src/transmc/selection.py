@@ -4,7 +4,9 @@ The benchmark loss is a J-fold cross-validation error of the single-task
 estimator on the target data. Each source gets a transfer loss: fit on the
 source alone, score on the target. Sources whose loss exceeds the benchmark
 by more than c_tilde * max(sigma_hat, epsilon0) are dropped, and the transfer
-estimator runs on the survivors.
+estimator runs on the survivors. The J fold fits and K source-only fits depend
+only on the target and on their own data; screen_sources solves all of them in
+one fit_losses call, which runs them side by side.
 """
 
 from dataclasses import dataclass, replace
@@ -12,9 +14,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from transmc.datasets import MaskedDataset, check_compatible
-from transmc.estimators import PenaltyPolicy, fit_loss, fit_single, trans_mc
+# fit_single is not called here: it stays bound for perfbench's tracer.
+from transmc.estimators import FitProblem, PenaltyPolicy, fit_losses, fit_single, trans_mc
 from transmc.losses import MaskedSquaredLoss
-from transmc.solver import SolverConfig
+from transmc.solver import SolveTrace, SolverConfig
 
 
 @dataclass(frozen=True)
@@ -52,9 +55,20 @@ class SelectionReport:
     epsilon0: float
     threshold: float                 # c_tilde * max(sigma_hat, epsilon0)
     selected: tuple[int, ...]        # 1-based source indices, ascending
-    # Fits that stopped at max_iters, e.g. ("fold 2", "source 7"); folds are
-    # numbered as in fold_losses (from 0), sources as in selected (from 1).
-    unconverged: tuple[str, ...] = ()
+    fold_traces: tuple[SolveTrace, ...] = ()    # as fold_losses
+    source_traces: tuple[SolveTrace, ...] = ()  # as source_losses
+
+    def fit_traces(self) -> list[tuple[str, SolveTrace]]:
+        """(name, trace) of every fold and source-only fit, e.g. ("fold 2", ...)
+        or ("source 7", ...): folds are numbered as in fold_losses (from 0),
+        sources as in selected (from 1)."""
+        return ([(f"fold {j}", t) for j, t in enumerate(self.fold_traces)]
+                + [(f"source {k}", t) for k, t in enumerate(self.source_traces, start=1)])
+
+    @property
+    def unconverged(self) -> tuple[str, ...]:
+        """Names of the fits that stopped at max_iters (see fit_traces)."""
+        return tuple(name for name, t in self.fit_traces() if not t.converged)
 
 
 def split_folds(target: MaskedDataset, J: int, seed) -> list[MaskedDataset]:
@@ -96,17 +110,23 @@ def benchmark_loss(target: MaskedDataset, folds, lam0: float, a: float,
     Returns (fold_losses, benchmark mean, sigma_hat, fitted fold estimates);
     sigma_hat is the sample standard deviation (denominator J - 1).
     """
-    losses = []
-    fits = []
-    for j in range(len(folds)):
-        complement = MaskedSquaredLoss.from_datasets(folds[:j] + folds[j + 1:])
-        est = fit_loss(complement, lam0, a, cfg, label=f"fold {j}")
-        fits.append(est)
-        losses.append(fold_loss(folds[j], est.matrix))
-    losses = np.asarray(losses)
+    fits = fit_losses(_fold_problems(folds, lam0, a), cfg)
+    return (*_cv_scores(folds, fits), fits)
+
+
+def _fold_problems(folds, lam0: float, a: float) -> list[FitProblem]:
+    """Fold j's fit: the pooled loss of every other fold."""
+    return [FitProblem(MaskedSquaredLoss.from_datasets(folds[:j] + folds[j + 1:]), lam0, a,
+                       label=f"fold {j}")
+            for j in range(len(folds))]
+
+
+def _cv_scores(folds, fits):
+    """(fold_losses, their mean, sample standard deviation) of the fold fits."""
+    losses = np.asarray([fold_loss(fold, est.matrix) for fold, est in zip(folds, fits)])
     mean = float(losses.mean())
     sigma = float(np.sqrt(np.sum((losses - mean) ** 2) / (losses.size - 1)))
-    return tuple(float(x) for x in losses), mean, sigma, fits
+    return tuple(float(x) for x in losses), mean, sigma
 
 
 def source_losses(target: MaskedDataset, source_fits) -> tuple[float, ...]:
@@ -155,17 +175,18 @@ def screen_sources(target: MaskedDataset, sources, cfg: SelectionConfig,
 
     folds = split_folds(target, J, cfg.seed)
     lam0 = policy.penalty(cfg.c0, (J - 1) / J * target.n, m)
-    fold_vals, _, sigma_hat, fold_fits = benchmark_loss(target, folds, lam0, a, solver)
-    source_fits = [fit_single(ds, policy.penalty(cfg.ck, ds.n, m), a, solver,
-                              label=f"source {k}")
-                   for k, ds in enumerate(sources, start=1)]
+    problems = _fold_problems(folds, lam0, a) + [
+        FitProblem(MaskedSquaredLoss.from_dataset(ds), policy.penalty(cfg.ck, ds.n, m), a,
+                   label=f"source {k}")
+        for k, ds in enumerate(sources, start=1)]
+    fits = fit_losses(problems, solver)
+    fold_fits, source_fits = fits[:J], fits[J:]
+    fold_vals, _, sigma_hat = _cv_scores(folds, fold_fits)
     source_vals = source_losses(target, [est.matrix for est in source_fits])
 
     report = select_sources(fold_vals, source_vals, cfg.c_tilde, epsilon0, sigma_hat)
-    unconverged = [f"fold {j}" for j, est in enumerate(fold_fits) if not est.trace.converged]
-    unconverged += [f"source {k}" for k, est in enumerate(source_fits, start=1)
-                    if not est.trace.converged]
-    return replace(report, unconverged=tuple(unconverged))
+    return replace(report, fold_traces=tuple(est.trace for est in fold_fits),
+                   source_traces=tuple(est.trace for est in source_fits))
 
 
 def s_trans_mc(target: MaskedDataset, sources, cfg: SelectionConfig,

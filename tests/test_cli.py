@@ -140,6 +140,31 @@ def test_fit_transfer_select_pipeline(tmp_path, tiny_cfg):
     assert ["unconverged", "", "fold 0;fold 1;source 1;source 2"] in rows
 
 
+def test_selection_report_has_a_row_per_fit(tmp_path, tiny_cfg):
+    assert run(["simulate", "--config", str(tiny_cfg), "--out", "sim"], tmp_path) == 0
+    target = str(tmp_path / "sim" / "target.samples")
+    sources = ",".join(str(tmp_path / "sim" / f"source_{k:02d}.samples") for k in (1, 2))
+    assert run(["select", "--target", target, "--sources", sources, "--out", "sel",
+                "--a", "30", "--noise-sd", "0.5", "--max-iters", "3", "--folds", "2",
+                "--seed", "4"], tmp_path) == 0
+    policy = PenaltyPolicy(a=30.0, c1=cli.DEFAULT_MULTIPLIER, c2=cli.DEFAULT_MULTIPLIER,
+                           v=0.5)
+    cfg = SelectionConfig(J=2, c_tilde=2.0, c0=cli.DEFAULT_MULTIPLIER,
+                          ck=cli.DEFAULT_MULTIPLIER, seed=4)
+    report, _ = s_trans_mc(read_samples(target), [read_samples(p) for p in sources.split(",")],
+                           cfg, policy, SolverConfig(max_iters=3))
+    assert report.fold_traces[0].converged is False
+    rows = list(csv.reader(open(tmp_path / "sel" / "selection_report.csv")))
+    fits = {r[1]: dict(kv.split("=") for kv in r[2].split()) for r in rows if r[0] == "fit"}
+    assert list(fits) == ["fold 0", "fold 1", "source 1", "source 2"]
+    assert fits["fold 0"]["converged"] == "False"
+    for name, trace in report.fit_traces():
+        assert fits[name] == {"iterations": str(trace.iterations),
+                              "prox_evals": str(trace.prox_evals),
+                              "converged": str(trace.converged),
+                              "box_active": str(trace.box_active)}
+
+
 def test_fit_report_shows_prox_evals_and_box_activity(tmp_path, tiny_cfg):
     assert run(["simulate", "--config", str(tiny_cfg), "--out", "sim"], tmp_path) == 0
     target = str(tmp_path / "sim" / "target.samples")
@@ -175,6 +200,8 @@ def test_lam_rejected_where_no_single_fit_reads_it(tmp_path, command):
     ["transfer", "--target", "t.samples", "--sources", "s.samples", "--folds", "2"],
     ["simulate", "--preset", "paper-5.1-small", "--c1", "0.1"],
     ["evaluate", "--config", "eval.cfg", "--preset", "paper-5.1-small"],
+    ["fit", "--data", "t.samples", "--seed", "3"],
+    ["transfer", "--target", "t.samples", "--sources", "s.samples", "--seed", "3"],
 ])
 def test_options_rejected_where_the_command_does_not_read_them(tmp_path, command):
     with pytest.raises(SystemExit) as exc:

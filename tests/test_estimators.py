@@ -1,13 +1,19 @@
+import concurrent.futures
 import logging
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from transmc import estimators
 from transmc.datasets import MaskedDataset
 from transmc.estimators import (
+    FitProblem,
     PenaltyPolicy,
     debias_fit,
     estimate_noise_scale,
+    fit_losses,
     fit_single,
     pooled_fit,
     theorem_penalty,
@@ -16,7 +22,7 @@ from transmc.estimators import (
 from transmc.losses import MaskedSquaredLoss
 from transmc.metrics import rel_frob_error
 from transmc.simulation import SamplingModel, sample_observations
-from transmc.solver import SolverConfig
+from transmc.solver import SolverConfig, SolverDivergedError
 from _oracles import penalty_multiplier, prox_gradient_fixed_step
 
 RNG = np.random.default_rng(1234)
@@ -292,6 +298,59 @@ def test_unconverged_fit_logs_warning(caplog):
         estimate_noise_scale(ds, 10.0, cfg)
     assert any(rec.getMessage().startswith("pilot fit did not converge in 3 iterations")
                for rec in caplog.records)
+
+
+def test_fit_losses_in_workers_match_and_leave_no_process(monkeypatch):
+    T = np.outer([1.0, -2.0, 0.5], [2.0, 1.0, -1.0, 0.5])
+    problems = [FitProblem(MaskedSquaredLoss.from_dataset(full_obs(T, noise=0.1)), lam, 10.0,
+                           label=f"fit {lam}") for lam in (0.01, 0.1, 1.0)]
+    monkeypatch.setattr(estimators, "_worker_count", lambda n: 1)
+    serial = fit_losses(problems, CFG)
+    monkeypatch.setattr(estimators, "_worker_count", lambda n: min(n, 2))
+    pooled = fit_losses(problems, CFG)
+    assert multiprocessing.active_children() == []
+    for a, b in zip(serial, pooled):
+        assert np.array_equal(a.matrix, b.matrix)
+        assert (a.penalty_used, a.trace, a.stage) == (b.penalty_used, b.trace, b.stage)
+
+    # values near 1e200 make the loss overflow at the zero start
+    huge = MaskedDataset(3, 4, [0, 1], [0, 2], [1e200, -1e200])
+    failing = problems[:1] + [FitProblem(MaskedSquaredLoss.from_dataset(huge), 0.1, 1e201)]
+    with pytest.raises(SolverDivergedError, match="non-finite"):
+        fit_losses(failing, CFG)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def four_cores(monkeypatch):
+    """_worker_count on four cores, with no BLAS thread count set."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    for var in estimators.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+
+
+@pytest.mark.parametrize("env, workers", [
+    ({}, 1),  # BLAS runs a thread per core
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2),
+    ({"MKL_NUM_THREADS": "4"}, 1),
+    ({"OMP_NUM_THREADS": "two"}, 1),
+])
+def test_worker_count_leaves_the_cores_to_blas_threads(monkeypatch, four_cores, env, workers):
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert estimators._worker_count(14) == workers
+    assert estimators._worker_count(3) == min(3, workers)
+    assert estimators._worker_count(1) == 1
+
+
+def test_worker_count_is_one_inside_a_worker(monkeypatch, four_cores):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert estimators._worker_count(14) == 4
+    context = multiprocessing.get_context("fork")
+    with concurrent.futures.ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+        assert pool.submit(estimators._worker_count, 14).result(timeout=60) == 1
 
 
 def test_estimate_noise_scale_close_to_truth():

@@ -3,10 +3,10 @@ import logging
 import numpy as np
 import pytest
 
-from transmc import selection
+from transmc import estimators, selection
 from transmc.datasets import MaskedDataset
 from transmc.cli import DEFAULT_MULTIPLIER
-from transmc.estimators import (PenaltyPolicy, estimate_noise_scale, fit_loss, fit_single,
+from transmc.estimators import (PenaltyPolicy, estimate_noise_scale, fit_losses, fit_single,
                                 theorem_penalty)
 from transmc.losses import MaskedSquaredLoss
 from transmc.selection import (
@@ -116,11 +116,11 @@ def test_benchmark_loss_fits_each_fold_complement(monkeypatch):
     folds = split_folds(target, 4, seed=3)
     fitted = []
 
-    def recording(loss, lam, a, cfg, label=None):
-        fitted.append((label, loss))
-        return fit_loss(loss, lam, a, cfg, label=label)
+    def recording(problems, cfg):
+        fitted.extend((p.label, p.loss) for p in problems)
+        return fit_losses(problems, cfg)
 
-    monkeypatch.setattr(selection, "fit_loss", recording)
+    monkeypatch.setattr(selection, "fit_losses", recording)
     benchmark_loss(target, folds, 0.05, 2e3, SolverConfig(max_iters=5))
     assert [label for label, _ in fitted] == [f"fold {j}" for j in range(4)]
     for j, (_, loss) in enumerate(fitted):
@@ -306,6 +306,30 @@ def test_s_trans_mc_reports_unconverged_fits(caplog):
     assert warned[:5] == list(report.unconverged)
     report, _ = s_trans_mc(target, sources, cfg, policy, CFG)
     assert report.unconverged == ()
+
+
+@pytest.mark.parametrize("max_iters", [3, 1000])
+def test_s_trans_mc_does_not_depend_on_the_worker_count(monkeypatch, caplog, max_iters):
+    rng = np.random.default_rng(18)
+    T = np.outer(rng.standard_normal(6), rng.standard_normal(5)) * 2
+    target = uniform_task(T, 90, (18, 0), 0)
+    sources = [uniform_task(T, 60, (18, k), k) for k in (1, 2, 3)]
+    policy = PenaltyPolicy(a=8.0, c1=0.3, c2=0.3, v=0.3)
+    cfg = SelectionConfig(J=4, seed=5, epsilon0=0.5, c0=0.3, ck=0.3)
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(estimators, "_worker_count", lambda n: min(n, workers))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="transmc"):
+            report, est = s_trans_mc(target, sources, cfg, policy,
+                                     SolverConfig(max_iters=max_iters))
+        runs.append((report, est, [rec.getMessage() for rec in caplog.records]))
+    (r1, e1, w1), (r2, e2, w2) = runs
+    assert (len(r1.fold_traces), len(r1.source_traces)) == (4, 3)
+    assert r1 == r2
+    assert np.array_equal(e1.matrix, e2.matrix)
+    assert w1 == w2
+    assert w1 and any("did not converge" in m for m in w1) == (max_iters == 3)
 
 
 def test_s_trans_mc_runs_the_noise_pilot_once(pilot_calls):
