@@ -7,7 +7,6 @@ nonzero after printing a single ``error: ...`` line to stderr.
 """
 
 import argparse
-import concurrent.futures
 import csv
 import os
 import sys
@@ -18,7 +17,7 @@ import numpy as np
 
 from transmc import data_io, metrics, simulation
 from transmc.datasets import MaskedDataset
-from transmc.estimators import PenaltyPolicy, fit_single, trans_mc
+from transmc.estimators import PenaltyPolicy, fit_single, map_in_workers, trans_mc
 from transmc.selection import SelectionConfig, screen_sources
 from transmc.simulation import PRESETS, ScenarioSpec, generate_scenario
 from transmc.solver import SolverConfig, SolverDivergedError
@@ -293,9 +292,10 @@ def _bench_worker(payload):
     return result
 
 
-def run_benchmark(spec: ScenarioSpec, reps: int, methods, params, jobs: int = 1,
+def run_benchmark(spec: ScenarioSpec, reps: int, methods, params,
                   schemes=("uniform", "product")):
-    """Replicates of each scheme, merged in (scheme, replicate) order.
+    """Replicates of each scheme, run through map_in_workers and merged in
+    (scheme, replicate) order.
 
     Returns {scheme_label: {"results": [per-rep dicts], "spec": spec}}.
     """
@@ -304,11 +304,7 @@ def run_benchmark(spec: ScenarioSpec, reps: int, methods, params, jobs: int = 1,
         scheme_spec = replace(spec, sampling=scheme)
         for rep in range(reps):
             tasks.append((scheme_spec, rep, tuple(methods), params))
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_bench_worker, tasks))
-    else:
-        results = [_bench_worker(t) for t in tasks]
+    results = map_in_workers(_bench_worker, tasks)
     out = {}
     idx = 0
     for scheme in schemes:
@@ -333,8 +329,7 @@ def cmd_benchmark(args) -> int:
         if s not in SCHEME_LABELS:
             raise CliError(f"unknown sampling scheme {s!r}; use uniform or product")
 
-    bench = run_benchmark(spec, args.reps, methods, params, jobs=args.jobs,
-                          schemes=schemes)
+    bench = run_benchmark(spec, args.reps, methods, params, schemes=schemes)
 
     summary_rows = []
     n_failures = 0
@@ -457,7 +452,6 @@ OPTIONS = {
     "out": ("--out", dict(default="out", help="output directory")),
     "seed": ("--seed", dict(type=int, default=None, help="seed override")),
     "reps": ("--reps", dict(type=int, default=1, help="replication count")),
-    "jobs": ("--jobs", dict(type=int, default=1, help="worker processes")),
     "max_iters": ("--max-iters", dict(type=int, default=500)),
     "a": ("--a", dict(type=float, default=None, help="entrywise box level")),
     "c1": ("--c1", dict(type=float, default=DEFAULT_MULTIPLIER,
@@ -511,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_estimate, method=method, lam=None, seed=None)
 
     p = command("benchmark", "Monte-Carlo benchmark over a scenario", "config", "preset",
-                "seed", "reps", "jobs", "max_iters", "c1", "c2", *SELECTION_OPTIONS)
+                "seed", "reps", "max_iters", "c1", "c2", *SELECTION_OPTIONS)
     p.add_argument("--methods", default="single,transmc,s-transmc,curve",
                    help="comma list out of single,transmc,s-transmc,curve")
     p.add_argument("--schemes", default="uniform,product",

@@ -7,6 +7,7 @@ task matrices), then fits a target-only correction under a shifted box
 constraint, and returns the sum of the two stages.
 """
 
+import functools
 import logging
 import math
 import os
@@ -124,25 +125,11 @@ def fit_loss(loss: MaskedSquaredLoss, lam: float, a: float, cfg: SolverConfig,
 def fit_losses(problems, cfg: SolverConfig) -> list[Estimate]:
     """fit_loss of each FitProblem, returned and warned about in input order.
 
-    The solves run side by side in forked worker processes, as many as the
-    cores hold beside BLAS's own threads (_worker_count); each worker runs
-    only the pure lamm_solve, so the estimates do not depend on the worker
-    count. The pool lives for this call only.
+    The solves run through map_in_workers; each worker runs only the pure
+    lamm_solve, so the estimates do not depend on the worker count.
     """
     problems = list(problems)
-    workers = _worker_count(len(problems))
-    if workers == 1:
-        solved = [_solve(p, cfg) for p in problems]
-    else:
-        # Imported here, so that a run making one fit at a time never loads
-        # them. fork, not spawn: a spawned worker would import numpy and
-        # transmc afresh, which costs more than the solves it runs.
-        import concurrent.futures
-        import multiprocessing
-
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            solved = list(pool.map(_solve, problems, [cfg] * len(problems)))
+    solved = map_in_workers(functools.partial(_solve, cfg=cfg), problems)
     estimates = []
     for p, (matrix, trace) in zip(problems, solved):
         if not trace.converged:
@@ -162,27 +149,45 @@ def _solve(problem: FitProblem, cfg: SolverConfig):
     return lamm_solve(loss, np.zeros(loss.shape), problem.lam, problem.a, cfg, problem.shift)
 
 
+def map_in_workers(fn, items) -> list:
+    """[fn(item) for item in items], run side by side in forked worker
+    processes when _worker_count(len(items)) is above 1, and in this process
+    otherwise. fn must pickle and must not depend on the process it runs in,
+    so the results do not depend on the worker count. The pool lives for this
+    call only."""
+    items = list(items)
+    workers = _worker_count(len(items))
+    if workers == 1:
+        return [fn(item) for item in items]
+    # Imported here, so that a run making one call at a time never loads
+    # them. fork, not spawn: a spawned worker would import numpy and transmc
+    # afresh, which costs more than the calls it runs.
+    import concurrent.futures
+    import multiprocessing
+
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, items))
+
+
 def _worker_count(n: int) -> int:
-    """Worker processes for n independent solves: the available cores divided
+    """Worker processes for n independent calls: the available cores divided
     by the BLAS threads each process runs, at most n.
 
-    Every worker's BLAS runs as many threads as BLAS_THREAD_VARS ask for (the
-    largest one set), or one per core when none is set. More workers than
-    that ratio allows oversubscribe the cores, and BLAS threads spin while
-    they wait: on 2 cores with 2-thread BLAS, 2 workers screened
-    paper-5.2-full 9x slower than one. So an unpinned BLAS means 1 worker.
-    It is also 1, and the solves run in this process, where a fork pool is
-    unsafe: no fork start method, inside a multiprocessing worker (``transmc
-    benchmark --jobs``), or with other threads running, whose locks a fork
-    would copy in an unknown state."""
+    Each process's BLAS runs the largest thread count that BLAS_THREAD_VARS
+    set, or a thread per core when none is set or a set value is not a whole
+    number of at least 1. More workers than the ratio allows oversubscribe
+    the cores, and BLAS threads spin while they wait: on 2 cores with 2-thread
+    BLAS, 2 workers screened paper-5.2-full 9x slower than one. So unpinned
+    BLAS means 1 worker. It is also 1, and the calls run in this process,
+    where a fork pool is unsafe: no fork start method, inside a
+    multiprocessing worker (so a benchmark replicate screens serially), or
+    with other threads running, whose locks a fork would copy."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     cores = cores or 1
-    pinned = [os.environ.get(var, "") for var in BLAS_THREAD_VARS]
-    try:
-        blas_threads = max(int(v) for v in pinned if v) if any(pinned) else cores
-    except ValueError:
-        blas_threads = cores
-    n = min(n, cores // max(blas_threads, 1))
+    pinned = [os.environ.get(var, "").strip() for var in BLAS_THREAD_VARS]
+    threads = [int(v) if v.isdecimal() and int(v) >= 1 else cores for v in pinned if v]
+    n = min(n, cores // max(threads, default=cores))
     if n <= 1:
         return 1
     import multiprocessing

@@ -40,7 +40,6 @@ from _oracles import (
     svd,
 )
 
-JOBS = 2
 REPS = 20
 C = DEFAULT_MULTIPLIER  # calibrated penalty multiplier for the shipped presets
 SELECTION_PARAMS = {"c1": C, "c2": C, "c_tilde": 2.0, "epsilon0": 1.25,
@@ -60,8 +59,7 @@ def report(criterion, label, ok, detail=""):
 def test_criterion_1_error_curve_shape():
     t0 = time.time()
     bench = run_benchmark(PRESETS["paper-5.1-small"], REPS, ("curve",),
-                          SELECTION_PARAMS, jobs=JOBS,
-                          schemes=("uniform", "product"))
+                          SELECTION_PARAMS, schemes=("uniform", "product"))
     ok = True
     details = []
     for label, block in bench.items():
@@ -86,7 +84,7 @@ def test_criterion_1_error_curve_shape():
 def mixed_design_runs():
     return run_benchmark(PRESETS["paper-5.2-small"], REPS,
                          ("transmc", "s-transmc"), SELECTION_PARAMS,
-                         jobs=JOBS, schemes=("uniform", "product"))
+                         schemes=("uniform", "product"))
 
 
 def test_criterion_2_selection_beats_pooling_on_all(mixed_design_runs):

@@ -1,10 +1,11 @@
 import csv
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
-from transmc import cli, selection
+from transmc import cli, estimators, selection
 from transmc.data_io import read_dense, read_samples, read_scenario
 from transmc.estimators import PenaltyPolicy, trans_mc
 from transmc.selection import SelectionConfig, s_trans_mc
@@ -202,6 +203,7 @@ def test_lam_rejected_where_no_single_fit_reads_it(tmp_path, command):
     ["evaluate", "--config", "eval.cfg", "--preset", "paper-5.1-small"],
     ["fit", "--data", "t.samples", "--seed", "3"],
     ["transfer", "--target", "t.samples", "--sources", "s.samples", "--seed", "3"],
+    ["benchmark", "--preset", "paper-5.1-small", "--jobs", "2"],
 ])
 def test_options_rejected_where_the_command_does_not_read_them(tmp_path, command):
     with pytest.raises(SystemExit) as exc:
@@ -223,11 +225,16 @@ def test_select_runs_the_noise_pilot_once(tmp_path, tiny_cfg, pilot_calls):
 # benchmark
 # ---------------------------------------------------------------------------
 
-def test_benchmark_outputs_and_parallel_byte_stability(tmp_path, tiny_cfg):
+def test_benchmark_outputs_and_parallel_byte_stability(tmp_path, tiny_cfg, monkeypatch):
     base = ["benchmark", "--config", str(tiny_cfg), "--reps", "2",
             "--max-iters", "300"]
-    assert run(base + ["--out", "b1", "--jobs", "1"], tmp_path) == 0
-    assert run(base + ["--out", "b2", "--jobs", "2"], tmp_path) == 0
+    monkeypatch.setattr(estimators, "_worker_count", lambda n: 1)
+    assert run(base + ["--out", "b1"], tmp_path) == 0
+    # Two replicate workers; inside them the rule stays 1, as the real one is.
+    monkeypatch.setattr(estimators, "_worker_count",
+                        lambda n: 1 if multiprocessing.parent_process() else min(n, 2))
+    assert run(base + ["--out", "b2"], tmp_path) == 0
+    assert multiprocessing.active_children() == []
     for name in ["summary.csv", "curve_ss1.csv", "curve_ss2.csv", "run_report.txt"]:
         assert (tmp_path / "b1" / name).read_bytes() == (tmp_path / "b2" / name).read_bytes()
 
@@ -244,7 +251,7 @@ def test_benchmark_outputs_and_parallel_byte_stability(tmp_path, tiny_cfg):
 
 def test_benchmark_single_scheme_and_methods_subset(tmp_path, tiny_cfg):
     assert run(["benchmark", "--config", str(tiny_cfg), "--out", "b", "--reps", "1",
-                "--jobs", "1", "--schemes", "uniform", "--methods", "single,transmc",
+                "--schemes", "uniform", "--methods", "single,transmc",
                 "--max-iters", "300"], tmp_path) == 0
     rows = list(csv.reader(open(tmp_path / "b" / "summary.csv")))
     assert {(r[0], r[1]) for r in rows[1:]} == {("single", "SS1"), ("transmc", "SS1")}
@@ -262,8 +269,10 @@ def test_benchmark_runs_full_source_trans_mc_once_per_replicate(tmp_path, tiny_c
         return trans_mc(target, sources, policy, solver)
 
     monkeypatch.setattr(cli, "trans_mc", counting)
+    # The replicates run in this process, where the counter sees them.
+    monkeypatch.setattr(estimators, "_worker_count", lambda n: 1)
     assert run(["benchmark", "--config", str(tiny_cfg), "--out", "b", "--reps", "2",
-                "--jobs", "1", "--schemes", "uniform", "--methods", "transmc,curve",
+                "--schemes", "uniform", "--methods", "transmc,curve",
                 "--max-iters", "300"], tmp_path) == 0
     assert calls == [2, 0, 1] * 2
     summary = list(csv.reader(open(tmp_path / "b" / "summary.csv")))
@@ -324,7 +333,7 @@ def test_benchmark_degenerate_matches_fit_plus_evaluate(tmp_path):
     cfg.write_text("m1: 10\nm2: 8\nrank: 2\ncontrasts:\nn0_frac: 0.6\n"
                    "nk_frac: 0.5\nnoise_sd: 0.5\nsampling: uniform\nseed: 9\n")
     assert run(["benchmark", "--config", str(cfg), "--out", "b", "--reps", "1",
-                "--jobs", "1", "--schemes", "uniform", "--methods", "single"],
+                "--schemes", "uniform", "--methods", "single"],
                tmp_path) == 0
     rows = list(csv.reader(open(tmp_path / "b" / "summary.csv")))
     mean = float(rows[1][2])

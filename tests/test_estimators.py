@@ -336,6 +336,8 @@ def four_cores(monkeypatch):
     ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2),
     ({"MKL_NUM_THREADS": "4"}, 1),
     ({"OMP_NUM_THREADS": "two"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 1),  # OpenBLAS then runs a thread per core
+    ({"OPENBLAS_NUM_THREADS": "-1"}, 1),
 ])
 def test_worker_count_leaves_the_cores_to_blas_threads(monkeypatch, four_cores, env, workers):
     for var, value in env.items():
