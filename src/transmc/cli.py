@@ -26,6 +26,10 @@ SCHEME_LABELS = {"uniform": "SS1", "product": "SS2"}
 # Penalty multipliers calibrated for the shipped presets (noise sd 1, cap 30).
 DEFAULT_MULTIPLIER = 0.07
 
+# The keys of an evaluate config.
+EVALUATE_KEYS = ("frames", "targets", "half_width", "holdout_fraction", "seed", "noise_sd",
+                 "methods", "a", "c1", "c2")
+
 # Synthetic partially-observed frame sequences for the holdout pipeline.
 TEC_PRESETS = {
     "tec-synthetic-small": dict(m1=91, m2=180, n_frames=12, rank=5, missing=0.25,
@@ -48,12 +52,14 @@ def _resolve(path) -> Path:
     return p if p.is_absolute() else _workspace() / p
 
 
-def _load_spec(args) -> ScenarioSpec:
+def _load_spec(args, also_known=()) -> ScenarioSpec:
+    """The scenario of --preset or --config, with --seed applied; also_known
+    names the presets the caller handles itself, for the error message."""
     if args.preset and args.config:
         raise CliError("pass either --preset or --config, not both")
     if args.preset:
         if args.preset not in PRESETS:
-            known = ", ".join(sorted(PRESETS))
+            known = ", ".join(sorted([*PRESETS, *also_known]))
             raise CliError(f"unknown preset {args.preset!r}; known presets: {known}")
         spec = PRESETS[args.preset]
     elif args.config:
@@ -161,7 +167,7 @@ def _simulate_tec_frames(args) -> int:
 def cmd_simulate(args) -> int:
     if args.preset in TEC_PRESETS:
         return _simulate_tec_frames(args)
-    spec = _load_spec(args)
+    spec = _load_spec(args, also_known=TEC_PRESETS)
     out = _out_dir(args)
     data = generate_scenario(spec, rep=args.rep)
 
@@ -393,7 +399,15 @@ def _parse_targets(raw, n_frames):
 def cmd_evaluate(args) -> int:
     if not args.config:
         raise CliError("evaluate needs --config FILE")
-    cfg = data_io._read_kv(_resolve(args.config))
+    cfg = data_io._read_kv(_resolve(args.config), EVALUATE_KEYS)
+
+    def setting(key, parse, default=None):
+        """The --key flag if given, else the config's key, else default."""
+        flag = getattr(args, key)
+        if flag is not None:
+            return flag
+        return parse(cfg[key]) if key in cfg else default
+
     frame_paths = [p for p in cfg.get("frames", "").split(",") if p]
     if not frame_paths:
         raise CliError("evaluate config needs a 'frames' list")
@@ -404,28 +418,27 @@ def cmd_evaluate(args) -> int:
     targets = _parse_targets(cfg.get("targets", "0"), len(frame_paths))
     half_width = int(cfg.get("half_width", 10))
     fraction = float(cfg.get("holdout_fraction", 0.2))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = setting("seed", int, 0)
     methods = [m.strip() for m in cfg.get("methods", "single,transmc,s-transmc").split(",")
                if m.strip()]
     if not methods:
         raise CliError("evaluate config lists no methods")
     frames = [data_io.read_frame(p) for p in frame_paths]
-    a = _box_level(float(cfg["a"]) if "a" in cfg else args.a, [f.values for f in frames])
+    a = _box_level(setting("a", float), [f.values for f in frames])
     opts = argparse.Namespace(**{
         **vars(args),
-        "c1": float(cfg.get("c1", args.c1)),
-        "c2": float(cfg.get("c2", args.c2)),
-        "noise_sd": float(cfg["noise_sd"]) if "noise_sd" in cfg else args.noise_sd,
+        "c1": setting("c1", float, DEFAULT_MULTIPLIER),
+        "c2": setting("c2", float, DEFAULT_MULTIPLIER),
+        "noise_sd": setting("noise_sd", float),
     })
     solver = SolverConfig(max_iters=args.max_iters)
 
     out = _out_dir(args)
     rows = []
     for t in targets:
-        manifest = data_io.window_sources(frame_paths, t, half_width=half_width)
         train, test = data_io.holdout_split(frames[t], fraction, (seed, t))
-        sources = [frames[frame_paths.index(Path(p))].to_dataset(task_id=j + 1)
-                   for j, p in enumerate(manifest.sources)]
+        sources = [frames[i].to_dataset(task_id=j + 1) for j, i in
+                   enumerate(data_io.window_sources(len(frames), t, half_width))]
         policy = _policy(train, a, opts, solver, methods)
         for method in methods:
             est, _ = _estimate(method, train, sources, policy, opts, solver, (seed, 5, t))
@@ -516,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
                 *FIT_OPTIONS, *SELECTION_OPTIONS)
     p.add_argument("--lam", type=float, default=None,
                    help="explicit penalty of the single method")
-    p.set_defaults(func=cmd_evaluate)
+    # None marks an absent flag: cmd_evaluate then reads the config's c1 and c2.
+    p.set_defaults(func=cmd_evaluate, c1=None, c2=None)
     return parser
 
 

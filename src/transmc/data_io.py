@@ -10,7 +10,7 @@ byte-lossless on canonicalized frames. Sample files share the record grammar
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -69,14 +69,6 @@ class FrameFile:
 
     def to_dataset(self, task_id: int = 0) -> MaskedDataset:
         return MaskedDataset(self.m1, self.m2, self.rows, self.cols, self.values, task_id)
-
-
-@dataclass(frozen=True)
-class Manifest:
-    """One holdout experiment: a target frame and its ordered source frames."""
-
-    target: str
-    sources: tuple[str, ...]
 
 
 # One ``row col value`` record, as loadtxt parses a whole body in C.
@@ -188,25 +180,22 @@ def holdout_split(frame: FrameFile, fraction: float, seed):
     return ds.subset(train_idx), ds.subset(test_idx)
 
 
-def window_sources(frame_paths, t: int, half_width: int = 10) -> Manifest:
-    """Manifest with sources at offsets +-1 .. +-half_width around index t,
-    truncated at the sequence boundaries; left neighbors first, ascending."""
-    frame_paths = list(frame_paths)
-    if not (0 <= t < len(frame_paths)):
+def window_sources(n_frames: int, t: int, half_width: int = 10) -> list[int]:
+    """Indices of the source frames of target frame t in a sequence of
+    n_frames: offsets +-1 .. +-half_width around t, truncated at the sequence
+    boundaries; left neighbors first, ascending."""
+    if not (0 <= t < n_frames):
         raise ValueError(f"target index {t} out of range")
-    left = [frame_paths[i] for i in range(max(0, t - half_width), t)]
-    right = [frame_paths[i] for i in range(t + 1, min(len(frame_paths), t + half_width + 1))]
-    return Manifest(
-        target=str(frame_paths[t]),
-        sources=tuple(str(p) for p in left + right),
-    )
+    return [*range(max(0, t - half_width), t), *range(t + 1, min(n_frames, t + half_width + 1))]
 
 
 # ---------------------------------------------------------------------------
 # key-value config files (scenario specs and evaluation configs)
 # ---------------------------------------------------------------------------
 
-def _read_kv(path) -> dict:
+def _read_kv(path, keys) -> dict:
+    """The ``key: value`` lines of a config file; a key outside keys is a
+    ParseError that names it."""
     out = {}
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -217,12 +206,15 @@ def _read_kv(path) -> dict:
             if ":" not in stripped:
                 raise ParseError(path, line_no, f"expected 'key: value', got {stripped!r}")
             key, _, value = stripped.partition(":")
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in keys:
+                raise ParseError(path, line_no, f"unknown key {key!r}; known keys: "
+                                 + ", ".join(keys))
+            out[key] = value.strip()
     return out
 
 
 def write_scenario(spec: ScenarioSpec, path):
-    sampling = spec.sampling if isinstance(spec.sampling, str) else ",".join(spec.sampling)
     contrasts = ",".join(f"{h!r}" for h in spec.contrasts)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# transmc scenario\n")
@@ -230,20 +222,22 @@ def write_scenario(spec: ScenarioSpec, path):
         fh.write(f"m2: {spec.m2}\n")
         fh.write(f"rank: {spec.rank}\n")
         fh.write(f"a_cap: {spec.a_cap!r}\n")
-        fh.write(f"spectrum_law: {spec.spectrum_law}\n")
         fh.write(f"contrasts: {contrasts}\n")
         fh.write(f"n0_frac: {spec.n0_frac!r}\n")
         fh.write(f"nk_frac: {spec.nk_frac!r}\n")
         fh.write(f"noise_sd: {spec.noise_sd!r}\n")
-        fh.write(f"sampling: {sampling}\n")
+        fh.write(f"sampling: {spec.sampling}\n")
         fh.write(f"seed: {spec.seed}\n")
 
 
 def read_scenario(path) -> ScenarioSpec:
-    kv = _read_kv(path)
+    """The ScenarioSpec of a file write_scenario wrote: one key per field.
+    The spectrum_law line of older files is read and must name the one law,
+    exp5_uniform."""
+    kv = _read_kv(path, [*(f.name for f in fields(ScenarioSpec)), "spectrum_law"])
+    if kv.get("spectrum_law", "exp5_uniform") != "exp5_uniform":
+        raise ValueError(f"scenario {path}: unknown spectrum law {kv['spectrum_law']!r}")
     try:
-        sampling_raw = kv.get("sampling", "uniform")
-        sampling = tuple(sampling_raw.split(",")) if "," in sampling_raw else sampling_raw
         contrasts_raw = kv.get("contrasts", "")
         contrasts = tuple(float(x) for x in contrasts_raw.split(",") if x)
         return ScenarioSpec(
@@ -251,12 +245,11 @@ def read_scenario(path) -> ScenarioSpec:
             m2=int(kv["m2"]),
             rank=int(kv["rank"]),
             a_cap=float(kv.get("a_cap", 30.0)),
-            spectrum_law=kv.get("spectrum_law", "exp5_uniform"),
             contrasts=contrasts,
             n0_frac=float(kv.get("n0_frac", 0.2)),
             nk_frac=float(kv.get("nk_frac", 0.1)),
             noise_sd=float(kv.get("noise_sd", 1.0)),
-            sampling=sampling,
+            sampling=kv.get("sampling", "uniform"),
             seed=int(kv.get("seed", 0)),
         )
     except KeyError as exc:

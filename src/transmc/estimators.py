@@ -145,8 +145,7 @@ def fit_losses(problems, cfg: SolverConfig) -> list[Estimate]:
 
 def _solve(problem: FitProblem, cfg: SolverConfig):
     """lamm_solve of one problem from zero: (solution, SolveTrace)."""
-    loss = problem.loss
-    return lamm_solve(loss, np.zeros(loss.shape), problem.lam, problem.a, cfg, problem.shift)
+    return lamm_solve(problem.loss, problem.lam, problem.a, cfg, problem.shift)
 
 
 def map_in_workers(fn, items) -> list:

@@ -61,23 +61,22 @@ class SamplingModel:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One simulation design: dimensions, spectrum, contrasts, sampling, sizes.
+    """One simulation design: dimensions, entry cap, contrasts, sampling, sizes.
 
     contrasts holds the per-source nuclear-norm targets for A_k - A_0; its
-    length is the source count K. sampling applies to every task when given
-    as a string, or per task (target first) as a sequence of K + 1 kinds.
+    length is the source count K. sampling is the scheme of every task:
+    "uniform" (SS1) or "product" (SS2, row-times-column marginals).
     """
 
     m1: int
     m2: int
     rank: int
     a_cap: float = 30.0
-    spectrum_law: str = "exp5_uniform"
     contrasts: tuple[float, ...] = ()
     n0_frac: float = 0.2
     nk_frac: float = 0.1
     noise_sd: float = 1.0
-    sampling: str | tuple[str, ...] = "uniform"
+    sampling: str = "uniform"
     seed: int = 0
 
     def __post_init__(self):
@@ -89,12 +88,11 @@ class ScenarioSpec:
             raise ValueError("noise_sd must be nonnegative")
         if self.a_cap <= 0.0:
             raise ValueError("a_cap must be positive")
-        if self.spectrum_law != "exp5_uniform":
-            raise ValueError(f"unknown spectrum law {self.spectrum_law!r}")
         if any(h < 0 for h in self.contrasts):
             raise ValueError("contrast targets must be nonnegative")
-        if not isinstance(self.sampling, str) and len(self.sampling) != self.K + 1:
-            raise ValueError("per-task sampling needs K + 1 kinds")
+        if self.sampling not in ("uniform", "product"):
+            raise ValueError(f"unknown sampling scheme {self.sampling!r}; "
+                             "use uniform or product")
         object.__setattr__(self, "contrasts", tuple(float(h) for h in self.contrasts))
 
     @property
@@ -109,11 +107,6 @@ class ScenarioSpec:
     def nk(self) -> int:
         return max(1, round(self.nk_frac * self.m1 * self.m2))
 
-    def sampling_kind(self, task: int) -> str:
-        if isinstance(self.sampling, str):
-            return self.sampling
-        return self.sampling[task]
-
 
 def _random_orthonormal_pair(rng, m1, m2):
     g = rng.standard_normal((m1, m2))
@@ -122,8 +115,10 @@ def _random_orthonormal_pair(rng, m1, m2):
 
 
 def gen_target(spec: ScenarioSpec) -> np.ndarray:
-    """Rank-r target with singular values exp(5 * U[0,1]) sorted descending,
-    scaled down if needed so the largest entry magnitude is a_cap."""
+    """Rank-r target under the one spectrum law of every scenario (the
+    `exp5_uniform` of older scenario files): singular values exp(5 * U[0,1])
+    sorted descending, scaled down if needed so the largest entry magnitude
+    is a_cap."""
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, _MATRIX_STREAM, 0)))
     U, Vt = _random_orthonormal_pair(rng, spec.m1, spec.m2)
     s = np.sort(np.exp(5.0 * rng.uniform(size=spec.rank)))[::-1]
@@ -171,21 +166,17 @@ def gen_sources(A0: np.ndarray, spec: ScenarioSpec, max_retries: int = 50):
 
 
 def gen_sampling(spec: ScenarioSpec, task: int) -> SamplingModel:
-    """Sampling model for one task; product marginals are uniform draws, normalized."""
-    kind = spec.sampling_kind(task)
-    if kind == "uniform":
+    """Sampling model of one task under spec.sampling; product marginals are
+    uniform draws, normalized, from the task's own seed stream."""
+    if spec.sampling == "uniform":
         return SamplingModel(kind="uniform", m1=spec.m1, m2=spec.m2)
-    if kind == "product":
-        rng = np.random.default_rng(
-            np.random.SeedSequence((spec.seed, _SAMPLING_STREAM, task))
-        )
-        r = rng.uniform(size=spec.m1)
-        c = rng.uniform(size=spec.m2)
-        return SamplingModel(
-            kind="row_col_product", m1=spec.m1, m2=spec.m2,
-            row_probs=r / r.sum(), col_probs=c / c.sum(),
-        )
-    raise ValueError(f"unknown sampling kind {kind!r} for task {task}")
+    rng = np.random.default_rng(np.random.SeedSequence((spec.seed, _SAMPLING_STREAM, task)))
+    r = rng.uniform(size=spec.m1)
+    c = rng.uniform(size=spec.m2)
+    return SamplingModel(
+        kind="row_col_product", m1=spec.m1, m2=spec.m2,
+        row_probs=r / r.sum(), col_probs=c / c.sum(),
+    )
 
 
 def sample_observations(A, sampling: SamplingModel, n: int, noise_sd: float,
@@ -211,7 +202,6 @@ class ScenarioData:
     truth: np.ndarray
     source_truths: list
     achieved_contrasts: list
-    sampling_models: list          # task 0 first
     target: MaskedDataset
     sources: list                  # MaskedDataset, task ids 1..K
 
@@ -225,22 +215,20 @@ def scenario_matrices(spec: ScenarioSpec):
 def generate_scenario(spec: ScenarioSpec, rep: int = 0) -> ScenarioData:
     """Materialize one replicate: fixed matrices, fresh samples and noise."""
     A0, source_truths, achieved = scenario_matrices(spec)
-    models = [gen_sampling(spec, t) for t in range(spec.K + 1)]
     target = sample_observations(
-        A0, models[0], spec.n0, spec.noise_sd,
+        A0, gen_sampling(spec, 0), spec.n0, spec.noise_sd,
         (spec.seed, _OBS_STREAM, rep, 0), task_id=0,
     )
     sources = [
         sample_observations(
-            Ak, models[k + 1], spec.nk, spec.noise_sd,
+            Ak, gen_sampling(spec, k + 1), spec.nk, spec.noise_sd,
             (spec.seed, _OBS_STREAM, rep, k + 1), task_id=k + 1,
         )
         for k, Ak in enumerate(source_truths)
     ]
     return ScenarioData(
         spec=spec, rep=rep, truth=A0, source_truths=source_truths,
-        achieved_contrasts=achieved, sampling_models=models,
-        target=target, sources=sources,
+        achieved_contrasts=achieved, target=target, sources=sources,
     )
 
 

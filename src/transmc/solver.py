@@ -77,7 +77,7 @@ class SolverConfig:
 class SolveTrace:
     """iterations counts loop passes: accepted steps plus passes whose
     extrapolated candidate was dropped by a restart. objective_values holds
-    the objective at the initial point and after each accepted step.
+    the objective at the zero start and after each accepted step.
     prox_evals counts every proximal (soft-threshold) evaluation, accepted or
     rejected by backtracking or restart. final_phi is the phi the next
     iteration would start from. box_active is True when the box clipped the
@@ -95,9 +95,10 @@ def _nuclear_penalty(A, lam):
     return lam * float(np.linalg.svd(A, compute_uv=False).sum()) if lam else 0.0
 
 
-def lamm_solve(loss, init, lam: float, a: float, cfg: SolverConfig, shift=None):
+def lamm_solve(loss, lam: float, a: float, cfg: SolverConfig, shift=None):
     """Minimize L(A) + lam * ||A||_* over the box |A + shift|_inf <= a (shift
-    None: |A|_inf <= a).
+    None: |A|_inf <= a), starting from A = 0, which the box must contain:
+    |shift|_inf <= a.
 
     Returns (solution, SolveTrace). Hitting max_iters is reported through
     trace.converged = False, not an error; a non-finite loss raises
@@ -107,12 +108,9 @@ def lamm_solve(loss, init, lam: float, a: float, cfg: SolverConfig, shift=None):
         raise ValueError(f"lam must be nonnegative, got {lam!r}")
     if not a > 0.0:
         raise ValueError(f"box level a must be positive, got {a!r}")
-    A = np.asarray(init, dtype=np.float64).copy()
-    if not np.all(np.isfinite(A)):
-        raise ValueError("initial matrix contains non-finite entries")
-    feas = A if shift is None else A + shift
-    if np.max(np.abs(feas)) > a * (1.0 + 1e-12) + 1e-12:
-        raise ValueError("initial matrix violates the box constraint")
+    if shift is not None and np.max(np.abs(shift)) > a * (1.0 + 1e-12) + 1e-12:
+        raise ValueError("the zero start violates the box constraint: |shift| > a")
+    A = np.zeros(loss.shape)
     epsilon = cfg.epsilon
     if epsilon is None:
         m1, m2 = loss.shape
@@ -120,10 +118,10 @@ def lamm_solve(loss, init, lam: float, a: float, cfg: SolverConfig, shift=None):
 
     curvature = loss.curvature_bound()
     phi_min = PHI0_SCALE * curvature
-    obj_A = loss.value(A) + (_nuclear_penalty(A, lam) if A.any() else 0.0)
+    obj_A = loss.value(A)  # the penalty is zero at A = 0
     objective = [obj_A]
     if not math.isfinite(obj_A):
-        raise SolverDivergedError("objective non-finite at the initial point")
+        raise SolverDivergedError("objective non-finite at the zero start")
 
     # Work buffers reused across iterations: the extrapolated point Y, the
     # gradients at Y and at the candidate, the gradient step B and the step

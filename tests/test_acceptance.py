@@ -153,7 +153,7 @@ def test_criterion_5_solver_oracle_equivalence():
         lam = float(rng.uniform(0.03, 0.12))
         loss = MaskedSquaredLoss.from_dataset(ds)
         cfg = SolverConfig(max_iters=20000, epsilon=1e-11)
-        A, trace = lamm_solve(loss, np.zeros((6, 5)), lam, 50.0, cfg)
+        A, trace = lamm_solve(loss, lam, 50.0, cfg)
         assert trace.final_phi <= loss.curvature_bound()
         obj = trace.objective_values
         tol = 1e-9 * (1.0 + abs(obj[0]))
@@ -300,20 +300,17 @@ def test_criterion_8_frame_pipeline_smoke():
                                    seed=42)
     frames = [FrameFile(91, 180, f"t{t:03d}", r, c, v)
               for t, (r, c, v) in enumerate(obs)]
-    paths = [f"frame_{t:03d}" for t in range(len(frames))]
-    by_path = dict(zip(paths, frames))
     a = 1.05 * max(float(np.max(np.abs(f.values))) for f in frames)
     solver = SolverConfig(max_iters=500)
     single_res, transfer_res = [], []
     for t in range(10):
-        manifest = window_sources(paths, t, half_width=10)
         train, test = holdout_split(frames[t], 0.2, (42, t))
         v_hat = estimate_noise_scale(train, a, solver)
         lam = theorem_penalty(C, a, v_hat, train.n, min(91, 180))
         est_single = fit_single(train, lam, a, solver)
         _, re_single = holdout_errors(est_single.matrix, test)
-        sources = [by_path[p].to_dataset(task_id=j + 1)
-                   for j, p in enumerate(manifest.sources)]
+        sources = [frames[i].to_dataset(task_id=j + 1)
+                   for j, i in enumerate(window_sources(len(frames), t, half_width=10))]
         policy = PenaltyPolicy(a=a, c1=C, c2=C, v=v_hat)
         est_transfer = trans_mc(train, sources, policy, solver)
         _, re_transfer = holdout_errors(est_transfer.matrix, test)

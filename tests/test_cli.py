@@ -82,14 +82,28 @@ def test_simulate_written_scenario_round_trips(tmp_path, tiny_cfg):
     assert truth.shape == (12, 8)
 
 
-def test_simulate_invalid_rank_nonzero_exit(tmp_path):
+def test_simulate_invalid_rank_nonzero_exit(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("m1: 4\nm2: 4\nrank: 9\n")
     assert run(["simulate", "--config", str(bad), "--out", "x"], tmp_path) == 2
+    # A misspelled key is an error, not a silent fall back to its default.
+    bad.write_text(TINY_SCENARIO + "n0_fraction: 0.9\n")
+    capsys.readouterr()
+    assert run(["simulate", "--config", str(bad), "--out", "y"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "n0_fraction" in err and str(bad) in err
+    assert not (tmp_path / "y" / "scenario.cfg").exists()
 
 
-def test_unknown_preset_rejected(tmp_path):
+def test_unknown_preset_rejected(tmp_path, capsys):
     assert run(["simulate", "--preset", "nope", "--out", "x"], tmp_path) == 2
+    err = capsys.readouterr().err
+    # simulate lists every preset it accepts, frame presets included
+    assert all(name in err for name in [*cli.PRESETS, *cli.TEC_PRESETS])
+    assert run(["benchmark", "--preset", "nope", "--out", "x"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in cli.PRESETS)
+    assert not any(name in err for name in cli.TEC_PRESETS)
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +447,24 @@ def test_evaluate_a_flag_matches_config_a(tmp_path):
     cfg_a.write_text(text + "a: 5\n")
     assert run(base + ["--config", str(cfg_a), "--out", "cfg"], tmp_path) == 0
     flag = (tmp_path / "flag" / "eval.csv").read_bytes()
+    default = (tmp_path / "default" / "eval.csv").read_bytes()
     assert flag == (tmp_path / "cfg" / "eval.csv").read_bytes()
-    assert flag != (tmp_path / "default" / "eval.csv").read_bytes()
+    assert flag != default
+    # A flag beats the config key: --a 5 over a: 30, --noise-sd 100.0 over the
+    # noise_sd: 0.5 that simulate writes. The penalty scales with max(a, v), so
+    # only a noise scale above a changes the fits.
+    cfg_a.write_text(text + "a: 30\n")
+    assert run(base + ["--config", str(cfg_a), "--out", "over", "--a", "5"], tmp_path) == 0
+    assert (tmp_path / "over" / "eval.csv").read_bytes() == flag
+    assert "noise_sd: 0.5\n" in text
+    cfg_sd = tmp_path / "tec" / "eval_sd.cfg"
+    cfg_sd.write_text(text.replace("noise_sd: 0.5\n", "noise_sd: 100.0\n"))
+    assert run(base + ["--config", str(cfg_sd), "--out", "cfg_sd"], tmp_path) == 0
+    assert run(base + ["--config", str(cfg), "--out", "flag_sd", "--noise-sd", "100.0"],
+               tmp_path) == 0
+    flag_sd = (tmp_path / "flag_sd" / "eval.csv").read_bytes()
+    assert flag_sd == (tmp_path / "cfg_sd" / "eval.csv").read_bytes()
+    assert flag_sd != default
 
 
 @pytest.mark.parametrize("targets, methods", [
@@ -455,4 +485,16 @@ def test_evaluate_rejects_empty_selection(tmp_path, targets, methods):
     cfg.write_text(f"frames: {','.join(paths)}\ntargets: {targets}\n"
                    f"methods: {methods}\n")
     assert run(["evaluate", "--config", str(cfg), "--out", "ev"], tmp_path) == 2
+    assert not (tmp_path / "ev" / "eval.csv").exists()
+
+
+def test_evaluate_rejects_unknown_config_key(tmp_path, capsys):
+    assert run(["simulate", "--preset", "tec-synthetic-tiny", "--out", "tec"],
+               tmp_path) == 0
+    cfg = tmp_path / "tec" / "eval.cfg"
+    cfg.write_text(cfg.read_text() + "holdout_fracton: 0.5\n")
+    capsys.readouterr()
+    assert run(["evaluate", "--config", str(cfg), "--out", "ev"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "holdout_fracton" in err and str(cfg) in err
     assert not (tmp_path / "ev" / "eval.csv").exists()

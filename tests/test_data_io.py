@@ -312,24 +312,20 @@ def test_holdout_split_property(n, fraction, seed):
 # ---------------------------------------------------------------------------
 
 def test_window_sources_interior():
-    paths = [f"f{i:02d}" for i in range(30)]
-    manifest = window_sources(paths, 15, half_width=10)
-    assert manifest.target == "f15"
-    assert len(manifest.sources) == 20
-    assert manifest.sources[0] == "f05"
-    assert manifest.sources[-1] == "f25"
+    sources = window_sources(30, 15, half_width=10)
+    assert sources == [*range(5, 15), *range(16, 26)]
 
 
 def test_window_sources_boundary():
-    paths = [f"f{i}" for i in range(12)]
-    manifest = window_sources(paths, 0, half_width=10)
-    assert len(manifest.sources) == 10
-    assert manifest.sources[0] == "f1"
+    assert window_sources(12, 0, half_width=10) == list(range(1, 11))
+    assert window_sources(12, 11, half_width=10) == list(range(1, 11))
+    assert window_sources(12, 2, half_width=3) == [0, 1, 3, 4, 5]
+    with pytest.raises(ValueError):
+        window_sources(12, 12)
 
 
 def test_window_sources_zero_width():
-    manifest = window_sources(["a", "b", "c"], 1, half_width=0)
-    assert manifest.sources == ()
+    assert window_sources(3, 1, half_width=0) == []
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +337,25 @@ def test_scenario_round_trip(tmp_path):
     path = tmp_path / "s.cfg"
     write_scenario(spec, path)
     assert read_scenario(path) == spec
+    # Scenario files written before the spectrum law was fixed carry it.
+    text = path.read_text()
+    assert "spectrum_law" not in text
+    path.write_text(text + "spectrum_law: exp5_uniform\n")
+    assert read_scenario(path) == spec
+    path.write_text(text + "spectrum_law: flat\n")
+    with pytest.raises(ValueError, match="flat"):
+        read_scenario(path)
 
 
 def test_scenario_parse_error_line_numbers(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("m1: 4\nnot a key-value line\n")
-    with pytest.raises(ParseError) as err:
-        read_scenario(path)
-    assert err.value.line_no == 2
+    for text, message in [("m1: 4\nnot a key-value line\n", "expected 'key: value'"),
+                          ("m1: 4\nn0_fraction: 0.9\n", "unknown key 'n0_fraction'")]:
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message) as err:
+            read_scenario(path)
+        assert err.value.line_no == 2
+        assert str(path) in str(err.value)
 
 
 def test_dense_round_trip(tmp_path):

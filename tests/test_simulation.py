@@ -210,10 +210,12 @@ def test_scenario_spec_validation():
         ScenarioSpec(m1=4, m2=4, rank=2, n0_frac=0.0)
     with pytest.raises(ValueError):
         ScenarioSpec(m1=4, m2=4, rank=2, noise_sd=-1.0)
+    # One scheme for every task: a per-task tuple and an unknown name fail here,
+    # not later in gen_sampling.
     with pytest.raises(ValueError):
-        ScenarioSpec(m1=4, m2=4, rank=2, contrasts=(1.0,), sampling=("uniform",))
-    with pytest.raises(ValueError):
-        ScenarioSpec(m1=4, m2=4, rank=2, spectrum_law="flat")
+        ScenarioSpec(m1=4, m2=4, rank=2, contrasts=(1.0,), sampling=("uniform", "product"))
+    with pytest.raises(ValueError, match="bogus"):
+        ScenarioSpec(m1=4, m2=4, rank=2, sampling="bogus")
 
 
 def test_presets_materialize():

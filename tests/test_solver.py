@@ -141,7 +141,7 @@ def test_lamm_recovers_fully_observed_target_without_penalty():
     T = RNG.standard_normal((5, 4))
     loss = MaskedSquaredLoss.from_dataset(full_observation_dataset(T))
     cfg = SolverConfig(epsilon=1e-8, max_iters=2000)
-    A, trace = lamm_solve(loss, np.zeros((5, 4)), 0.0, 100.0, cfg)
+    A, trace = lamm_solve(loss, 0.0, 100.0, cfg)
     assert trace.converged
     assert np.linalg.norm(A - T) <= 1e-6 * np.linalg.norm(T)
 
@@ -153,7 +153,7 @@ def test_lamm_full_shrinkage_first_step():
     loss = MaskedSquaredLoss.from_dataset(full_observation_dataset(T))
     lam = norms(T).spectral * 1.1
     cfg = SolverConfig(epsilon=1e-9, max_iters=5)
-    A, trace = lamm_solve(loss, np.zeros((4, 4)), lam, 100.0, cfg)
+    A, trace = lamm_solve(loss, lam, 100.0, cfg)
     assert np.array_equal(A, np.zeros((4, 4)))
     assert trace.converged and trace.iterations == 1
 
@@ -167,7 +167,7 @@ def test_lamm_matches_long_run_prox_gradient_oracle():
     loss = MaskedSquaredLoss.from_dataset(ds)
     lam = 0.1
     cfg = SolverConfig(epsilon=1e-10, max_iters=5000)
-    A, trace = lamm_solve(loss, np.zeros(T.shape), lam, 50.0, cfg)
+    A, trace = lamm_solve(loss, lam, 50.0, cfg)
     oracle = prox_gradient_fixed_step(ds.rows, ds.cols, ds.values, T.shape,
                                       lam, box=50.0, n_iters=20000)
     assert np.linalg.norm(A - oracle) <= 1e-6 * (1 + np.linalg.norm(oracle))
@@ -179,29 +179,18 @@ def test_lamm_objective_monotone_and_feasible():
         ds = random_dataset(6, 5, 18, rng=rng)
         loss = MaskedSquaredLoss.from_dataset(ds)
         a = 3.0
-        A, trace = lamm_solve(loss, np.zeros((6, 5)), 0.05, a, SolverConfig(max_iters=300))
+        A, trace = lamm_solve(loss, 0.05, a, SolverConfig(max_iters=300))
         assert np.max(np.abs(A)) <= a + 1e-12
         obj = trace.objective_values
         scale = abs(obj[0]) + 1.0
         assert all(obj[i + 1] <= obj[i] + 1e-9 * scale for i in range(len(obj) - 1))
 
 
-def test_lamm_fixed_point_stays_put():
-    T = np.outer([1.0, 2.0], [0.5, -1.0, 2.0])
-    ds = full_observation_dataset(T)
-    loss = MaskedSquaredLoss.from_dataset(ds)
-    cfg = SolverConfig(epsilon=1e-6, max_iters=50)
-    A, trace = lamm_solve(loss, T.copy(), 0.0, 50.0, cfg)
-    assert trace.iterations == 1
-    assert trace.converged
-    assert np.linalg.norm(A - T) <= 1e-6
-
-
 def test_lamm_max_iters_reports_not_converged():
     ds = random_dataset(6, 5, 20)
     loss = MaskedSquaredLoss.from_dataset(ds)
     cfg = SolverConfig(epsilon=1e-14, max_iters=3)
-    _, trace = lamm_solve(loss, np.zeros((6, 5)), 0.001, 10.0, cfg)
+    _, trace = lamm_solve(loss, 0.001, 10.0, cfg)
     assert not trace.converged
     assert trace.iterations == 3
 
@@ -224,7 +213,7 @@ def test_lamm_prox_evals_per_iteration():
     # slack steps in a row and jumping straight to the rejected step's
     # curvature give about 1.17.
     loss, a = _prox_evals_problem()
-    _, trace = lamm_solve(loss, np.zeros((60, 30)), 0.005, a, SolverConfig())
+    _, trace = lamm_solve(loss, 0.005, a, SolverConfig())
     assert trace.prox_evals >= trace.iterations
     assert trace.prox_evals / trace.iterations < 1.3
     assert trace.final_phi <= loss.curvature_bound()
@@ -235,7 +224,7 @@ def test_lamm_first_iteration_ramp_is_short():
     # the first iteration of this problem; a rejected candidate's exact
     # curvature along its step gets there in 4.
     loss, a = _prox_evals_problem()
-    _, trace = lamm_solve(loss, np.zeros((60, 30)), 0.005, a, SolverConfig(max_iters=1))
+    _, trace = lamm_solve(loss, 0.005, a, SolverConfig(max_iters=1))
     assert trace.iterations == 1
     assert trace.prox_evals <= 5
     assert trace.final_phi <= loss.curvature_bound()
@@ -249,7 +238,7 @@ def test_lamm_tight_solve_step_rule_ignores_roundoff():
     # form of the same curvature takes 1953.
     loss, a = _prox_evals_problem()
     cfg = SolverConfig(epsilon=1e-10, max_iters=20000)
-    _, trace = lamm_solve(loss, np.zeros((60, 30)), 0.005, a, cfg)
+    _, trace = lamm_solve(loss, 0.005, a, cfg)
     assert trace.converged
     assert trace.prox_evals < 2600
     assert trace.final_phi <= loss.curvature_bound()
@@ -297,20 +286,21 @@ class _NanLoss:
 def test_lamm_nonfinite_loss_raises():
     cfg = SolverConfig(epsilon=1e-6, max_iters=10)
     with pytest.raises(SolverDivergedError):
-        lamm_solve(_NanLoss(), np.zeros((2, 2)), 0.0, 1.0, cfg)
+        lamm_solve(_NanLoss(), 0.0, 1.0, cfg)
 
 
 def test_lamm_infeasible_init_rejected():
+    # The solve starts at zero, which |A + shift|_inf <= a excludes when |shift| > a.
     ds = random_dataset(3, 3, 6)
     loss = MaskedSquaredLoss.from_dataset(ds)
-    with pytest.raises(ValueError):
-        lamm_solve(loss, np.full((3, 3), 2.0), 0.0, 0.5, SolverConfig(max_iters=5))
+    with pytest.raises(ValueError, match="zero start"):
+        lamm_solve(loss, 0.0, 0.5, SolverConfig(max_iters=5), shift=np.full((3, 3), 2.0))
 
 
 def test_lamm_backtracking_stays_bounded():
     ds = random_dataset(8, 6, 60)
     loss = MaskedSquaredLoss.from_dataset(ds)
-    _, trace = lamm_solve(loss, np.zeros((8, 6)), 0.01, 10.0, SolverConfig(max_iters=200))
+    _, trace = lamm_solve(loss, 0.01, 10.0, SolverConfig(max_iters=200))
     assert trace.final_phi <= loss.curvature_bound()
 
 
@@ -321,6 +311,6 @@ def test_solver_config_validation():
         SolverConfig(epsilon=0.0)
     loss = MaskedSquaredLoss.from_dataset(random_dataset(3, 3, 6))
     with pytest.raises(ValueError):
-        lamm_solve(loss, np.zeros((3, 3)), -0.1, 1.0, SolverConfig())
+        lamm_solve(loss, -0.1, 1.0, SolverConfig())
     with pytest.raises(ValueError):
-        lamm_solve(loss, np.zeros((3, 3)), 0.0, 0.0, SolverConfig())
+        lamm_solve(loss, 0.0, 0.0, SolverConfig())
