@@ -434,16 +434,28 @@ def cmd_evaluate(args) -> int:
     solver = SolverConfig(max_iters=args.max_iters)
 
     out = _out_dir(args)
-    rows = []
+    cases = []  # (target index, train, test, sources, policy, method), target by target
     for t in targets:
         train, test = data_io.holdout_split(frames[t], fraction, (seed, t))
         sources = [frames[i].to_dataset(task_id=j + 1) for j, i in
                    enumerate(data_io.window_sources(len(frames), t, half_width))]
         policy = _policy(train, a, opts, solver, methods)
-        for method in methods:
-            est, _ = _estimate(method, train, sources, policy, opts, solver, (seed, 5, t))
-            e, re = metrics.holdout_errors(est.matrix, test)
-            rows.append((frames[t].frame_id, method, e, re))
+        cases.extend((t, train, test, sources, policy, method) for method in methods)
+
+    def case_errors(case):
+        t, train, test, sources, policy, method = case
+        est, _ = _estimate(method, train, sources, policy, opts, solver, (seed, 5, t))
+        return metrics.holdout_errors(est.matrix, test)
+
+    # Every case is independent, so they run side by side, but the s-transmc
+    # cases run afterwards, here, so that their screening fits get a fan-out
+    # of their own.
+    first = [i for i, case in enumerate(cases) if case[-1] != "s-transmc"]
+    errors = dict(zip(first, map_in_workers(case_errors, [cases[i] for i in first])))
+    rows = []
+    for i, case in enumerate(cases):
+        e, re = errors[i] if i in errors else case_errors(case)
+        rows.append((frames[case[0]].frame_id, case[-1], e, re))
 
     with open(out / "eval.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")

@@ -10,6 +10,7 @@ byte-lossless on canonicalized frames. Sample files share the record grammar
 """
 
 import math
+import warnings
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -76,23 +77,24 @@ _RECORD = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)]
 
 
 def _read_records(path, fh, m1, m2, build, unique):
-    """build(rows, cols, values) over the ``row col value`` lines after the header.
+    """build(rows, cols, values) over the ``row col value`` lines after the
+    header, which fh has just read.
 
-    One loadtxt call parses the body and build checks the arrays (coordinates
-    in range, finite values and, for frames, unique coordinates), raising
-    ValueError on a fault. Only then does a per-line pass run, to raise the
-    ParseError that names the first offending line.
+    One loadtxt call parses the body straight from the file and build checks
+    the arrays (coordinates in range, finite values and, for frames, unique
+    coordinates), raising ValueError on a fault. Only then does a per-line
+    pass read the body from fh, to raise the ParseError that names the first
+    offending line.
     """
-    body = fh.read()
-    lines = body.split("\n")
     try:
-        if body.strip():
-            records = np.loadtxt(lines, dtype=_RECORD, comments=None, ndmin=1)
-        else:  # loadtxt would warn that the input holds no data
-            records = np.empty(0, dtype=_RECORD)
+        with warnings.catch_warnings():
+            # An empty or blank body holds no records, which loadtxt warns about.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            records = np.loadtxt(path, dtype=_RECORD, comments=None, skiprows=1, ndmin=1,
+                                 encoding="utf-8")
         return build(records["row"], records["col"], records["value"])
     except ValueError:
-        _raise_first_bad_record(path, lines, m1, m2, unique)
+        _raise_first_bad_record(path, fh.read().split("\n"), m1, m2, unique)
         raise
 
 

@@ -6,7 +6,8 @@ source alone, score on the target. Sources whose loss exceeds the benchmark
 by more than c_tilde * max(sigma_hat, epsilon0) are dropped, and the transfer
 estimator runs on the survivors. The J fold fits and K source-only fits depend
 only on the target and on their own data; screen_sources solves all of them in
-one fit_losses call, which runs them side by side.
+one fit_losses call, which runs them side by side through
+estimators.map_in_workers, the calling process included.
 """
 
 from dataclasses import dataclass, replace

@@ -1,4 +1,5 @@
 import csv
+import logging
 import multiprocessing
 import os
 
@@ -246,9 +247,11 @@ def test_benchmark_outputs_and_parallel_byte_stability(tmp_path, tiny_cfg, monke
     assert run(base + ["--out", "b1"], tmp_path) == 0
     # Two replicate workers; inside them the rule stays 1, as the real one is.
     monkeypatch.setattr(estimators, "_worker_count",
-                        lambda n: 1 if multiprocessing.parent_process() else min(n, 2))
+                        lambda n: 1 if estimators._in_fan_out else min(n, 2))
     assert run(base + ["--out", "b2"], tmp_path) == 0
     assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
     for name in ["summary.csv", "curve_ss1.csv", "curve_ss2.csv", "run_report.txt"]:
         assert (tmp_path / "b1" / name).read_bytes() == (tmp_path / "b2" / name).read_bytes()
 
@@ -385,6 +388,35 @@ def test_evaluate_three_methods_three_rows_per_frame(tmp_path):
     body = rows[1:]
     assert len(body) == 6  # 2 frames x 3 methods
     assert [r[1] for r in body[:3]] == ["single", "transmc", "s-transmc"]
+
+
+def test_evaluate_does_not_depend_on_the_worker_count(tmp_path, monkeypatch, caplog):
+    assert run(["simulate", "--preset", "tec-synthetic-tiny", "--out", "tec"],
+               tmp_path) == 0
+    cfg = tmp_path / "tec" / "eval.cfg"
+    text = cfg.read_text().replace("methods: single,transmc",
+                                   "methods: single,transmc,s-transmc")
+    cfg.write_text(text.replace("targets: 0-5", "targets: 0-2"))
+    warnings = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(estimators, "_worker_count",
+                            lambda n: 1 if estimators._in_fan_out else min(n, workers))
+        caplog.clear()
+        # 5 iterations leave fits of every method unconverged, so each warns.
+        with caplog.at_level(logging.WARNING, logger="transmc"):
+            assert run(["evaluate", "--config", str(cfg), "--out", f"ev{workers}",
+                        "--max-iters", "5", "--epsilon0", "0.5"], tmp_path) == 0
+        warnings[workers] = [rec.getMessage() for rec in caplog.records
+                             if rec.name == "transmc"]
+    assert (tmp_path / "ev1" / "eval.csv").read_bytes() == \
+        (tmp_path / "ev2" / "eval.csv").read_bytes()
+    rows = list(csv.reader(open(tmp_path / "ev2" / "eval.csv")))
+    assert [r[1] for r in rows[1:]] == ["single", "transmc", "s-transmc"] * 3
+    assert {w.split()[0] for w in warnings[1]} == {"single", "pooled", "debiased", "fold",
+                                                    "source"}
+    assert warnings[1] == warnings[2]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_evaluate_runs_the_noise_pilot_once_per_target_frame(tmp_path, pilot_calls):

@@ -2,6 +2,8 @@ import concurrent.futures
 import logging
 import multiprocessing
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -319,6 +321,92 @@ def test_fit_losses_in_workers_match_and_leave_no_process(monkeypatch):
     with pytest.raises(SolverDivergedError, match="non-finite"):
         fit_losses(failing, CFG)
     assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+def assert_no_child_left():
+    """This process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """map_in_workers at _worker_count 2 outside a fan-out, 1 inside one."""
+    monkeypatch.setattr(estimators, "_worker_count",
+                        lambda n: 1 if estimators._in_fan_out else min(n, 2))
+
+
+def test_map_in_workers_returns_and_logs_in_input_order(two_workers, caplog):
+    # Item 0 holds the caller while the child takes the rest, and item 5
+    # holds whichever process claims it.
+    def item(i):
+        time.sleep(0.2 if i in (0, 5) else 0.01)
+        estimators.log.warning("item %d", i)
+        return i * i, os.getpid()
+
+    with caplog.at_level(logging.WARNING, logger="transmc"):
+        out = estimators.map_in_workers(item, range(8))
+    assert [r for r, _ in out] == [i * i for i in range(8)]
+    assert len({pid for _, pid in out}) == 2
+    assert [rec.getMessage() for rec in caplog.records] == [f"item {i}" for i in range(8)]
+    assert_no_child_left()
+
+
+class _TwoArgError(Exception):
+    """Pickles, but does not unpickle: its __init__ needs two arguments."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+@pytest.mark.parametrize("low, high", [(1, 3), (0, 1), (2, 3)])
+def test_map_in_workers_raises_the_lowest_failing_item(two_workers, caplog, low, high):
+    # Item 0 runs in the caller and item 1 in the child; later items go to
+    # whichever process is free.
+    def item(i):
+        estimators.log.warning("item %d", i)
+        if i == low:
+            raise SolverDivergedError(f"item {i}")
+        if i == high:
+            raise ValueError(f"item {i}")
+        return i
+
+    with caplog.at_level(logging.WARNING, logger="transmc"):
+        with pytest.raises(SolverDivergedError, match=f"^item {low}$"):
+            estimators.map_in_workers(item, range(5))
+    # Warnings come as a serial run would log them: up to the failing item.
+    assert [rec.getMessage() for rec in caplog.records] == [
+        f"item {i}" for i in range(low + 1)]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("outcome, message", [
+    (lambda: threading.Lock(), "result of item 1 .* cannot be sent back"),
+    (lambda: _raise(ValueError("unsent", threading.Lock())),
+     "ValueError exception of item 1 .* cannot be sent back"),
+    (lambda: _raise(_TwoArgError("a", "b")), "item 1 of a fan-out came back unreadable"),
+])
+def test_map_in_workers_reports_what_cannot_come_back(two_workers, outcome, message):
+    # Item 1 runs in the child, whose outcome must pickle to come back.
+    with pytest.raises(RuntimeError, match=message):
+        estimators.map_in_workers(lambda i: outcome() if i == 1 else i, range(2))
+    assert_no_child_left()
+
+
+def _raise(exc):
+    raise exc
+
+
+def test_worker_count_is_one_inside_a_fan_out(monkeypatch, four_cores):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert estimators._worker_count(14) == 4
+    inside = estimators.map_in_workers(
+        lambda i: (estimators._worker_count(14), os.getpid()), range(2))
+    assert [count for count, _ in inside] == [1, 1]
+    assert len({pid for _, pid in inside}) == 2
+    assert estimators._worker_count(14) == 4
+    assert_no_child_left()
 
 
 @pytest.fixture
