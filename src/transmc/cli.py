@@ -17,7 +17,8 @@ import numpy as np
 
 from transmc import data_io, metrics, simulation
 from transmc.datasets import MaskedDataset
-from transmc.estimators import PenaltyPolicy, fit_single, map_in_workers, trans_mc
+from transmc.estimators import PenaltyPolicy, fit_single, trans_mc
+from transmc.fanout import map_in_workers
 from transmc.selection import SelectionConfig, screen_sources
 from transmc.simulation import PRESETS, ScenarioSpec, generate_scenario
 from transmc.solver import SolverConfig, SolverDivergedError

@@ -11,7 +11,7 @@ byte-lossless on canonicalized frames. Sample files share the record grammar
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -217,45 +217,36 @@ def _read_kv(path, keys) -> dict:
 
 
 def write_scenario(spec: ScenarioSpec, path):
-    contrasts = ",".join(f"{h!r}" for h in spec.contrasts)
+    """One 'key: value' line per ScenarioSpec field, in field order."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# transmc scenario\n")
-        fh.write(f"m1: {spec.m1}\n")
-        fh.write(f"m2: {spec.m2}\n")
-        fh.write(f"rank: {spec.rank}\n")
-        fh.write(f"a_cap: {spec.a_cap!r}\n")
-        fh.write(f"contrasts: {contrasts}\n")
-        fh.write(f"n0_frac: {spec.n0_frac!r}\n")
-        fh.write(f"nk_frac: {spec.nk_frac!r}\n")
-        fh.write(f"noise_sd: {spec.noise_sd!r}\n")
-        fh.write(f"sampling: {spec.sampling}\n")
-        fh.write(f"seed: {spec.seed}\n")
+        for f in fields(ScenarioSpec):
+            value = getattr(spec, f.name)
+            if isinstance(value, tuple):
+                value = ",".join(repr(x) for x in value)
+            elif not isinstance(value, str):
+                value = repr(value)
+            fh.write(f"{f.name}: {value}\n")
+
+
+# How read_scenario parses the value of a ScenarioSpec field of each type.
+_FIELD_PARSERS = {int: int, float: float, str: str,
+                  tuple[float, ...]: lambda raw: tuple(float(x) for x in raw.split(",") if x)}
 
 
 def read_scenario(path) -> ScenarioSpec:
-    """The ScenarioSpec of a file write_scenario wrote: one key per field.
-    The spectrum_law line of older files is read and must name the one law,
-    exp5_uniform."""
+    """The ScenarioSpec of a file write_scenario wrote: one key per field, a
+    missing optional key taking the field's default. The spectrum_law line of
+    older files is read and must name the one law, exp5_uniform."""
     kv = _read_kv(path, [*(f.name for f in fields(ScenarioSpec)), "spectrum_law"])
-    if kv.get("spectrum_law", "exp5_uniform") != "exp5_uniform":
-        raise ValueError(f"scenario {path}: unknown spectrum law {kv['spectrum_law']!r}")
-    try:
-        contrasts_raw = kv.get("contrasts", "")
-        contrasts = tuple(float(x) for x in contrasts_raw.split(",") if x)
-        return ScenarioSpec(
-            m1=int(kv["m1"]),
-            m2=int(kv["m2"]),
-            rank=int(kv["rank"]),
-            a_cap=float(kv.get("a_cap", 30.0)),
-            contrasts=contrasts,
-            n0_frac=float(kv.get("n0_frac", 0.2)),
-            nk_frac=float(kv.get("nk_frac", 0.1)),
-            noise_sd=float(kv.get("noise_sd", 1.0)),
-            sampling=kv.get("sampling", "uniform"),
-            seed=int(kv.get("seed", 0)),
-        )
-    except KeyError as exc:
-        raise ValueError(f"scenario {path} missing key {exc}")
+    law = kv.pop("spectrum_law", "exp5_uniform")
+    if law != "exp5_uniform":
+        raise ValueError(f"scenario {path}: unknown spectrum law {law!r}")
+    for f in fields(ScenarioSpec):
+        if f.name not in kv and f.default is MISSING:
+            raise ValueError(f"scenario {path} missing key {f.name!r}")
+    return ScenarioSpec(**{f.name: _FIELD_PARSERS[f.type](kv[f.name])
+                           for f in fields(ScenarioSpec) if f.name in kv})
 
 
 def write_samples(dataset: MaskedDataset, path):
@@ -292,22 +283,3 @@ def write_dense(matrix, path, label: str = "matrix"):
         fh.write(f"{matrix.shape[0]} {matrix.shape[1]} {label}\n")
         for row in matrix:
             fh.write(" ".join(repr(float(x)) for x in row) + "\n")
-
-
-def read_dense(path) -> np.ndarray:
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ParseError(path, 1, "malformed dense-matrix header")
-        m1, m2 = int(header[0]), int(header[1])
-        out = np.empty((m1, m2), dtype=np.float64)
-        for i in range(m1):
-            line = fh.readline()
-            if not line:
-                raise ParseError(path, i + 2, "unexpected end of file")
-            vals = line.split()
-            if len(vals) != m2:
-                raise ParseError(path, i + 2, f"expected {m2} values, got {len(vals)}")
-            out[i] = [float(v) for v in vals]
-    return out

@@ -5,18 +5,19 @@ estimator on the target data. Each source gets a transfer loss: fit on the
 source alone, score on the target. Sources whose loss exceeds the benchmark
 by more than c_tilde * max(sigma_hat, epsilon0) are dropped, and the transfer
 estimator runs on the survivors. The J fold fits and K source-only fits depend
-only on the target and on their own data; screen_sources solves all of them in
-one fit_losses call, which runs them side by side through
-estimators.map_in_workers, the calling process included.
+only on the target and on their own data, so screen_sources hands all of them
+to map_in_workers at once.
 """
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from transmc.datasets import MaskedDataset, check_compatible
 # fit_single is not called here: it stays bound for perfbench's tracer.
-from transmc.estimators import FitProblem, PenaltyPolicy, fit_losses, fit_single, trans_mc
+from transmc.estimators import PenaltyPolicy, fit_loss, fit_single, trans_mc
+from transmc.fanout import map_in_workers
 from transmc.losses import MaskedSquaredLoss
 from transmc.solver import SolveTrace, SolverConfig
 
@@ -111,14 +112,14 @@ def benchmark_loss(target: MaskedDataset, folds, lam0: float, a: float,
     Returns (fold_losses, benchmark mean, sigma_hat, fitted fold estimates);
     sigma_hat is the sample standard deviation (denominator J - 1).
     """
-    fits = fit_losses(_fold_problems(folds, lam0, a), cfg)
+    fits = map_in_workers(lambda fit: fit(), _fold_fits(folds, lam0, a, cfg))
     return (*_cv_scores(folds, fits), fits)
 
 
-def _fold_problems(folds, lam0: float, a: float) -> list[FitProblem]:
-    """Fold j's fit: the pooled loss of every other fold."""
-    return [FitProblem(MaskedSquaredLoss.from_datasets(folds[:j] + folds[j + 1:]), lam0, a,
-                       label=f"fold {j}")
+def _fold_fits(folds, lam0: float, a: float, cfg: SolverConfig) -> list[partial]:
+    """Fold j's fit, not yet run: fit_loss of the pooled loss of every other fold."""
+    return [partial(fit_loss, MaskedSquaredLoss.from_datasets(folds[:j] + folds[j + 1:]),
+                    lam0, a, cfg, label=f"fold {j}")
             for j in range(len(folds))]
 
 
@@ -176,11 +177,10 @@ def screen_sources(target: MaskedDataset, sources, cfg: SelectionConfig,
 
     folds = split_folds(target, J, cfg.seed)
     lam0 = policy.penalty(cfg.c0, (J - 1) / J * target.n, m)
-    problems = _fold_problems(folds, lam0, a) + [
-        FitProblem(MaskedSquaredLoss.from_dataset(ds), policy.penalty(cfg.ck, ds.n, m), a,
-                   label=f"source {k}")
-        for k, ds in enumerate(sources, start=1)]
-    fits = fit_losses(problems, solver)
+    fits = map_in_workers(lambda fit: fit(), _fold_fits(folds, lam0, a, solver) + [
+        partial(fit_loss, MaskedSquaredLoss.from_dataset(ds), policy.penalty(cfg.ck, ds.n, m),
+                a, solver, label=f"source {k}")
+        for k, ds in enumerate(sources, start=1)])
     fold_fits, source_fits = fits[:J], fits[J:]
     fold_vals, _, sigma_hat = _cv_scores(folds, fold_fits)
     source_vals = source_losses(target, [est.matrix for est in source_fits])

@@ -6,8 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from transmc import cli, estimators, selection
-from transmc.data_io import read_dense, read_samples, read_scenario
+from transmc import cli, selection
+from transmc.data_io import read_samples, read_scenario
 from transmc.estimators import PenaltyPolicy, trans_mc
 from transmc.selection import SelectionConfig, s_trans_mc
 from transmc.solver import SolverConfig
@@ -79,7 +79,7 @@ def test_simulate_written_scenario_round_trips(tmp_path, tiny_cfg):
     assert spec.m1 == 12 and spec.contrasts == (5.0, 40.0)
     ds = read_samples(tmp_path / "sim" / "target.samples")
     assert ds.n == spec.n0
-    truth = read_dense(tmp_path / "sim" / "truth_task00.txt")
+    truth = np.loadtxt(tmp_path / "sim" / "truth_task00.txt", skiprows=1, ndmin=2)
     assert truth.shape == (12, 8)
 
 
@@ -119,7 +119,7 @@ def test_fit_transfer_select_pipeline(tmp_path, tiny_cfg):
 
     assert run(["fit", "--data", target, "--out", "fit", "--noise-sd", "0.5",
                 "--max-iters", "300"], tmp_path) == 0
-    est = read_dense(tmp_path / "fit" / "estimate.txt")
+    est = np.loadtxt(tmp_path / "fit" / "estimate.txt", skiprows=1, ndmin=2)
     assert est.shape == (12, 8)
 
     # transfer and select write what the library estimators return
@@ -133,8 +133,8 @@ def test_fit_transfer_select_pipeline(tmp_path, tiny_cfg):
                 "--out", "tr", "--a", "30", "--noise-sd", "0.5",
                 "--max-iters", "300"], tmp_path) == 0
     direct = trans_mc(target_ds, source_ds, policy, solver).matrix
-    np.testing.assert_allclose(read_dense(tmp_path / "tr" / "estimate.txt"), direct,
-                               rtol=1e-12, atol=0)
+    written = np.loadtxt(tmp_path / "tr" / "estimate.txt", skiprows=1, ndmin=2)
+    np.testing.assert_allclose(written, direct, rtol=1e-12, atol=0)
 
     assert run(["select", "--target", target, "--sources", sources,
                 "--out", "sel", "--a", "30", "--noise-sd", "0.5",
@@ -142,8 +142,8 @@ def test_fit_transfer_select_pipeline(tmp_path, tiny_cfg):
     sel_cfg = SelectionConfig(J=4, c_tilde=2.0, epsilon0=0.5, c0=cli.DEFAULT_MULTIPLIER,
                               ck=cli.DEFAULT_MULTIPLIER, seed=0)
     _, direct = s_trans_mc(target_ds, source_ds, sel_cfg, policy, solver)
-    np.testing.assert_allclose(read_dense(tmp_path / "sel" / "estimate.txt"),
-                               direct.matrix, rtol=1e-12, atol=0)
+    written = np.loadtxt(tmp_path / "sel" / "estimate.txt", skiprows=1, ndmin=2)
+    np.testing.assert_allclose(written, direct.matrix, rtol=1e-12, atol=0)
     rows = list(csv.reader(open(tmp_path / "sel" / "selection_report.csv")))
     kinds = {r[0] for r in rows[1:]}
     assert {"fold_loss", "benchmark", "source_loss", "sigma_hat",
@@ -240,14 +240,13 @@ def test_select_runs_the_noise_pilot_once(tmp_path, tiny_cfg, pilot_calls):
 # benchmark
 # ---------------------------------------------------------------------------
 
-def test_benchmark_outputs_and_parallel_byte_stability(tmp_path, tiny_cfg, monkeypatch):
+def test_benchmark_outputs_and_parallel_byte_stability(tmp_path, tiny_cfg, set_workers):
     base = ["benchmark", "--config", str(tiny_cfg), "--reps", "2",
             "--max-iters", "300"]
-    monkeypatch.setattr(estimators, "_worker_count", lambda n: 1)
+    set_workers(1)
     assert run(base + ["--out", "b1"], tmp_path) == 0
     # Two replicate workers; inside them the rule stays 1, as the real one is.
-    monkeypatch.setattr(estimators, "_worker_count",
-                        lambda n: 1 if estimators._in_fan_out else min(n, 2))
+    set_workers(2)
     assert run(base + ["--out", "b2"], tmp_path) == 0
     assert multiprocessing.active_children() == []
     with pytest.raises(ChildProcessError):
@@ -276,7 +275,7 @@ def test_benchmark_single_scheme_and_methods_subset(tmp_path, tiny_cfg):
 
 
 def test_benchmark_runs_full_source_trans_mc_once_per_replicate(tmp_path, tiny_cfg,
-                                                               monkeypatch):
+                                                               monkeypatch, set_workers):
     # The `transmc` method and curve point k = K fit the same inputs: each
     # replicate makes K + 1 trans_mc calls (k = 0..K), not K + 2.
     calls = []
@@ -287,7 +286,7 @@ def test_benchmark_runs_full_source_trans_mc_once_per_replicate(tmp_path, tiny_c
 
     monkeypatch.setattr(cli, "trans_mc", counting)
     # The replicates run in this process, where the counter sees them.
-    monkeypatch.setattr(estimators, "_worker_count", lambda n: 1)
+    set_workers(1)
     assert run(["benchmark", "--config", str(tiny_cfg), "--out", "b", "--reps", "2",
                 "--schemes", "uniform", "--methods", "transmc,curve",
                 "--max-iters", "300"], tmp_path) == 0
@@ -390,7 +389,7 @@ def test_evaluate_three_methods_three_rows_per_frame(tmp_path):
     assert [r[1] for r in body[:3]] == ["single", "transmc", "s-transmc"]
 
 
-def test_evaluate_does_not_depend_on_the_worker_count(tmp_path, monkeypatch, caplog):
+def test_evaluate_does_not_depend_on_the_worker_count(tmp_path, set_workers, caplog):
     assert run(["simulate", "--preset", "tec-synthetic-tiny", "--out", "tec"],
                tmp_path) == 0
     cfg = tmp_path / "tec" / "eval.cfg"
@@ -399,8 +398,7 @@ def test_evaluate_does_not_depend_on_the_worker_count(tmp_path, monkeypatch, cap
     cfg.write_text(text.replace("targets: 0-5", "targets: 0-2"))
     warnings = {}
     for workers in (1, 2):
-        monkeypatch.setattr(estimators, "_worker_count",
-                            lambda n: 1 if estimators._in_fan_out else min(n, workers))
+        set_workers(workers)
         caplog.clear()
         # 5 iterations leave fits of every method unconverged, so each warns.
         with caplog.at_level(logging.WARNING, logger="transmc"):

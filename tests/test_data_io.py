@@ -10,7 +10,6 @@ from transmc.data_io import (
     FrameFile,
     ParseError,
     holdout_split,
-    read_dense,
     read_frame,
     read_samples,
     read_scenario,
@@ -21,7 +20,7 @@ from transmc.data_io import (
     write_scenario,
 )
 from transmc.datasets import MaskedDataset
-from transmc.simulation import PRESETS, generate_scenario
+from transmc.simulation import PRESETS, ScenarioSpec, generate_scenario
 from _oracles import read_frame_line_by_line, read_samples_line_by_line
 
 RNG = np.random.default_rng(202)
@@ -347,6 +346,15 @@ def test_scenario_round_trip(tmp_path):
         read_scenario(path)
 
 
+def test_scenario_missing_keys_take_the_spec_defaults(tmp_path):
+    path = tmp_path / "s.cfg"
+    path.write_text("m1: 6\nm2: 5\nrank: 2\n")
+    assert read_scenario(path) == ScenarioSpec(6, 5, 2)
+    path.write_text("m1: 6\nm2: 5\na_cap: 4.0\n")
+    with pytest.raises(ValueError, match="missing key 'rank'"):
+        read_scenario(path)
+
+
 def test_scenario_parse_error_line_numbers(tmp_path):
     path = tmp_path / "bad.cfg"
     for text, message in [("m1: 4\nnot a key-value line\n", "expected 'key: value'"),
@@ -362,4 +370,4 @@ def test_dense_round_trip(tmp_path):
     A = RNG.standard_normal((5, 7))
     path = tmp_path / "a.txt"
     write_dense(A, path, label="truth")
-    assert np.array_equal(read_dense(path), A)
+    assert np.array_equal(np.loadtxt(path, skiprows=1, ndmin=2), A)

@@ -4,18 +4,18 @@ import multiprocessing
 import os
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
-from transmc import estimators
+from transmc import fanout
 from transmc.datasets import MaskedDataset
 from transmc.estimators import (
-    FitProblem,
     PenaltyPolicy,
     debias_fit,
     estimate_noise_scale,
-    fit_losses,
+    fit_loss,
     fit_single,
     pooled_fit,
     theorem_penalty,
@@ -302,14 +302,18 @@ def test_unconverged_fit_logs_warning(caplog):
                for rec in caplog.records)
 
 
-def test_fit_losses_in_workers_match_and_leave_no_process(monkeypatch):
+def _run(fit):
+    return fit()
+
+
+def test_fit_loss_in_workers_match_and_leave_no_process(set_workers):
     T = np.outer([1.0, -2.0, 0.5], [2.0, 1.0, -1.0, 0.5])
-    problems = [FitProblem(MaskedSquaredLoss.from_dataset(full_obs(T, noise=0.1)), lam, 10.0,
-                           label=f"fit {lam}") for lam in (0.01, 0.1, 1.0)]
-    monkeypatch.setattr(estimators, "_worker_count", lambda n: 1)
-    serial = fit_losses(problems, CFG)
-    monkeypatch.setattr(estimators, "_worker_count", lambda n: min(n, 2))
-    pooled = fit_losses(problems, CFG)
+    fits = [partial(fit_loss, MaskedSquaredLoss.from_dataset(full_obs(T, noise=0.1)), lam, 10.0,
+                    CFG, label=f"fit {lam}") for lam in (0.01, 0.1, 1.0)]
+    set_workers(1)
+    serial = fanout.map_in_workers(_run, fits)
+    set_workers(2)
+    pooled = fanout.map_in_workers(_run, fits)
     assert multiprocessing.active_children() == []
     for a, b in zip(serial, pooled):
         assert np.array_equal(a.matrix, b.matrix)
@@ -317,9 +321,10 @@ def test_fit_losses_in_workers_match_and_leave_no_process(monkeypatch):
 
     # values near 1e200 make the loss overflow at the zero start
     huge = MaskedDataset(3, 4, [0, 1], [0, 2], [1e200, -1e200])
-    failing = problems[:1] + [FitProblem(MaskedSquaredLoss.from_dataset(huge), 0.1, 1e201)]
+    failing = fits[:1] + [partial(fit_loss, MaskedSquaredLoss.from_dataset(huge), 0.1, 1e201,
+                                  CFG)]
     with pytest.raises(SolverDivergedError, match="non-finite"):
-        fit_losses(failing, CFG)
+        fanout.map_in_workers(_run, failing)
     assert multiprocessing.active_children() == []
     assert_no_child_left()
 
@@ -331,10 +336,8 @@ def assert_no_child_left():
 
 
 @pytest.fixture
-def two_workers(monkeypatch):
-    """map_in_workers at _worker_count 2 outside a fan-out, 1 inside one."""
-    monkeypatch.setattr(estimators, "_worker_count",
-                        lambda n: 1 if estimators._in_fan_out else min(n, 2))
+def two_workers(set_workers):
+    set_workers(2)
 
 
 def test_map_in_workers_returns_and_logs_in_input_order(two_workers, caplog):
@@ -342,11 +345,11 @@ def test_map_in_workers_returns_and_logs_in_input_order(two_workers, caplog):
     # holds whichever process claims it.
     def item(i):
         time.sleep(0.2 if i in (0, 5) else 0.01)
-        estimators.log.warning("item %d", i)
+        fanout.log.warning("item %d", i)
         return i * i, os.getpid()
 
     with caplog.at_level(logging.WARNING, logger="transmc"):
-        out = estimators.map_in_workers(item, range(8))
+        out = fanout.map_in_workers(item, range(8))
     assert [r for r, _ in out] == [i * i for i in range(8)]
     assert len({pid for _, pid in out}) == 2
     assert [rec.getMessage() for rec in caplog.records] == [f"item {i}" for i in range(8)]
@@ -365,7 +368,7 @@ def test_map_in_workers_raises_the_lowest_failing_item(two_workers, caplog, low,
     # Item 0 runs in the caller and item 1 in the child; later items go to
     # whichever process is free.
     def item(i):
-        estimators.log.warning("item %d", i)
+        fanout.log.warning("item %d", i)
         if i == low:
             raise SolverDivergedError(f"item {i}")
         if i == high:
@@ -374,7 +377,7 @@ def test_map_in_workers_raises_the_lowest_failing_item(two_workers, caplog, low,
 
     with caplog.at_level(logging.WARNING, logger="transmc"):
         with pytest.raises(SolverDivergedError, match=f"^item {low}$"):
-            estimators.map_in_workers(item, range(5))
+            fanout.map_in_workers(item, range(5))
     # Warnings come as a serial run would log them: up to the failing item.
     assert [rec.getMessage() for rec in caplog.records] == [
         f"item {i}" for i in range(low + 1)]
@@ -390,7 +393,7 @@ def test_map_in_workers_raises_the_lowest_failing_item(two_workers, caplog, low,
 def test_map_in_workers_reports_what_cannot_come_back(two_workers, outcome, message):
     # Item 1 runs in the child, whose outcome must pickle to come back.
     with pytest.raises(RuntimeError, match=message):
-        estimators.map_in_workers(lambda i: outcome() if i == 1 else i, range(2))
+        fanout.map_in_workers(lambda i: outcome() if i == 1 else i, range(2))
     assert_no_child_left()
 
 
@@ -400,12 +403,12 @@ def _raise(exc):
 
 def test_worker_count_is_one_inside_a_fan_out(monkeypatch, four_cores):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert estimators._worker_count(14) == 4
-    inside = estimators.map_in_workers(
-        lambda i: (estimators._worker_count(14), os.getpid()), range(2))
+    assert fanout._worker_count(14) == 4
+    inside = fanout.map_in_workers(
+        lambda i: (fanout._worker_count(14), os.getpid()), range(2))
     assert [count for count, _ in inside] == [1, 1]
     assert len({pid for _, pid in inside}) == 2
-    assert estimators._worker_count(14) == 4
+    assert fanout._worker_count(14) == 4
     assert_no_child_left()
 
 
@@ -413,7 +416,7 @@ def test_worker_count_is_one_inside_a_fan_out(monkeypatch, four_cores):
 def four_cores(monkeypatch):
     """_worker_count on four cores, with no BLAS thread count set."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    for var in estimators.BLAS_THREAD_VARS:
+    for var in fanout.BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
 
 
@@ -430,17 +433,17 @@ def four_cores(monkeypatch):
 def test_worker_count_leaves_the_cores_to_blas_threads(monkeypatch, four_cores, env, workers):
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    assert estimators._worker_count(14) == workers
-    assert estimators._worker_count(3) == min(3, workers)
-    assert estimators._worker_count(1) == 1
+    assert fanout._worker_count(14) == workers
+    assert fanout._worker_count(3) == min(3, workers)
+    assert fanout._worker_count(1) == 1
 
 
 def test_worker_count_is_one_inside_a_worker(monkeypatch, four_cores):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert estimators._worker_count(14) == 4
+    assert fanout._worker_count(14) == 4
     context = multiprocessing.get_context("fork")
     with concurrent.futures.ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-        assert pool.submit(estimators._worker_count, 14).result(timeout=60) == 1
+        assert pool.submit(fanout._worker_count, 14).result(timeout=60) == 1
 
 
 def test_estimate_noise_scale_close_to_truth():

@@ -3,10 +3,10 @@ import logging
 import numpy as np
 import pytest
 
-from transmc import estimators, selection
+from transmc import selection
 from transmc.datasets import MaskedDataset
 from transmc.cli import DEFAULT_MULTIPLIER
-from transmc.estimators import (PenaltyPolicy, estimate_noise_scale, fit_losses, fit_single,
+from transmc.estimators import (PenaltyPolicy, estimate_noise_scale, fit_loss, fit_single,
                                 theorem_penalty)
 from transmc.losses import MaskedSquaredLoss
 from transmc.selection import (
@@ -14,12 +14,13 @@ from transmc.selection import (
     benchmark_loss,
     fold_loss,
     s_trans_mc,
+    screen_sources,
     select_sources,
     source_losses,
     split_folds,
 )
 from transmc.simulation import PRESETS, SamplingModel, generate_scenario, sample_observations
-from transmc.solver import SolverConfig
+from transmc.solver import SolverConfig, SolverDivergedError
 from _oracles import loss_double_loop, penalty_multiplier
 
 RNG = np.random.default_rng(777)
@@ -106,7 +107,7 @@ def test_benchmark_loss_near_zero_in_easy_regime():
     assert len(fits) == 4
 
 
-def test_benchmark_loss_fits_each_fold_complement(monkeypatch):
+def test_benchmark_loss_fits_each_fold_complement(monkeypatch, set_workers):
     # The loss fitted for fold j holds every target observation outside fold
     # j: the statistics of the concatenated complement, reduced fold by fold.
     # Entries near 1e3 with repeated cells make the two summation orders round
@@ -116,11 +117,12 @@ def test_benchmark_loss_fits_each_fold_complement(monkeypatch):
     folds = split_folds(target, 4, seed=3)
     fitted = []
 
-    def recording(problems, cfg):
-        fitted.extend((p.label, p.loss) for p in problems)
-        return fit_losses(problems, cfg)
+    def recording(loss, lam, a, cfg, label):
+        fitted.append((label, loss))
+        return fit_loss(loss, lam, a, cfg, label=label)
 
-    monkeypatch.setattr(selection, "fit_losses", recording)
+    monkeypatch.setattr(selection, "fit_loss", recording)
+    set_workers(1)  # the fits run in this process, where the recorder sees them
     benchmark_loss(target, folds, 0.05, 2e3, SolverConfig(max_iters=5))
     assert [label for label, _ in fitted] == [f"fold {j}" for j in range(4)]
     for j, (_, loss) in enumerate(fitted):
@@ -309,7 +311,7 @@ def test_s_trans_mc_reports_unconverged_fits(caplog):
 
 
 @pytest.mark.parametrize("max_iters", [3, 1000])
-def test_s_trans_mc_does_not_depend_on_the_worker_count(monkeypatch, caplog, max_iters):
+def test_s_trans_mc_does_not_depend_on_the_worker_count(set_workers, caplog, max_iters):
     rng = np.random.default_rng(18)
     T = np.outer(rng.standard_normal(6), rng.standard_normal(5)) * 2
     target = uniform_task(T, 90, (18, 0), 0)
@@ -318,7 +320,7 @@ def test_s_trans_mc_does_not_depend_on_the_worker_count(monkeypatch, caplog, max
     cfg = SelectionConfig(J=4, seed=5, epsilon0=0.5, c0=0.3, ck=0.3)
     runs = []
     for workers in (1, 2):
-        monkeypatch.setattr(estimators, "_worker_count", lambda n: min(n, workers))
+        set_workers(workers)
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="transmc"):
             report, est = s_trans_mc(target, sources, cfg, policy,
@@ -330,6 +332,30 @@ def test_s_trans_mc_does_not_depend_on_the_worker_count(monkeypatch, caplog, max
     assert np.array_equal(e1.matrix, e2.matrix)
     assert w1 == w2
     assert w1 and any("did not converge" in m for m in w1) == (max_iters == 3)
+
+
+def test_screening_failure_logs_the_warnings_of_the_fits_before_it(set_workers, caplog):
+    # Source 2's values near 1e200 make its loss overflow at the zero start;
+    # three iterations leave every fit before it unconverged, so each warns.
+    rng = np.random.default_rng(19)
+    T = np.outer(rng.standard_normal(6), rng.standard_normal(5)) * 2
+    target = uniform_task(T, 90, (19, 0), 0)
+    huge = MaskedDataset(6, 5, [0, 1, 2], [0, 2, 4], [1e200, -1e200, 1e200], task_id=2)
+    sources = [uniform_task(T, 60, (19, 1), 1), huge]
+    policy = PenaltyPolicy(a=8.0, v=0.3)
+    cfg = SelectionConfig(J=3, seed=5, epsilon0=0.5, c0=0.3, ck=0.3)
+    runs = []
+    for workers in (1, 2):
+        set_workers(workers)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="transmc"):
+            with pytest.raises(SolverDivergedError) as failure:
+                screen_sources(target, sources, cfg, policy, SolverConfig(max_iters=3))
+        runs.append((str(failure.value), [rec.getMessage() for rec in caplog.records
+                                          if rec.name == "transmc"]))
+    assert runs[0] == runs[1]
+    warned = [m.split(" fit did not converge")[0] for m in runs[0][1]]
+    assert warned == ["fold 0", "fold 1", "fold 2", "source 1"]
 
 
 def test_s_trans_mc_runs_the_noise_pilot_once(pilot_calls):
