@@ -18,7 +18,7 @@ import numpy as np
 from transmc import data_io, metrics, simulation
 from transmc.datasets import MaskedDataset
 from transmc.estimators import PenaltyPolicy, fit_single, trans_mc
-from transmc.fanout import map_in_workers
+from transmc.fanout import map_in_chunks, map_in_workers
 from transmc.selection import SelectionConfig, screen_sources
 from transmc.simulation import PRESETS, ScenarioSpec, generate_scenario
 from transmc.solver import SolverConfig, SolverDivergedError
@@ -424,7 +424,7 @@ def cmd_evaluate(args) -> int:
                if m.strip()]
     if not methods:
         raise CliError("evaluate config lists no methods")
-    frames = [data_io.read_frame(p) for p in frame_paths]
+    frames = map_in_chunks(data_io.read_frame, frame_paths)
     a = _box_level(setting("a", float), [f.values for f in frames])
     opts = argparse.Namespace(**{
         **vars(args),
@@ -493,6 +493,8 @@ OPTIONS = {
                                     help="known noise scale (skips the pilot estimate)")),
 }
 FIT_OPTIONS = ("max_iters", "a", "c1", "c2", "noise_sd")
+# A single-task fit takes only c2 of the two multipliers.
+SINGLE_FIT_OPTIONS = ("max_iters", "a", "c2", "noise_sd")
 SELECTION_OPTIONS = ("c_tilde", "epsilon0", "folds")
 
 
@@ -514,10 +516,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", type=int, default=0, help="replicate index to materialize")
     p.set_defaults(func=cmd_simulate)
 
-    p = command("fit", "single-task nuclear-norm fit", *FIT_OPTIONS)
+    p = command("fit", "single-task nuclear-norm fit", *SINGLE_FIT_OPTIONS)
     p.add_argument("--lam", type=float, default=None, help="explicit penalty")
     p.add_argument("--data", dest="target", help="samples or frame file")
-    p.set_defaults(func=cmd_estimate, method="single", sources="", seed=None)
+    p.set_defaults(func=cmd_estimate, method="single", sources="", seed=None,
+                   c1=DEFAULT_MULTIPLIER)
 
     # Only select draws a fold split, so only select takes --seed.
     for name, method, help_text, options in (

@@ -26,6 +26,11 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line_no}: {message}")
         self.path = str(path)
         self.line_no = line_no
+        self.message = message
+
+    def __reduce__(self):
+        # args hold only the formatted text, which __init__ cannot take back.
+        return ParseError, (self.path, self.line_no, self.message)
 
 
 @dataclass(frozen=True)
@@ -188,6 +193,8 @@ def window_sources(n_frames: int, t: int, half_width: int = 10) -> list[int]:
     boundaries; left neighbors first, ascending."""
     if not (0 <= t < n_frames):
         raise ValueError(f"target index {t} out of range")
+    if half_width < 0:
+        raise ValueError(f"source window half_width {half_width} is negative")
     return [*range(max(0, t - half_width), t), *range(t + 1, min(n_frames, t + half_width + 1))]
 
 
@@ -196,9 +203,10 @@ def window_sources(n_frames: int, t: int, half_width: int = 10) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _read_kv(path, keys) -> dict:
-    """The ``key: value`` lines of a config file; a key outside keys is a
-    ParseError that names it."""
+    """The ``key: value`` lines of a config file; a key outside keys, or one
+    given twice, is a ParseError that names it."""
     out = {}
+    line_of = {}
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -212,7 +220,11 @@ def _read_kv(path, keys) -> dict:
             if key not in keys:
                 raise ParseError(path, line_no, f"unknown key {key!r}; known keys: "
                                  + ", ".join(keys))
+            if key in line_of:
+                raise ParseError(path, line_no, f"key {key!r} given twice, on lines "
+                                 f"{line_of[key]} and {line_no}")
             out[key] = value.strip()
+            line_of[key] = line_no
     return out
 
 

@@ -1,7 +1,9 @@
 """map_in_workers is the one fan-out of transmc: source screening, evaluate's
 cases and benchmark replicates run their independent calls through it, side
 by side in forked child processes and the calling process, with results,
-errors and warnings that do not depend on the worker count.
+errors and warnings that do not depend on the worker count. map_in_chunks
+runs items of about equal cost, such as evaluate's frame files, through it as
+one fixed contiguous chunk per worker.
 """
 
 import logging
@@ -42,6 +44,24 @@ def map_in_workers(fn, items) -> list:
         if not ok:
             raise value
     return [value for _, value, _ in outcomes]
+
+
+def map_in_chunks(fn, items) -> list:
+    """[fn(item) for item in items], as map_in_workers runs it, but with the
+    items cut into _worker_count(len(items)) contiguous chunks of near-equal
+    length, one per worker: process k runs chunk k and nothing else, this
+    process being 0.
+
+    For items of about equal cost, each too cheap to be worth a claim of its
+    own; which process runs an item depends only on the item count and the
+    worker count, never on timing. The exception of the first failing item
+    in input order is raised, with the warnings logged before it replayed in
+    input order, as map_in_workers does."""
+    items = list(items)
+    n, workers = len(items), _worker_count(len(items))
+    chunks = [items[k * n // workers:(k + 1) * n // workers] for k in range(workers)]
+    done = map_in_workers(lambda chunk: [fn(item) for item in chunk], chunks)
+    return [result for chunk in done for result in chunk]
 
 
 # True in a process while it runs the items of a fan-out: in its children, and

@@ -219,6 +219,7 @@ def test_lam_rejected_where_no_single_fit_reads_it(tmp_path, command):
     ["fit", "--data", "t.samples", "--seed", "3"],
     ["transfer", "--target", "t.samples", "--sources", "s.samples", "--seed", "3"],
     ["benchmark", "--preset", "paper-5.1-small", "--jobs", "2"],
+    ["fit", "--data", "t.samples", "--c1", "0.1"],
 ])
 def test_options_rejected_where_the_command_does_not_read_them(tmp_path, command):
     with pytest.raises(SystemExit) as exc:
@@ -527,4 +528,50 @@ def test_evaluate_rejects_unknown_config_key(tmp_path, capsys):
     assert run(["evaluate", "--config", str(cfg), "--out", "ev"], tmp_path) == 2
     err = capsys.readouterr().err
     assert "holdout_fracton" in err and str(cfg) in err
+    assert not (tmp_path / "ev" / "eval.csv").exists()
+
+
+def _tiny_frames(tmp_path):
+    """The eval.cfg of tec-synthetic-tiny with targets 0-5, after simulate."""
+    assert run(["simulate", "--preset", "tec-synthetic-tiny", "--out", "tec"],
+               tmp_path) == 0
+    return tmp_path / "tec" / "eval.cfg"
+
+
+def test_evaluate_reports_a_bad_frame_line_at_any_worker_count(tmp_path, set_workers,
+                                                                capsys):
+    cfg = _tiny_frames(tmp_path)
+    frame = tmp_path / "tec" / "frame_005.frame"
+    lines = frame.read_text().splitlines(keepends=True)
+    lines[3] = "3 4 oops\n"
+    frame.write_text("".join(lines))
+    errors = []
+    for workers in (1, 2):
+        set_workers(workers)
+        capsys.readouterr()
+        assert run(["evaluate", "--config", str(cfg), "--out", f"ev{workers}"], tmp_path) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == \
+        f"error: validation: {frame}:4: could not parse record '3 4 oops'\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_config_key_given_twice_exits_2(tmp_path, tiny_cfg, capsys):
+    tiny_cfg.write_text(TINY_SCENARIO + "seed: 4\n")
+    cfg = _tiny_frames(tmp_path)
+    cfg.write_text(cfg.read_text() + "half_width: 2\n")
+    for command in (["simulate", "--config", str(tiny_cfg)], ["evaluate", "--config", str(cfg)]):
+        capsys.readouterr()
+        assert run(command + ["--out", "x"], tmp_path) == 2
+        assert "given twice, on lines" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_evaluate_rejects_a_negative_half_width(tmp_path, capsys):
+    cfg = _tiny_frames(tmp_path)
+    cfg.write_text(cfg.read_text().replace("half_width: 10", "half_width: -3"))
+    capsys.readouterr()
+    assert run(["evaluate", "--config", str(cfg), "--out", "ev"], tmp_path) == 2
+    assert "half_width -3" in capsys.readouterr().err
     assert not (tmp_path / "ev" / "eval.csv").exists()

@@ -1,3 +1,4 @@
+import pickle
 import warnings
 from functools import partial
 
@@ -91,6 +92,16 @@ def test_frame_parse_errors_carry_line_numbers(tmp_path):
     garbled.write_text("2 2 f\n0 zero 1.0\n")
     with pytest.raises(ParseError):
         read_frame(garbled)
+
+
+def test_parse_error_survives_pickling(tmp_path):
+    path = tmp_path / "g.frame"
+    path.write_text("2 2 f\n0 0 1.0\n1 zero 1.0\n")
+    with pytest.raises(ParseError) as err:
+        read_frame(path)
+    copy = pickle.loads(pickle.dumps(err.value))
+    assert type(copy) is ParseError
+    assert (str(copy), copy.path, copy.line_no) == (str(err.value), str(path), 3)
 
 
 def test_frame_rejects_duplicates_at_construction():
@@ -327,6 +338,11 @@ def test_window_sources_zero_width():
     assert window_sources(3, 1, half_width=0) == []
 
 
+def test_window_sources_rejects_a_negative_half_width():
+    with pytest.raises(ValueError, match="half_width -3"):
+        window_sources(12, 5, -3)
+
+
 # ---------------------------------------------------------------------------
 # scenario config / dense matrices
 # ---------------------------------------------------------------------------
@@ -364,6 +380,14 @@ def test_scenario_parse_error_line_numbers(tmp_path):
             read_scenario(path)
         assert err.value.line_no == 2
         assert str(path) in str(err.value)
+
+
+def test_config_key_given_twice_is_a_parse_error(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("seed: 1\nm1: 6\nm2: 5\n# seed: 3\nrank: 2\nseed: 2\n")
+    with pytest.raises(ParseError, match="key 'seed' given twice, on lines 1 and 6") as err:
+        read_scenario(path)
+    assert err.value.line_no == 6
 
 
 def test_dense_round_trip(tmp_path):

@@ -401,6 +401,39 @@ def _raise(exc):
     raise exc
 
 
+def test_map_in_chunks_runs_one_fixed_chunk_per_process(two_workers):
+    # Item 0 is slow, yet the child never takes an item of the caller's chunk.
+    def item(i):
+        time.sleep(0.1 if i == 0 else 0.0)
+        return i * i, os.getpid()
+
+    for _ in range(3):
+        out = fanout.map_in_chunks(item, range(7))
+        assert [r for r, _ in out] == [i * i for i in range(7)]
+        pids = [pid for _, pid in out]
+        assert pids[:3] == [os.getpid()] * 3
+        assert len(set(pids[3:])) == 1 and pids[3] != os.getpid()
+    assert fanout.map_in_chunks(item, []) == []
+    assert_no_child_left()
+
+
+def test_map_in_chunks_raises_the_first_failing_item(two_workers, caplog):
+    # Items 1 and 7 fail, one in each process's chunk of 4.
+    def item(i):
+        fanout.log.warning("item %d", i)
+        if i == 1:
+            raise SolverDivergedError(f"item {i}")
+        if i == 7:
+            raise ValueError(f"item {i}")
+        return i
+
+    with caplog.at_level(logging.WARNING, logger="transmc"):
+        with pytest.raises(SolverDivergedError, match="^item 1$"):
+            fanout.map_in_chunks(item, range(8))
+    assert [rec.getMessage() for rec in caplog.records] == ["item 0", "item 1"]
+    assert_no_child_left()
+
+
 def test_worker_count_is_one_inside_a_fan_out(monkeypatch, four_cores):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert fanout._worker_count(14) == 4
