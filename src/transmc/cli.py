@@ -7,8 +7,8 @@ nonzero after printing a single ``error: ...`` line to stderr.
 """
 
 import argparse
-import csv
 import os
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -16,14 +16,15 @@ from pathlib import Path
 import numpy as np
 
 from transmc import data_io, metrics, simulation
-from transmc.datasets import MaskedDataset
 from transmc.estimators import PenaltyPolicy, fit_single, trans_mc
 from transmc.fanout import map_in_chunks, map_in_workers
-from transmc.selection import SelectionConfig, screen_sources
+from transmc.selection import SelectionConfig, s_trans_mc
 from transmc.simulation import PRESETS, ScenarioSpec, generate_scenario
 from transmc.solver import SolverConfig, SolverDivergedError
 
 SCHEME_LABELS = {"uniform": "SS1", "product": "SS2"}
+# The estimators _estimate runs; benchmark also takes "curve".
+METHODS = ("single", "transmc", "s-transmc")
 # Penalty multipliers calibrated for the shipped presets (noise sd 1, cap 30).
 DEFAULT_MULTIPLIER = 0.07
 
@@ -78,18 +79,23 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_dataset(path, task_id):
-    """Accept either a sample file (duplicates allowed) or a TEC-style frame."""
-    path = _resolve(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-    if len(header) == 3 and header[2].startswith("task"):
-        ds = data_io.read_samples(path)
-    else:
-        ds = data_io.read_frame(path).to_dataset()
-    if ds.task_id != task_id:
-        ds = MaskedDataset(ds.m1, ds.m2, ds.rows, ds.cols, ds.values, task_id)
-    return ds
+def _entries(entries, what, known=None):
+    """entries as a tuple, checked: none empty, none repeated and, when known
+    is given, each one of known; a CliError names the offending entry."""
+    entries = tuple(entries)
+    if not entries:
+        raise CliError(f"no {what} listed")
+    for i, e in enumerate(entries):
+        if known is not None and e not in known:
+            raise CliError(f"unknown {what} {e!r}; known: {', '.join(known)}")
+        if e in entries[:i]:
+            raise CliError(f"{what} {e!r} listed twice")
+    return entries
+
+
+def _comma_list(raw, what, known):
+    """The entries of a comma list, checked by _entries."""
+    return _entries((e.strip() for e in raw.split(",") if e.strip()), what, known)
 
 
 def _box_level(a, value_arrays) -> float:
@@ -109,28 +115,25 @@ def _policy(target, a, opts, solver, methods) -> PenaltyPolicy:
     return policy.resolve(target, solver)
 
 
-def _estimate(method, target, sources, policy, opts, solver, seed, transfer=None):
+def _estimate(method, target, sources, policy, opts, solver, seed):
     """Run one of the paper's estimators; returns (Estimate, SelectionReport or None).
 
     policy comes from _policy; opts carries the single-task penalty lam (None:
     the policy's rule with c2) and the selection knobs folds, c_tilde and
-    epsilon0; seed draws the s-transmc fold split. transfer, called like
-    trans_mc (the default), runs the transfer fit of transmc and s-transmc.
+    epsilon0; seed draws the s-transmc fold split.
     """
     if method == "single":
         lam = opts.lam
         if lam is None:
             lam = policy.penalty(policy.c2, target.n, min(target.m1, target.m2))
         return fit_single(target, lam, policy.a, solver), None
-    transfer = transfer or trans_mc
     if method == "transmc":
-        return transfer(target, sources, policy, solver), None
+        return trans_mc(target, sources, policy, solver), None
     if method == "s-transmc":
         cfg = SelectionConfig(J=opts.folds, c_tilde=opts.c_tilde, epsilon0=opts.epsilon0,
                               c0=policy.c1, ck=policy.c2, seed=seed)
-        report = screen_sources(target, sources, cfg, policy, solver)
-        chosen = [sources[k - 1] for k in report.selected]
-        return transfer(target, chosen, policy, solver), report
+        report, est = s_trans_mc(target, sources, cfg, policy, solver)
+        return est, report
     raise CliError(f"unknown method {method!r}")
 
 
@@ -205,7 +208,8 @@ def cmd_estimate(args) -> int:
     if args.method != "single" and not (args.target and args.sources):
         raise CliError("need --target FILE and --sources F1,F2,...")
     paths = [args.target, *(p for p in args.sources.split(",") if p)]
-    target, *sources = [_load_dataset(p, task_id=k) for k, p in enumerate(paths)]
+    target, *sources = [data_io.read_dataset(_resolve(p), task_id=k)
+                        for k, p in enumerate(paths)]
     a = _box_level(args.a, [ds.values for ds in (target, *sources)])
     solver = SolverConfig(max_iters=args.max_iters)
     policy = _policy(target, a, args, solver, [args.method])
@@ -231,22 +235,19 @@ def cmd_estimate(args) -> int:
 
 
 def _write_selection_report(path, report):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["quantity", "index", "value"])
-        for j, x in enumerate(report.fold_losses):
-            w.writerow(["fold_loss", j, f"{x:.12g}"])
-        w.writerow(["benchmark", "", f"{report.benchmark:.12g}"])
-        for k, x in enumerate(report.source_losses, start=1):
-            w.writerow(["source_loss", k, f"{x:.12g}"])
-        w.writerow(["sigma_hat", "", f"{report.sigma_hat:.12g}"])
-        w.writerow(["epsilon0", "", f"{report.epsilon0:.12g}"])
-        w.writerow(["threshold", "", f"{report.threshold:.12g}"])
-        w.writerow(["selected", "", " ".join(str(k) for k in report.selected)])
-        w.writerow(["unconverged", "", ";".join(report.unconverged)])
-        for name, t in report.fit_traces():
-            w.writerow(["fit", name, f"iterations={t.iterations} prox_evals={t.prox_evals} "
-                                     f"converged={t.converged} box_active={t.box_active}"])
+    metrics.write_csv(path, ("quantity", "index", "value"), [
+        *(["fold_loss", j, f"{x:.12g}"] for j, x in enumerate(report.fold_losses)),
+        ["benchmark", "", f"{report.benchmark:.12g}"],
+        *(["source_loss", k, f"{x:.12g}"] for k, x in enumerate(report.source_losses, start=1)),
+        ["sigma_hat", "", f"{report.sigma_hat:.12g}"],
+        ["epsilon0", "", f"{report.epsilon0:.12g}"],
+        ["threshold", "", f"{report.threshold:.12g}"],
+        ["selected", "", " ".join(str(k) for k in report.selected)],
+        ["unconverged", "", ";".join(report.unconverged)],
+        *(["fit", name, f"iterations={t.iterations} prox_evals={t.prox_evals} "
+                        f"converged={t.converged} box_active={t.box_active}"]
+          for name, t in report.fit_traces()),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -264,33 +265,32 @@ def _bench_worker(payload):
               "failures": []}
     # Chosen sources' task ids -> trans_mc Estimate or the error it raised.
     # Every transfer fit of one replicate shares target, policy and solver, so
-    # the `transmc` method, curve point k = K and an s-transmc run that keeps
-    # every source make one fit between them.
+    # s-transmc, the `transmc` method and the curve make one fit per set of
+    # sources between them. s-transmc runs first, to seed the memo with its
+    # transfer fit.
     fits = {}
 
-    def cached_trans_mc(target, chosen, policy, cfg):
-        key = tuple(ds.task_id for ds in chosen)
-        if key not in fits:
-            try:
-                fits[key] = trans_mc(target, chosen, policy, cfg)
-            except SolverDivergedError as exc:
-                fits[key] = exc
-        if isinstance(fits[key], SolverDivergedError):
-            raise fits[key]
-        return fits[key]
-
     def run(tag, method, sources):
-        try:
-            est, report = _estimate(method, data.target, sources, policy, opts, solver,
-                                    (spec.seed, 4, rep), transfer=cached_trans_mc)
-        except SolverDivergedError as exc:
-            result["failures"].append(f"{tag}: {exc}")
+        key = tuple(ds.task_id for ds in sources)
+        if method == "transmc" and key in fits:
+            est = fits[key]
+        else:
+            try:
+                est, report = _estimate(method, data.target, sources, policy, opts, solver,
+                                        (spec.seed, 4, rep))
+            except SolverDivergedError as exc:
+                est, report = exc, None
+            if method == "transmc":
+                fits[key] = est
+            if report is not None:
+                result["selected"] = report.selected
+                fits[tuple(key[k - 1] for k in report.selected)] = est
+        if isinstance(est, SolverDivergedError):
+            result["failures"].append(f"{tag}: {est}")
             return None
-        if report is not None:
-            result["selected"] = report.selected
         return metrics.rel_frob_error(est.matrix, data.truth)
 
-    for method in methods:
+    for method in sorted(methods, key=lambda m: m != "s-transmc"):
         if method == "curve":
             result["curve"] = [run(f"curve-k{k}", "transmc", data.sources[:k])
                                for k in range(len(data.sources) + 1)]
@@ -304,37 +304,27 @@ def run_benchmark(spec: ScenarioSpec, reps: int, methods, params,
     """Replicates of each scheme, run through map_in_workers and merged in
     (scheme, replicate) order.
 
-    Returns {scheme_label: {"results": [per-rep dicts], "spec": spec}}.
+    Returns {scheme_label: {"results": [per-rep dicts]}}.
     """
-    tasks = []
-    for scheme in schemes:
-        scheme_spec = replace(spec, sampling=scheme)
-        for rep in range(reps):
-            tasks.append((scheme_spec, rep, tuple(methods), params))
+    tasks = [(replace(spec, sampling=scheme), rep, tuple(methods), params)
+             for scheme in schemes for rep in range(reps)]
     results = map_in_workers(_bench_worker, tasks)
-    out = {}
-    idx = 0
-    for scheme in schemes:
-        label = SCHEME_LABELS.get(scheme, scheme)
-        out[label] = {"results": results[idx: idx + reps],
-                      "spec": replace(spec, sampling=scheme)}
-        idx += reps
-    return out
+    return {SCHEME_LABELS[scheme]: {"results": results[i * reps:(i + 1) * reps]}
+            for i, scheme in enumerate(schemes)}
 
 
 def cmd_benchmark(args) -> int:
     spec = _load_spec(args)
+    methods = _comma_list(args.methods, "method", (*METHODS, "curve"))
+    schemes = _comma_list(args.schemes, "sampling scheme", tuple(SCHEME_LABELS))
+    if args.reps < 1:
+        raise CliError(f"--reps must be at least 1, got {args.reps}")
     out = _out_dir(args)
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     params = {
         "c1": args.c1, "c2": args.c2, "c_tilde": args.c_tilde,
         "epsilon0": args.epsilon0, "folds": args.folds,
         "max_iters": args.max_iters,
     }
-    schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-    for s in schemes:
-        if s not in SCHEME_LABELS:
-            raise CliError(f"unknown sampling scheme {s!r}; use uniform or product")
 
     bench = run_benchmark(spec, args.reps, methods, params, schemes=schemes)
 
@@ -353,10 +343,8 @@ def cmd_benchmark(args) -> int:
             points = []
             K = len(spec.contrasts)
             for k in range(K + 1):
-                vals = [r["curve"][k] for r in block["results"]
-                        if r["curve"] is not None and r["curve"][k] is not None]
-                n_failures += sum(1 for r in block["results"]
-                                  if r["curve"] is None or r["curve"][k] is None)
+                vals = [r["curve"][k] for r in block["results"] if r["curve"][k] is not None]
+                n_failures += len(block["results"]) - len(vals)
                 s = metrics.summarize(vals)
                 points.append((k, s.mean, s.sd))
             metrics.write_curve_csv(out / f"curve_{label.lower()}.csv", points)
@@ -377,24 +365,21 @@ def cmd_benchmark(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_targets(raw, n_frames):
+    """The frame indices of an evaluate `targets` list of entries N and
+    ascending ranges N-M, checked by _entries."""
     out = []
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "-" in chunk:
-            lo, hi = (int(x) for x in chunk.split("-"))
-            if hi < lo:
-                raise CliError(f"descending target range {chunk!r}")
-            out.extend(range(lo, hi + 1))
-        else:
-            out.append(int(chunk))
-    if not out:
-        raise CliError("evaluate config selects no target frames")
+    for chunk in (c.strip() for c in raw.split(",") if c.strip()):
+        match = re.fullmatch(r"([0-9]+)\s*(?:-\s*([0-9]+))?", chunk)
+        if match is None:
+            raise CliError(f"bad target entry {chunk!r}; expected N or N-M")
+        lo, hi = int(match[1]), int(match[2] or match[1])
+        if hi < lo:
+            raise CliError(f"descending target range {chunk!r}")
+        out.extend(range(lo, hi + 1))
     for t in out:
-        if not (0 <= t < n_frames):
+        if t >= n_frames:
             raise CliError(f"target frame index {t} out of range (0..{n_frames - 1})")
-    return out
+    return _entries(out, "target frame")
 
 
 def cmd_evaluate(args) -> int:
@@ -420,10 +405,7 @@ def cmd_evaluate(args) -> int:
     half_width = int(cfg.get("half_width", 10))
     fraction = float(cfg.get("holdout_fraction", 0.2))
     seed = setting("seed", int, 0)
-    methods = [m.strip() for m in cfg.get("methods", "single,transmc,s-transmc").split(",")
-               if m.strip()]
-    if not methods:
-        raise CliError("evaluate config lists no methods")
+    methods = _comma_list(cfg.get("methods", ",".join(METHODS)), "method", METHODS)
     frames = map_in_chunks(data_io.read_frame, frame_paths)
     a = _box_level(setting("a", float), [f.values for f in frames])
     opts = argparse.Namespace(**{
@@ -455,14 +437,10 @@ def cmd_evaluate(args) -> int:
     errors = dict(zip(first, map_in_workers(case_errors, [cases[i] for i in first])))
     rows = []
     for i, case in enumerate(cases):
-        e, re = errors[i] if i in errors else case_errors(case)
-        rows.append((frames[case[0]].frame_id, case[-1], e, re))
+        e, rel = errors[i] if i in errors else case_errors(case)
+        rows.append((frames[case[0]].frame_id, case[-1], f"{e:.12g}", f"{rel:.12g}"))
 
-    with open(out / "eval.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["frame", "method", "E", "RE"])
-        for frame_id, method, e, re in rows:
-            w.writerow([frame_id, method, f"{e:.12g}", f"{re:.12g}"])
+    metrics.write_csv(out / "eval.csv", ("frame", "method", "E", "RE"), rows)
     print(f"evaluated {len(targets)} frames x {len(methods)} methods -> {out / 'eval.csv'}")
     return 0
 

@@ -6,12 +6,15 @@ Frame format (UTF-8, LF): a header line ``m1 m2 frame_id`` followed by one
 be unique within a frame; unobserved entries are simply absent (never
 sentinel zeros). Writers emit records sorted by (row, col), so write/read is
 byte-lossless on canonicalized frames. Sample files share the record grammar
-(see README "File formats") and allow repeated coordinates.
+(see README "File formats") and allow repeated coordinates; their header
+``m1 m2 taskN`` ends in ``task`` and the task id in decimal digits, which is
+how read_dataset tells them from frames.
 """
 
 import math
+import re
 import warnings
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -287,6 +290,20 @@ def read_samples(path) -> MaskedDataset:
             raise ParseError(path, 1, "matrix dimensions must be positive")
         return _read_records(path, fh, m1, m2, partial(MaskedDataset, m1, m2, task_id=task_id),
                              unique=False)
+
+
+# The third header token of a sample file; any other token is a frame id.
+_SAMPLE_TAG = re.compile(r"task[0-9]+")
+
+
+def read_dataset(path, task_id: int = 0) -> MaskedDataset:
+    """A sample file or a frame, as a dataset with the given task id (which
+    replaces a sample file's own); the header's third token tells which."""
+    with open(path, "r", encoding="utf-8") as fh:
+        parts = fh.readline().split()
+    if len(parts) == 3 and _SAMPLE_TAG.fullmatch(parts[2]):
+        return replace(read_samples(path), task_id=task_id)
+    return read_frame(path).to_dataset(task_id)
 
 
 def write_dense(matrix, path, label: str = "matrix"):

@@ -47,10 +47,14 @@ class PenaltyPolicy:
     v: float | None = None
 
     def __post_init__(self):
-        if self.a <= 0.0:
-            raise ValueError("entry bound a must be positive")
-        if self.c1 <= 0.0 or self.c2 <= 0.0:
-            raise ValueError("penalty multipliers must be positive")
+        if not 0.0 < self.a < math.inf:
+            raise ValueError(f"entry bound a must be positive and finite, got {self.a}")
+        for name in ("c1", "c2"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"penalty multiplier {name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
+        if self.v is not None and not 0.0 <= self.v < math.inf:
+            raise ValueError(f"noise scale v must be finite and at least 0, got {self.v}")
 
     def resolve(self, target: MaskedDataset, cfg: SolverConfig) -> "PenaltyPolicy":
         """This policy with v filled in: unchanged when v is given, else v is

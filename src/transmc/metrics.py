@@ -76,22 +76,23 @@ def _fmt(x) -> str:
     return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
-def write_summary_csv(path, rows):
-    """rows: iterable of (method, scheme, RepSummary)."""
+def write_csv(path, header, rows):
+    """The one CSV dialect of every table transmc writes: UTF-8, comma
+    separated, LF line ends, the header row first."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for method, scheme, s in rows:
-            writer.writerow(
-                [method, scheme, _fmt(s.mean), _fmt(s.median), _fmt(s.min),
-                 _fmt(s.max), _fmt(s.sd)]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_summary_csv(path, rows):
+    """rows: iterable of (method, scheme, RepSummary)."""
+    write_csv(path, SUMMARY_COLUMNS,
+              ([method, scheme, _fmt(s.mean), _fmt(s.median), _fmt(s.min), _fmt(s.max),
+                _fmt(s.sd)] for method, scheme, s in rows))
 
 
 def write_curve_csv(path, points):
     """points: iterable of (k_sources, mean_err, sd)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CURVE_COLUMNS)
-        for k, mean_err, sd in points:
-            writer.writerow([k, _fmt(float(mean_err)), _fmt(float(sd))])
+    write_csv(path, CURVE_COLUMNS,
+              ([k, _fmt(float(mean_err)), _fmt(float(sd))] for k, mean_err, sd in points))

@@ -9,6 +9,7 @@ only on the target and on their own data, so screen_sources hands all of them
 to map_in_workers at once.
 """
 
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -42,10 +43,11 @@ class SelectionConfig:
     def __post_init__(self):
         if self.J < 2:
             raise ValueError(f"fold count J must be >= 2, got {self.J}")
-        if self.epsilon0 is not None and self.epsilon0 <= 0.0:
-            raise ValueError("epsilon0 must be positive")
-        if self.c_tilde <= 0.0:
-            raise ValueError("threshold multiplier c_tilde must be positive")
+        if self.epsilon0 is not None and not 0.0 < self.epsilon0 < math.inf:
+            raise ValueError(f"epsilon0 must be positive and finite, got {self.epsilon0}")
+        if not 0.0 < self.c_tilde < math.inf:
+            raise ValueError(f"threshold multiplier c_tilde must be positive and finite, "
+                             f"got {self.c_tilde}")
 
 
 @dataclass(frozen=True)
@@ -80,17 +82,9 @@ def split_folds(target: MaskedDataset, J: int, seed) -> list[MaskedDataset]:
     n = target.n
     if n < J:
         raise ValueError(f"cannot split {n} observations into {J} folds")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    perm = rng.permutation(n)
-    # First n % J folds get the extra observation.
-    base, extra = divmod(n, J)
-    folds = []
-    start = 0
-    for j in range(J):
-        size = base + (1 if j < extra else 0)
-        folds.append(target.subset(np.sort(perm[start:start + size])))
-        start += size
-    return folds
+    perm = np.random.default_rng(np.random.SeedSequence(seed)).permutation(n)
+    # array_split gives the first n % J folds the extra observation.
+    return [target.subset(np.sort(part)) for part in np.array_split(perm, J)]
 
 
 def fold_loss(fold: MaskedDataset, A) -> float:

@@ -8,7 +8,7 @@ fixed per scenario seed; sampling and noise are redrawn per replicate from
 derived seed streams.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -249,8 +249,7 @@ def synthetic_frames(m1: int = 91, m2: int = 180, n_frames: int = 12, rank: int 
     # map-like signal well above the unit noise floor.
     base *= 0.8 * a_cap / float(np.max(np.abs(base)))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
-    g = rng.standard_normal((m1, m2))
-    U, _, Vt = np.linalg.svd(g, full_matrices=False)
+    U, Vt = _random_orthonormal_pair(rng, m1, m2)
     direction = (U[:, :2] * np.array([1.0, 0.5])) @ Vt[:2]
     direction *= float(np.linalg.norm(base)) / float(np.linalg.norm(direction))
 
@@ -268,39 +267,30 @@ def synthetic_frames(m1: int = 91, m2: int = 180, n_frames: int = 12, rank: int 
     return truths, observations
 
 
-PRESETS: dict[str, ScenarioSpec] = {
+_UNIFORM_PRESETS = {
     # Reduced-scale designs sized so a laptop finishes a benchmark in minutes.
     "paper-5.1-small": ScenarioSpec(
         m1=60, m2=30, rank=3, contrasts=(80.0,) * 10,
         n0_frac=0.2, nk_frac=0.1, sampling="uniform", seed=11,
     ),
-    "paper-5.1-small-ss2": ScenarioSpec(
-        m1=60, m2=30, rank=3, contrasts=(80.0,) * 10,
-        n0_frac=0.2, nk_frac=0.1, sampling="product", seed=11,
-    ),
     "paper-5.2-small": ScenarioSpec(
         m1=60, m2=30, rank=3, contrasts=(80.0,) * 5 + (900.0,) * 5,
         n0_frac=0.2, nk_frac=0.15, sampling="uniform", seed=23,
-    ),
-    "paper-5.2-small-ss2": ScenarioSpec(
-        m1=60, m2=30, rank=3, contrasts=(80.0,) * 5 + (900.0,) * 5,
-        n0_frac=0.2, nk_frac=0.15, sampling="product", seed=23,
     ),
     # Full-scale designs from the source experiments; long-running.
     "paper-5.1-full": ScenarioSpec(
         m1=300, m2=150, rank=10, contrasts=(400.0,) * 10,
         n0_frac=0.2, nk_frac=0.1, sampling="uniform", seed=11,
     ),
-    "paper-5.1-full-ss2": ScenarioSpec(
-        m1=300, m2=150, rank=10, contrasts=(400.0,) * 10,
-        n0_frac=0.2, nk_frac=0.1, sampling="product", seed=11,
-    ),
     "paper-5.2-full": ScenarioSpec(
         m1=300, m2=150, rank=10, contrasts=(400.0,) * 5 + (1200.0,) * 5,
         n0_frac=0.2, nk_frac=0.15, sampling="uniform", seed=23,
     ),
-    "paper-5.2-full-ss2": ScenarioSpec(
-        m1=300, m2=150, rank=10, contrasts=(400.0,) * 5 + (1200.0,) * 5,
-        n0_frac=0.2, nk_frac=0.15, sampling="product", seed=23,
-    ),
+}
+
+# Each design also comes as "<name>-ss2", its row-times-column sampling twin.
+PRESETS: dict[str, ScenarioSpec] = {
+    key: value
+    for name, spec in _UNIFORM_PRESETS.items()
+    for key, value in ((name, spec), (f"{name}-ss2", replace(spec, sampling="product")))
 }

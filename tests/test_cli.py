@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from transmc import cli, selection
-from transmc.data_io import read_samples, read_scenario
+from transmc.data_io import FrameFile, read_samples, read_scenario, write_dense, write_frame
 from transmc.estimators import PenaltyPolicy, trans_mc
 from transmc.selection import SelectionConfig, s_trans_mc
 from transmc.solver import SolverConfig
@@ -181,6 +181,58 @@ def test_selection_report_has_a_row_per_fit(tmp_path, tiny_cfg):
                               "box_active": str(trace.box_active)}
 
 
+def test_select_writes_what_s_trans_mc_returns_byte_for_byte(tmp_path, tiny_cfg):
+    # transmc select and a library call of s_trans_mc with the same settings
+    # give the same estimate.txt and selection_report.csv.
+    assert run(["simulate", "--config", str(tiny_cfg), "--out", "sim"], tmp_path) == 0
+    target = str(tmp_path / "sim" / "target.samples")
+    sources = [str(tmp_path / "sim" / f"source_{k:02d}.samples") for k in (1, 2)]
+    assert run(["select", "--target", target, "--sources", ",".join(sources), "--out", "sel",
+                "--a", "30", "--noise-sd", "0.5", "--max-iters", "300", "--folds", "3",
+                "--c-tilde", "1.5", "--epsilon0", "0.4", "--seed", "7"], tmp_path) == 0
+    policy = PenaltyPolicy(a=30.0, c1=cli.DEFAULT_MULTIPLIER, c2=cli.DEFAULT_MULTIPLIER,
+                           v=0.5)
+    cfg = SelectionConfig(J=3, c_tilde=1.5, epsilon0=0.4, c0=cli.DEFAULT_MULTIPLIER,
+                          ck=cli.DEFAULT_MULTIPLIER, seed=7)
+    report, est = s_trans_mc(read_samples(target), [read_samples(p) for p in sources],
+                             cfg, policy, SolverConfig(max_iters=300))
+    write_dense(est.matrix, tmp_path / "estimate.txt", label="s-transmc")
+    cli._write_selection_report(tmp_path / "selection_report.csv", report)
+    for name in ("estimate.txt", "selection_report.csv"):
+        assert (tmp_path / "sel" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+def test_fit_reads_a_frame_whose_id_starts_with_task(tmp_path):
+    rng = np.random.default_rng(5)
+    flat = rng.choice(60, size=40, replace=False)
+    write_frame(FrameFile(6, 10, "taskforce", flat // 10, flat % 10,
+                          rng.standard_normal(40)), tmp_path / "tf.frame")
+    assert run(["fit", "--data", "tf.frame", "--out", "fit", "--noise-sd", "0.5"],
+               tmp_path) == 0
+    assert (tmp_path / "fit" / "estimate.txt").read_text().startswith("6 10 single\n")
+
+
+@pytest.mark.parametrize("command, option", [
+    ("fit", ["--noise-sd", "inf"]),
+    ("fit", ["--noise-sd", "nan"]),
+    ("fit", ["--noise-sd", "-1"]),
+    ("fit", ["--a", "inf"]),
+    ("fit", ["--c2", "nan"]),
+    ("select", ["--noise-sd", "nan"]),
+    ("select", ["--epsilon0", "nan"]),
+    ("select", ["--c-tilde", "inf"]),
+])
+def test_non_finite_penalty_and_selection_settings_exit_2(tmp_path, tiny_cfg, capsys,
+                                                          command, option):
+    assert run(["simulate", "--config", str(tiny_cfg), "--out", "sim"], tmp_path) == 0
+    files = {"fit": ["--data", "sim/target.samples"],
+             "select": ["--target", "sim/target.samples", "--sources", "sim/source_01.samples"]}
+    capsys.readouterr()
+    assert run([command, *files[command], "--out", "x", *option], tmp_path) == 2
+    assert capsys.readouterr().err.startswith("error: validation: ")
+    assert not (tmp_path / "x" / "estimate.txt").exists()
+
+
 def test_fit_report_shows_prox_evals_and_box_activity(tmp_path, tiny_cfg):
     assert run(["simulate", "--config", str(tiny_cfg), "--out", "sim"], tmp_path) == 0
     target = str(tmp_path / "sim" / "target.samples")
@@ -343,6 +395,24 @@ def test_benchmark_shared_fit_failure_is_recorded_under_both_tags(monkeypatch):
     assert result["errors"]["transmc"] is None
     assert result["curve"][2] is None and result["curve"][0] is not None
     assert result["failures"] == ["transmc: diverged", "curve-k2: diverged"]
+
+
+@pytest.mark.parametrize("option, named", [
+    (["--methods", ""], "no method listed"),
+    (["--methods", "single,single"], "method 'single' listed twice"),
+    (["--methods", "single,bogus"], "unknown method 'bogus'"),
+    (["--schemes", ""], "no sampling scheme listed"),
+    (["--schemes", "uniform,uniform"], "sampling scheme 'uniform' listed twice"),
+    (["--schemes", "ss1"], "unknown sampling scheme 'ss1'"),
+    (["--reps", "0"], "--reps must be at least 1, got 0"),
+    (["--reps", "0", "--methods", "curve"], "--reps must be at least 1, got 0"),
+])
+def test_benchmark_rejects_bad_lists_before_any_work(tmp_path, tiny_cfg, capsys, option,
+                                                     named):
+    assert run(["benchmark", "--config", str(tiny_cfg), "--out", "b", *option], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-invocation: ") and named in err
+    assert not (tmp_path / "b").exists()
 
 
 def test_benchmark_degenerate_matches_fit_plus_evaluate(tmp_path):
@@ -517,6 +587,29 @@ def test_evaluate_rejects_empty_selection(tmp_path, targets, methods):
                    f"methods: {methods}\n")
     assert run(["evaluate", "--config", str(cfg), "--out", "ev"], tmp_path) == 2
     assert not (tmp_path / "ev" / "eval.csv").exists()
+
+
+@pytest.mark.parametrize("targets, methods, named", [
+    ("0,0", "single", "target frame 0 listed twice"),
+    ("0-2,1", "single", "target frame 1 listed twice"),
+    ("0", "single,single", "method 'single' listed twice"),
+    ("-1", "single", "bad target entry '-1'"),
+    ("0", "single,bogus", "unknown method 'bogus'"),
+])
+def test_evaluate_rejects_bad_lists_before_parsing_frames(tmp_path, capsys, targets, methods,
+                                                          named):
+    # The frames are not even valid: the list checks come first.
+    paths = []
+    for t in range(3):
+        path = tmp_path / f"f{t}.frame"
+        path.write_text("4 5 bad\n0 0 oops\n")
+        paths.append(str(path))
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(f"frames: {','.join(paths)}\ntargets: {targets}\nmethods: {methods}\n")
+    assert run(["evaluate", "--config", str(cfg), "--out", "ev"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-invocation: ") and named in err
+    assert not (tmp_path / "ev").exists()
 
 
 def test_evaluate_rejects_unknown_config_key(tmp_path, capsys):

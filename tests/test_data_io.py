@@ -11,6 +11,7 @@ from transmc.data_io import (
     FrameFile,
     ParseError,
     holdout_split,
+    read_dataset,
     read_frame,
     read_samples,
     read_scenario,
@@ -258,6 +259,30 @@ def test_samples_preserve_simulated_dataset_bits(tmp_path):
     write_samples(data.target, path)
     back = read_samples(path)
     assert np.array_equal(back.values, data.target.values)
+
+
+def _same_observations(a: MaskedDataset, b: MaskedDataset) -> bool:
+    return (a.shape == b.shape and a.task_id == b.task_id
+            and all(np.array_equal(getattr(a, f), getattr(b, f))
+                    for f in ("rows", "cols", "values")))
+
+
+def test_read_dataset_tells_a_task_frame_id_from_a_sample_header(tmp_path):
+    # "task" followed by decimal digits marks a sample file; a frame whose id
+    # merely starts with "task" is still a frame.
+    frame = FrameFile(3, 4, "taskforce", [0, 2], [1, 3], [1.5, -0.25])
+    write_frame(frame, tmp_path / "tf.frame")
+    samples = MaskedDataset(3, 4, [0, 0, 2], [1, 1, 3], [1.5, -0.25, 3.0], task_id=3)
+    write_samples(samples, tmp_path / "t.samples")
+    assert (tmp_path / "t.samples").read_text().startswith("3 4 task3\n")
+
+    assert _same_observations(read_dataset(tmp_path / "tf.frame", task_id=2),
+                              frame.to_dataset(task_id=2))
+    # Repeated coordinates: only a sample file may hold them.
+    assert _same_observations(read_dataset(tmp_path / "t.samples", task_id=1),
+                              MaskedDataset(3, 4, samples.rows, samples.cols, samples.values,
+                                            task_id=1))
+    assert read_dataset(tmp_path / "t.samples").task_id == 0
 
 
 # ---------------------------------------------------------------------------

@@ -493,3 +493,17 @@ def test_penalty_policy_validation():
         PenaltyPolicy(a=-1.0)
     with pytest.raises(ValueError):
         PenaltyPolicy(a=1.0, c1=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    *((f, x) for f in ("a", "c1", "c2") for x in (float("nan"), float("inf"), 0.0, -1.0)),
+    ("v", float("nan")), ("v", float("inf")), ("v", -1.0),
+])
+def test_penalty_policy_rejects_non_finite_and_out_of_range_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        PenaltyPolicy(**{"a": 1.0, field: value})
+
+
+def test_penalty_policy_accepts_a_zero_or_missing_noise_scale():
+    assert PenaltyPolicy(a=1.0, v=0.0).v == 0.0
+    assert PenaltyPolicy(a=1.0).v is None

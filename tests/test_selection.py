@@ -63,6 +63,24 @@ def test_split_folds_partition_and_determinism():
     assert tagged == original
 
 
+@pytest.mark.parametrize("n", [7, 8, 9, 10, 11, 360, 361])
+@pytest.mark.parametrize("J", [2, 3, 4, 5])
+def test_split_folds_cuts_the_permutation_in_order(n, J):
+    # Fold j is the j-th run of the seeded permutation, sorted, and the
+    # first n % J folds hold the one extra observation.
+    ds = uniform_task(np.ones((20, 20)), n, 3)
+    perm = np.random.default_rng(np.random.SeedSequence(17)).permutation(n)
+    base, extra = divmod(n, J)
+    start = 0
+    for j, fold in enumerate(split_folds(ds, J, seed=17)):
+        size = base + (j < extra)
+        expected = ds.subset(np.sort(perm[start:start + size]))
+        start += size
+        for name in ("rows", "cols", "values"):
+            assert np.array_equal(getattr(fold, name), getattr(expected, name))
+    assert start == n
+
+
 def test_split_folds_rejects_tiny_dataset():
     ds = uniform_task(np.ones((3, 3)), 3, 1)
     with pytest.raises(ValueError):
@@ -421,3 +439,12 @@ def test_selection_config_validation():
         SelectionConfig(epsilon0=-0.1)
     with pytest.raises(ValueError):
         SelectionConfig(c_tilde=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    *(("epsilon0", x) for x in (float("nan"), float("inf"), 0.0, -1.0)),
+    *(("c_tilde", x) for x in (float("nan"), float("inf"), 0.0, -1.0)),
+])
+def test_selection_config_rejects_non_finite_and_out_of_range_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        SelectionConfig(**{field: value})

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,14 @@ def test_presets_materialize():
         data = generate_scenario(spec, rep=0)
         assert data.target.n == spec.n0
         assert len(data.sources) == spec.K
+
+
+def test_each_ss2_preset_is_its_uniform_twin_with_product_sampling():
+    names = ["paper-5.1-small", "paper-5.2-small", "paper-5.1-full", "paper-5.2-full"]
+    assert sorted(PRESETS) == sorted([*names, *(f"{n}-ss2" for n in names)])
+    for name in names:
+        assert PRESETS[name].sampling == "uniform"
+        assert PRESETS[f"{name}-ss2"] == replace(PRESETS[name], sampling="product")
 
 
 def test_synthetic_frames_shapes_and_missingness():
