@@ -16,7 +16,7 @@ from transmc.estimators import (
     trans_mc,
 )
 from transmc.selection import SelectionConfig, SelectionReport, s_trans_mc, select_sources
-from transmc.simulation import SamplingModel, ScenarioSpec, generate_scenario
+from transmc.simulation import ScenarioSpec, generate_scenario
 from transmc.solver import SolveTrace, SolverConfig, lamm_solve
 
 __version__ = "0.1.0"
@@ -25,7 +25,6 @@ __all__ = [
     "Estimate",
     "MaskedDataset",
     "PenaltyPolicy",
-    "SamplingModel",
     "ScenarioSpec",
     "SelectionConfig",
     "SelectionReport",

@@ -1,26 +1,26 @@
 """Persistence: masked-frame files, scenario configs, sample files, dense
 matrices, source windows and train/test holdout splitting.
 
-Frame format (UTF-8, LF): a header line ``m1 m2 frame_id`` followed by one
-``row col value`` line per observed entry, indices 0-based. Coordinates must
-be unique within a frame; unobserved entries are simply absent (never
-sentinel zeros). Writers emit records sorted by (row, col), so write/read is
-byte-lossless on canonicalized frames. Sample files share the record grammar
-(see README "File formats") and allow repeated coordinates; their header
-``m1 m2 taskN`` ends in ``task`` and the task id in decimal digits, which is
-how read_dataset tells them from frames.
+Frame and sample files (UTF-8, LF) share one layout: a header line
+``m1 m2 token`` followed by one ``row col value`` line per observation,
+indices 0-based (record grammar in README "File formats"). A frame's token is
+its id; its coordinates must be unique, unobserved entries are simply absent
+(never sentinel zeros), and writers emit records sorted by (row, col), so
+write/read is byte-lossless on canonicalized frames. A sample file's token is
+``task`` and its task id (at least 0) in ASCII digits, which is how
+read_dataset tells it from a frame; its records may repeat coordinates.
 """
 
 import math
 import re
 import warnings
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from transmc.datasets import MaskedDataset
+from transmc.datasets import MaskedDataset, checked_triplets
 from transmc.simulation import ScenarioSpec
 
 
@@ -38,7 +38,8 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class FrameFile:
-    """One partially observed matrix frame."""
+    """One partially observed matrix frame: checked_triplets' observations,
+    at unique coordinates and possibly none, under a frame id without spaces."""
 
     m1: int
     m2: int
@@ -48,19 +49,11 @@ class FrameFile:
     values: np.ndarray
 
     def __post_init__(self):
-        rows = np.ascontiguousarray(self.rows, dtype=np.int64)
-        cols = np.ascontiguousarray(self.cols, dtype=np.int64)
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= self.m1:
-                raise ValueError("row index out of range")
-            if cols.min() < 0 or cols.max() >= self.m2:
-                raise ValueError("column index out of range")
-            flat = np.sort(rows * self.m2 + cols)
-            if np.any(flat[1:] == flat[:-1]):
-                raise ValueError("duplicate coordinates within one frame")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("frame values contain non-finite entries")
+        rows, cols, values = checked_triplets(self.m1, self.m2, self.rows, self.cols,
+                                              self.values)
+        flat = np.sort(rows * self.m2 + cols)
+        if np.any(flat[1:] == flat[:-1]):
+            raise ValueError("duplicate coordinates within one frame")
         if " " in self.frame_id or not self.frame_id:
             raise ValueError("frame_id must be a nonempty token without spaces")
         object.__setattr__(self, "rows", rows)
@@ -142,22 +135,34 @@ def _write_records(fh, rows, cols, values):
                      for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist())))
 
 
+# The header token of a sample file: "task" and the task id in ASCII digits.
+# Any other token is a frame id.
+_SAMPLE_TAG = re.compile(r"task([0-9]+)")
+
+
+def _read_header(path, fh):
+    """(m1, m2, token) of the ``m1 m2 token`` header, the line fh reads next;
+    m1 and m2 must be positive integers."""
+    header = fh.readline()
+    if not header:
+        raise ParseError(path, 1, "empty file, expected header 'm1 m2 token'")
+    parts = header.split()
+    if len(parts) != 3:
+        raise ParseError(path, 1, f"malformed header {header.strip()!r}")
+    try:
+        m1, m2 = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError(path, 1, f"non-integer dimensions in header {header.strip()!r}")
+    if m1 < 1 or m2 < 1:
+        raise ParseError(path, 1, "matrix dimensions must be positive")
+    return m1, m2, parts[2]
+
+
 def read_frame(path) -> FrameFile:
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
-            raise ParseError(path, 1, "empty file, expected header 'm1 m2 frame_id'")
-        parts = header.split()
-        if len(parts) != 3:
-            raise ParseError(path, 1, f"malformed header {header.strip()!r}")
-        try:
-            m1, m2 = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(path, 1, f"non-integer dimensions in header {header.strip()!r}")
-        if m1 < 1 or m2 < 1:
-            raise ParseError(path, 1, "matrix dimensions must be positive")
-        return _read_records(path, fh, m1, m2, partial(FrameFile, m1, m2, parts[2]),
+        m1, m2, frame_id = _read_header(path, fh)
+        return _read_records(path, fh, m1, m2, partial(FrameFile, m1, m2, frame_id),
                              unique=True)
 
 
@@ -278,32 +283,26 @@ def write_samples(dataset: MaskedDataset, path):
 def read_samples(path) -> MaskedDataset:
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or not header[2].startswith("task"):
-            raise ParseError(path, 1, "malformed sample header, expected 'm1 m2 taskN'")
-        try:
-            m1, m2 = int(header[0]), int(header[1])
-            task_id = int(header[2][4:])
-        except ValueError:
-            raise ParseError(path, 1, "malformed sample header fields")
-        if m1 < 1 or m2 < 1:
-            raise ParseError(path, 1, "matrix dimensions must be positive")
-        return _read_records(path, fh, m1, m2, partial(MaskedDataset, m1, m2, task_id=task_id),
-                             unique=False)
-
-
-# The third header token of a sample file; any other token is a frame id.
-_SAMPLE_TAG = re.compile(r"task[0-9]+")
+        m1, m2, token = _read_header(path, fh)
+        tag = _SAMPLE_TAG.fullmatch(token)
+        if not tag:
+            raise ParseError(path, 1, f"sample header token {token!r} is not 'task' "
+                             "followed by a task id in decimal digits")
+        return _read_records(path, fh, m1, m2,
+                             partial(MaskedDataset, m1, m2, task_id=int(tag[1])), unique=False)
 
 
 def read_dataset(path, task_id: int = 0) -> MaskedDataset:
     """A sample file or a frame, as a dataset with the given task id (which
-    replaces a sample file's own); the header's third token tells which."""
+    replaces a sample file's own); the header's token tells which."""
+    path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        parts = fh.readline().split()
-    if len(parts) == 3 and _SAMPLE_TAG.fullmatch(parts[2]):
-        return replace(read_samples(path), task_id=task_id)
-    return read_frame(path).to_dataset(task_id)
+        m1, m2, token = _read_header(path, fh)
+        if _SAMPLE_TAG.fullmatch(token):
+            return _read_records(path, fh, m1, m2,
+                                 partial(MaskedDataset, m1, m2, task_id=task_id), unique=False)
+        frame = _read_records(path, fh, m1, m2, partial(FrameFile, m1, m2, token), unique=True)
+    return frame.to_dataset(task_id)
 
 
 def write_dense(matrix, path, label: str = "matrix"):

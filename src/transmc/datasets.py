@@ -1,8 +1,27 @@
-"""Observation containers for masked-matrix regression tasks."""
+"""Observation containers for masked-matrix regression tasks, and the one
+check of (row, col, value) observations that every container runs."""
 
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def checked_triplets(m1: int, m2: int, rows, cols, values):
+    """rows, cols and values as contiguous int64, int64 and float64 1-d arrays
+    of one length, after checking that m1, m2 >= 1, that every (row, col)
+    lies inside m1 x m2 and that every value is finite; ValueError otherwise."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    cols = np.ascontiguousarray(cols, dtype=np.int64)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if m1 < 1 or m2 < 1:
+        raise ValueError(f"matrix dims must be positive, got {m1} x {m2}")
+    if not (rows.shape == cols.shape == values.shape) or rows.ndim != 1:
+        raise ValueError("rows, cols and values must be 1-d arrays of equal length")
+    if rows.size and (rows.min() < 0 or rows.max() >= m1 or cols.min() < 0 or cols.max() >= m2):
+        raise ValueError("observation coordinates out of matrix bounds")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("observed values contain non-finite entries")
+    return rows, cols, values
 
 
 @dataclass(frozen=True)
@@ -12,7 +31,7 @@ class MaskedDataset:
     rows/cols are the sampled coordinates (0-based) and values the noisy
     entries observed there. Repeated coordinates are legitimate distinct
     samples (sampling is with replacement). task_id 0 marks the target,
-    1..K the sources.
+    1..K the sources; it is never negative.
     """
 
     m1: int
@@ -23,19 +42,12 @@ class MaskedDataset:
     task_id: int = 0
 
     def __post_init__(self):
-        rows = np.ascontiguousarray(self.rows, dtype=np.int64)
-        cols = np.ascontiguousarray(self.cols, dtype=np.int64)
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if self.m1 < 1 or self.m2 < 1:
-            raise ValueError(f"matrix dims must be positive, got {self.m1} x {self.m2}")
-        if not (rows.shape == cols.shape == values.shape) or rows.ndim != 1:
-            raise ValueError("rows, cols and values must be 1-d arrays of equal length")
+        rows, cols, values = checked_triplets(self.m1, self.m2, self.rows, self.cols,
+                                              self.values)
         if rows.size < 1:
             raise ValueError("dataset must contain at least one observation")
-        if rows.min() < 0 or rows.max() >= self.m1 or cols.min() < 0 or cols.max() >= self.m2:
-            raise ValueError("observation coordinates out of matrix bounds")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("observed values contain non-finite entries")
+        if self.task_id < 0:
+            raise ValueError(f"task_id must be nonnegative, got {self.task_id}")
         for arr in (rows, cols, values):
             arr.flags.writeable = False
         object.__setattr__(self, "rows", rows)

@@ -116,12 +116,12 @@ def _fan_out(fn, items, workers) -> list:
         _in_fan_out = False
         for _, read_end in children:
             with open(read_end, "rb", closefd=False) as fh:
-                data = fh.read()
-            try:
-                sent = pickle.loads(data)
-            except (EOFError, pickle.UnpicklingError):
-                sent = []  # the child died while writing; its items are lost
-            for i, outcome in sent:
+                try:
+                    sent = pickle.load(fh)
+                except (EOFError, pickle.UnpicklingError):
+                    sent = []  # the child died while writing; its items are lost
+            for j, (i, outcome) in enumerate(sent):
+                sent[j] = None  # the outcome's bytes go once it is unpickled
                 try:
                     outcomes[i] = pickle.loads(outcome)
                 except Exception as exc:

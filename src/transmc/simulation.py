@@ -1,13 +1,15 @@
 """Reproducible generators for the simulation designs: low-rank targets with
 an exp-uniform spectrum, sources at controlled nuclear-norm contrasts from
-the target, uniform and row-times-column sampling schemes, and noisy
-observation draws.
+the target, and noisy observation draws under the one sampling scheme that
+ScenarioSpec.sampling names for every task: "uniform" (SS1) or "product"
+(SS2, row-times-column marginals drawn per task).
 
 Everything is a pure function of (spec, seed, replicate index). Matrices are
 fixed per scenario seed; sampling and noise are redrawn per replicate from
 derived seed streams.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,41 +24,6 @@ _OBS_STREAM = 2
 
 class GenerationError(RuntimeError):
     """Matrix generation could not satisfy the configured constraints."""
-
-
-@dataclass(frozen=True)
-class SamplingModel:
-    """Entry-sampling distribution for one task.
-
-    kind "uniform": every cell has probability 1/(m1 m2).
-    kind "row_col_product": P[j, l] = row_probs[j] * col_probs[l].
-    """
-
-    kind: str
-    m1: int
-    m2: int
-    row_probs: np.ndarray | None = None
-    col_probs: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("uniform", "row_col_product"):
-            raise ValueError(f"unknown sampling kind {self.kind!r}")
-        if self.kind == "row_col_product":
-            r, c = np.asarray(self.row_probs), np.asarray(self.col_probs)
-            if r.shape != (self.m1,) or c.shape != (self.m2,):
-                raise ValueError("marginal probability vectors have wrong length")
-            if np.any(r < 0) or np.any(c < 0):
-                raise ValueError("negative sampling probabilities")
-            if abs(r.sum() - 1.0) > 1e-10 or abs(c.sum() - 1.0) > 1e-10:
-                raise ValueError("marginal probabilities must sum to 1")
-
-    def draw(self, rng: np.random.Generator, n: int):
-        """n i.i.d. coordinate draws (with replacement)."""
-        if self.kind == "uniform":
-            return rng.integers(0, self.m1, size=n), rng.integers(0, self.m2, size=n)
-        rows = rng.choice(self.m1, size=n, p=self.row_probs)
-        cols = rng.choice(self.m2, size=n, p=self.col_probs)
-        return rows, cols
 
 
 @dataclass(frozen=True)
@@ -84,12 +51,12 @@ class ScenarioSpec:
             raise ValueError(f"rank {self.rank} not in [1, min(m1, m2)]")
         if not (0.0 < self.n0_frac <= 1.0 and 0.0 < self.nk_frac <= 1.0):
             raise ValueError("sample-size fractions must lie in (0, 1]")
-        if self.noise_sd < 0.0:
-            raise ValueError("noise_sd must be nonnegative")
-        if self.a_cap <= 0.0:
-            raise ValueError("a_cap must be positive")
-        if any(h < 0 for h in self.contrasts):
-            raise ValueError("contrast targets must be nonnegative")
+        if not 0.0 <= self.noise_sd < math.inf:
+            raise ValueError(f"noise_sd must be nonnegative and finite, got {self.noise_sd}")
+        if not 0.0 < self.a_cap < math.inf:
+            raise ValueError(f"a_cap must be positive and finite, got {self.a_cap}")
+        if not all(0.0 <= h < math.inf for h in self.contrasts):
+            raise ValueError("contrast targets must be nonnegative and finite")
         if self.sampling not in ("uniform", "product"):
             raise ValueError(f"unknown sampling scheme {self.sampling!r}; "
                              "use uniform or product")
@@ -165,32 +132,38 @@ def gen_sources(A0: np.ndarray, spec: ScenarioSpec, max_retries: int = 50):
     return matrices, achieved
 
 
-def gen_sampling(spec: ScenarioSpec, task: int) -> SamplingModel:
-    """Sampling model of one task under spec.sampling; product marginals are
-    uniform draws, normalized, from the task's own seed stream."""
+def gen_sampling(spec: ScenarioSpec, task: int):
+    """Sampling of one task under spec.sampling: None for uniform, else the
+    (row, column) marginals of the product scheme, P[j, l] = rows[j] * cols[l],
+    drawn uniform and normalized from the task's own seed stream."""
     if spec.sampling == "uniform":
-        return SamplingModel(kind="uniform", m1=spec.m1, m2=spec.m2)
+        return None
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, _SAMPLING_STREAM, task)))
     r = rng.uniform(size=spec.m1)
     c = rng.uniform(size=spec.m2)
-    return SamplingModel(
-        kind="row_col_product", m1=spec.m1, m2=spec.m2,
-        row_probs=r / r.sum(), col_probs=c / c.sum(),
-    )
+    return r / r.sum(), c / c.sum()
 
 
-def sample_observations(A, sampling: SamplingModel, n: int, noise_sd: float,
+def sample_observations(A, marginals, n: int, noise_sd: float,
                         seed, task_id: int = 0) -> MaskedDataset:
-    """n noisy entry observations Y = A[r, c] + N(0, noise_sd^2), i.i.d. coordinates."""
+    """n noisy entry observations Y = A[r, c] + N(0, noise_sd^2) at i.i.d.
+    coordinates, uniform when marginals is None, else drawn from the
+    (row, column) marginals that gen_sampling returns."""
     if n < 1:
         raise ValueError("need at least one observation")
     A = np.asarray(A, dtype=np.float64)
+    m1, m2 = A.shape
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    rows, cols = sampling.draw(rng, n)
+    if marginals is None:
+        rows = rng.integers(0, m1, size=n)
+        cols = rng.integers(0, m2, size=n)
+    else:
+        rows = rng.choice(m1, size=n, p=marginals[0])
+        cols = rng.choice(m2, size=n, p=marginals[1])
     values = A[rows, cols]
     if noise_sd > 0.0:
         values = values + noise_sd * rng.standard_normal(n)
-    return MaskedDataset(A.shape[0], A.shape[1], rows, cols, values, task_id)
+    return MaskedDataset(m1, m2, rows, cols, values, task_id)
 
 
 @dataclass(frozen=True)

@@ -171,13 +171,14 @@ def read_samples_line_by_line(path) -> MaskedDataset:
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 3 or not header[2].startswith("task"):
+        digits = header[2][4:] if len(header) == 3 and header[2][:4] == "task" else ""
+        if not (digits.isascii() and digits.isdigit()):
             raise ParseError(path, 1, "malformed sample header, expected 'm1 m2 taskN'")
         try:
             m1, m2 = int(header[0]), int(header[1])
-            task_id = int(header[2][4:])
         except ValueError:
             raise ParseError(path, 1, "malformed sample header fields")
+        task_id = int(digits)
         rows, cols, values = [], [], []
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
@@ -318,28 +319,29 @@ def majorizer(A, B, phi: float, loss) -> float:
     return float(loss.value(B) + np.sum(loss.gradient(B) * diff) + 0.5 * phi * np.sum(diff * diff))
 
 
-def prob_matrix(model) -> np.ndarray:
-    """The m1 x m2 matrix of cell probabilities of a SamplingModel."""
-    if model.kind == "uniform":
-        return np.full((model.m1, model.m2), 1.0 / (model.m1 * model.m2))
-    return np.outer(model.row_probs, model.col_probs)
+def prob_matrix(m1: int, m2: int, marginals) -> np.ndarray:
+    """The m1 x m2 matrix of cell probabilities of gen_sampling's marginals
+    (None: uniform)."""
+    if marginals is None:
+        return np.full((m1, m2), 1.0 / (m1 * m2))
+    return np.outer(*marginals)
 
 
-def sampling_diagnostics(model) -> dict:
-    """mu_hat = 1 / (m1 m2 min P) plus max cell and marginal probabilities of a
-    SamplingModel."""
-    if model.kind == "uniform":
-        cell = 1.0 / (model.m1 * model.m2)
+def sampling_diagnostics(m1: int, m2: int, marginals) -> dict:
+    """mu_hat = 1 / (m1 m2 min P) plus max cell and marginal probabilities of
+    gen_sampling's marginals (None: uniform)."""
+    if marginals is None:
+        cell = 1.0 / (m1 * m2)
         return {
             "mu_hat": 1.0,
             "max_prob": cell,
-            "max_row_marginal": 1.0 / model.m1,
-            "max_col_marginal": 1.0 / model.m2,
+            "max_row_marginal": 1.0 / m1,
+            "max_col_marginal": 1.0 / m2,
         }
-    P = prob_matrix(model)
+    P = prob_matrix(m1, m2, marginals)
     min_p = float(P.min())
     return {
-        "mu_hat": math.inf if min_p == 0.0 else 1.0 / (model.m1 * model.m2 * min_p),
+        "mu_hat": math.inf if min_p == 0.0 else 1.0 / (m1 * m2 * min_p),
         "max_prob": float(P.max()),
         "max_row_marginal": float(P.sum(axis=1).max()),
         "max_col_marginal": float(P.sum(axis=0).max()),

@@ -96,6 +96,14 @@ def test_simulate_invalid_rank_nonzero_exit(tmp_path, capsys):
     assert not (tmp_path / "y" / "scenario.cfg").exists()
 
 
+def test_simulate_rejects_a_nan_noise_sd_and_writes_nothing(tmp_path, capsys):
+    bad = tmp_path / "nan.cfg"
+    bad.write_text(TINY_SCENARIO.replace("noise_sd: 0.5", "noise_sd: nan"))
+    assert run(["simulate", "--config", str(bad), "--out", "sim"], tmp_path) == 2
+    assert capsys.readouterr().err.startswith("error: validation: ")
+    assert not (tmp_path / "sim").exists()
+
+
 def test_unknown_preset_rejected(tmp_path, capsys):
     assert run(["simulate", "--preset", "nope", "--out", "x"], tmp_path) == 2
     err = capsys.readouterr().err

@@ -111,6 +111,18 @@ def test_frame_rejects_duplicates_at_construction():
                   np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("m1, m2, rows, cols, values", [
+    (2, 2, [0, 1], [0], [1.0, 2.0]),             # cols shorter
+    (2, 2, [0, 1], [0, 1], [1.0]),               # values shorter
+    (2, 2, [[0, 1]], [[0, 1]], [[1.0, 2.0]]),    # 2-d arrays
+    (0, 2, [], [], []),
+    (2, 0, [], [], []),
+], ids=["cols-short", "values-short", "2-d", "m1-zero", "m2-zero"])
+def test_frame_rejects_malformed_observations(m1, m2, rows, cols, values):
+    with pytest.raises(ValueError):
+        FrameFile(m1, m2, "x", rows, cols, values)
+
+
 def test_empty_frame_reads_without_warning(tmp_path):
     path = tmp_path / "e.frame"
     for text in ("3 4 empty\n", "3 4 empty", "3 4 empty\n\n  \t\n"):
@@ -251,6 +263,18 @@ def test_samples_round_trip_with_duplicates(tmp_path):
     assert np.array_equal(back.rows, ds.rows)
     assert np.array_equal(back.cols, ds.cols)
     assert np.array_equal(back.values, ds.values)
+
+
+def test_task_ids_are_nonnegative(tmp_path):
+    with pytest.raises(ValueError, match="task_id"):
+        MaskedDataset(3, 4, [0], [1], [1.5], task_id=-1)
+    # The header token is "task" and ASCII digits only, as read_dataset reads it.
+    path = tmp_path / "neg.samples"
+    for token in ("task-1", "task+1", "task", "task1_0", "task\u0661"):
+        path.write_text(f"3 4 {token}\n0 1 1.5\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_samples(path)
+        assert err.value.line_no == 1
 
 
 def test_samples_preserve_simulated_dataset_bits(tmp_path):

@@ -23,7 +23,7 @@ from transmc.estimators import (
 )
 from transmc.losses import MaskedSquaredLoss
 from transmc.metrics import rel_frob_error
-from transmc.simulation import SamplingModel, sample_observations
+from transmc.simulation import sample_observations
 from transmc.solver import SolverConfig, SolverDivergedError
 from _oracles import penalty_multiplier, prox_gradient_fixed_step
 
@@ -194,8 +194,7 @@ def test_debias_requires_target_task():
 # ---------------------------------------------------------------------------
 
 def _sampled_task(T, n, seed, task_id, noise=0.5):
-    model = SamplingModel(kind="uniform", m1=T.shape[0], m2=T.shape[1])
-    return sample_observations(T, model, n, noise, seed, task_id=task_id)
+    return sample_observations(T, None, n, noise, seed, task_id=task_id)
 
 
 def test_trans_mc_zero_sources_matches_fit_single():

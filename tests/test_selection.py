@@ -19,7 +19,7 @@ from transmc.selection import (
     source_losses,
     split_folds,
 )
-from transmc.simulation import PRESETS, SamplingModel, generate_scenario, sample_observations
+from transmc.simulation import PRESETS, generate_scenario, sample_observations
 from transmc.solver import SolverConfig, SolverDivergedError
 from _oracles import loss_double_loop, penalty_multiplier
 
@@ -28,8 +28,7 @@ CFG = SolverConfig(max_iters=1000)
 
 
 def uniform_task(T, n, seed, task_id=0, noise=0.3):
-    model = SamplingModel(kind="uniform", m1=T.shape[0], m2=T.shape[1])
-    return sample_observations(T, model, n, noise, seed, task_id=task_id)
+    return sample_observations(T, None, n, noise, seed, task_id=task_id)
 
 
 # ---------------------------------------------------------------------------

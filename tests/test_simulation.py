@@ -7,7 +7,6 @@ from transmc.simulation import (
     CONTRAST_BAND,
     PRESETS,
     GenerationError,
-    SamplingModel,
     ScenarioSpec,
     gen_sampling,
     gen_sources,
@@ -95,83 +94,65 @@ def test_gen_sources_infeasible_cap_raises():
 
 
 # ---------------------------------------------------------------------------
-# gen_sampling / SamplingModel
+# gen_sampling / sample_observations
 # ---------------------------------------------------------------------------
 
 def test_uniform_sampling_probabilities():
     spec = ScenarioSpec(m1=300, m2=150, rank=3, seed=1)
-    model = gen_sampling(spec, task=0)
-    P = prob_matrix(model)
+    marginals = gen_sampling(spec, task=0)
+    assert marginals is None
+    P = prob_matrix(300, 150, marginals)
     assert np.allclose(P, 1.0 / 45000)
-    diag = sampling_diagnostics(model)
+    diag = sampling_diagnostics(300, 150, marginals)
     assert diag["mu_hat"] == pytest.approx(1.0)
 
 
 def test_product_sampling_is_rank_one():
     spec = ScenarioSpec(m1=20, m2=15, rank=2, sampling="product", seed=4)
-    model = gen_sampling(spec, task=2)
-    P = prob_matrix(model)
+    rows, cols = gen_sampling(spec, task=2)
+    assert rows.shape == (20,) and cols.shape == (15,)
+    assert np.all(rows >= 0) and np.all(cols >= 0)
+    P = prob_matrix(20, 15, (rows, cols))
     assert abs(P.sum() - 1.0) <= 1e-10
     assert numerical_rank(P) == 1
-    outer = np.outer(model.row_probs, model.col_probs)
-    assert np.max(np.abs(P - outer)) <= 1e-12
 
 
 def test_product_sampling_differs_by_task():
     spec = ScenarioSpec(m1=20, m2=15, rank=2, sampling="product", seed=4)
     a = gen_sampling(spec, task=0)
     b = gen_sampling(spec, task=1)
-    assert not np.allclose(a.row_probs, b.row_probs)
+    assert not np.allclose(a[0], b[0])
 
 
-def test_product_sampling_validation():
+def test_sampling_diagnostics_of_product_marginals():
     half = np.full(2, 0.5)
-    with pytest.raises(ValueError):  # marginal sums to 0.6
-        SamplingModel(kind="row_col_product", m1=2, m2=2,
-                      row_probs=np.full(2, 0.3), col_probs=half)
-    with pytest.raises(ValueError):  # negative entry, sum still 1
-        SamplingModel(kind="row_col_product", m1=2, m2=2,
-                      row_probs=half, col_probs=np.array([1.1, -0.1]))
-    with pytest.raises(ValueError):  # wrong length
-        SamplingModel(kind="row_col_product", m1=3, m2=2, row_probs=half, col_probs=half)
-    with pytest.raises(ValueError):
-        SamplingModel(kind="explicit", m1=2, m2=2)
-    model = SamplingModel(kind="row_col_product", m1=2, m2=2,
-                          row_probs=np.array([0.75, 0.25]), col_probs=half)
-    diag = sampling_diagnostics(model)
+    diag = sampling_diagnostics(2, 2, (np.array([0.75, 0.25]), half))
     assert diag["mu_hat"] == pytest.approx(1.0 / (4 * 0.125))
     assert diag["max_prob"] == pytest.approx(0.375)
     assert diag["max_row_marginal"] == pytest.approx(0.75)
     assert diag["max_col_marginal"] == pytest.approx(0.5)
 
 
-# ---------------------------------------------------------------------------
-# sample_observations
-# ---------------------------------------------------------------------------
-
 def test_sample_observations_noiseless_exact():
     A = np.arange(12.0).reshape(3, 4)
-    model = SamplingModel(kind="uniform", m1=3, m2=4)
-    ds = sample_observations(A, model, 50, 0.0, seed=7)
+    ds = sample_observations(A, None, 50, 0.0, seed=7)
     assert np.array_equal(ds.values, A[ds.rows, ds.cols])
 
 
 def test_sample_observations_deterministic():
     A = np.arange(12.0).reshape(3, 4)
-    model = SamplingModel(kind="uniform", m1=3, m2=4)
-    d1 = sample_observations(A, model, 30, 1.0, seed=(1, 2))
-    d2 = sample_observations(A, model, 30, 1.0, seed=(1, 2))
+    d1 = sample_observations(A, None, 30, 1.0, seed=(1, 2))
+    d2 = sample_observations(A, None, 30, 1.0, seed=(1, 2))
     assert np.array_equal(d1.rows, d2.rows)
     assert np.array_equal(d1.values, d2.values)
-    d3 = sample_observations(A, model, 30, 1.0, seed=(1, 3))
+    d3 = sample_observations(A, None, 30, 1.0, seed=(1, 3))
     assert not np.array_equal(d1.values, d3.values)
 
 
 def test_sample_observations_multinomial_concentration():
     A = np.zeros((10, 10))
-    model = SamplingModel(kind="uniform", m1=10, m2=10)
     n = 100_000
-    ds = sample_observations(A, model, n, 0.0, seed=13)
+    ds = sample_observations(A, None, n, 0.0, seed=13)
     counts = np.zeros((10, 10))
     np.add.at(counts, (ds.rows, ds.cols), 1.0)
     p = 0.01
@@ -218,6 +199,21 @@ def test_scenario_spec_validation():
         ScenarioSpec(m1=4, m2=4, rank=2, contrasts=(1.0,), sampling=("uniform", "product"))
     with pytest.raises(ValueError, match="bogus"):
         ScenarioSpec(m1=4, m2=4, rank=2, sampling="bogus")
+
+
+@pytest.mark.parametrize("settings, message", [
+    (dict(noise_sd=float("nan")), "noise_sd"),
+    (dict(noise_sd=float("inf")), "noise_sd"),
+    (dict(a_cap=float("nan")), "a_cap"),
+    (dict(a_cap=float("inf")), "a_cap"),
+    (dict(contrasts=(float("nan"),)), "contrast"),
+    (dict(contrasts=(1.0, float("inf"))), "contrast"),
+], ids=["noise_sd-nan", "noise_sd-inf", "a_cap-nan", "a_cap-inf", "contrast-nan",
+        "contrast-inf"])
+def test_scenario_spec_rejects_non_finite_settings(settings, message):
+    # nan passes a plain `< 0` test, so each bound must hold positively.
+    with pytest.raises(ValueError, match=message):
+        ScenarioSpec(m1=4, m2=4, rank=1, **settings)
 
 
 def test_presets_materialize():
