@@ -142,7 +142,8 @@ _SAMPLE_TAG = re.compile(r"task([0-9]+)")
 
 def _read_header(path, fh):
     """(m1, m2, token) of the ``m1 m2 token`` header, the line fh reads next;
-    m1 and m2 must be positive integers."""
+    m1 and m2 must be positive integers in the record grammar's digits
+    (ASCII, no '_')."""
     header = fh.readline()
     if not header:
         raise ParseError(path, 1, "empty file, expected header 'm1 m2 token'")
@@ -151,6 +152,8 @@ def _read_header(path, fh):
         raise ParseError(path, 1, f"malformed header {header.strip()!r}")
     try:
         m1, m2 = int(parts[0]), int(parts[1])
+        if not all(f.isascii() and "_" not in f for f in parts[:2]):
+            raise ValueError
     except ValueError:
         raise ParseError(path, 1, f"non-integer dimensions in header {header.strip()!r}")
     if m1 < 1 or m2 < 1:

@@ -142,17 +142,24 @@ def debias_fit(target: MaskedDataset, a_tilde, lam2: float, a: float,
     return fit_loss(loss, lam2, a, cfg, shift=a_tilde, stage="debiased")
 
 
-def _check_sample_balance(n0: int, n_total: int, a: float, v: float, rank_hint: int,
-                          m1: int, m2: int):
+def _check_sample_balance(n0: int, n_total: int, a: float, v: float, pooled: np.ndarray):
     # Condition on n0/N from the transfer theory; diagnostic only, never enforced.
-    d = m1 + m2
-    big = max(m1, m2)
-    r = max(1, rank_hint)
-    bound = a * a * math.log(d) / (max(a * a, v * v) * r * big)
-    if n0 / n_total < bound:
+    # Its bound falls as the rank r of the pooled fit grows, so r, which takes
+    # an SVD, is needed only when n0/N lies below the bound at r = 1.
+    m1, m2 = pooled.shape
+
+    def bound(r):
+        return a * a * math.log(m1 + m2) / (max(a * a, v * v) * r * max(m1, m2))
+
+    share = n0 / n_total
+    if share >= bound(1):
+        return
+    sigma = np.linalg.svd(pooled, compute_uv=False)
+    r = max(1, int(np.sum(sigma > 1e-8 * max(1e-300, float(sigma[0])))))
+    if share < bound(r):
         log.warning(
             "target share n0/N = %.3g below the theory's technical bound %.3g; "
-            "debiasing may be under-powered", n0 / n_total, bound,
+            "debiasing may be under-powered", share, bound(r),
         )
 
 
@@ -173,9 +180,7 @@ def trans_mc(target: MaskedDataset, sources, policy: PenaltyPolicy,
 
     pooled = pooled_fit([target, *sources], policy.penalty(policy.c1, n_total, m), a, cfg)
 
-    sigma = np.linalg.svd(pooled.matrix, compute_uv=False)
-    rank_hint = int(np.sum(sigma > 1e-8 * max(1e-300, float(sigma[0]))))
-    _check_sample_balance(n0, n_total, a, policy.v, rank_hint, target.m1, target.m2)
+    _check_sample_balance(n0, n_total, a, policy.v, pooled.matrix)
 
     lam2 = policy.penalty(policy.c2, n0, m)
     correction = debias_fit(target, pooled.matrix, lam2, a, cfg)

@@ -2,14 +2,19 @@
 soft-thresholding (with the nuclear norm of its result) and the entrywise box
 projection.
 
-Both functions are pure, operate on float64 numpy arrays and reject
-non-finite input. The one dense factorization, that of the symmetric
-positive semidefinite Gram matrix inside `soft_threshold`, is
-`np.linalg.svd(G, hermitian=True)`: numpy computes it with the symmetric
-eigensolver (`eigh`), in about 0.6x the time of the general SVD at
-q = 91-150 (one BLAS thread). The call stays `np.linalg.svd`, not `eigh`,
-because the benchmark's self-test (`perfbench/test_perfbench.py`) counts
-one `np.linalg.svd` with vectors per proximal evaluation.
+The public functions, `soft_threshold` and `project_box`, are pure, operate
+on float64 numpy arrays and reject non-finite input. The box has one home,
+the unchecked pair `box_bounds` and `clamp_box`: `project_box` runs them
+after its checks, and the solver computes the bounds once per solve and
+clamps each candidate, the output of the checked `soft_threshold`.
+
+The one dense factorization, that of the symmetric positive semidefinite
+Gram matrix inside `soft_threshold`, is `np.linalg.svd(G, hermitian=True)`:
+numpy computes it with the symmetric eigensolver (`eigh`), in about 0.6x
+the time of the general SVD at q = 91-150 (one BLAS thread). The call stays
+`np.linalg.svd`, not `eigh`, because the benchmark's self-test
+(`perfbench/test_perfbench.py`) counts one `np.linalg.svd` with vectors per
+proximal evaluation.
 """
 
 import numpy as np
@@ -19,7 +24,7 @@ def _as_matrix(A) -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
         raise ValueError(f"expected a 2-d matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("matrix contains non-finite entries")
     return A
 
@@ -79,14 +84,39 @@ def soft_threshold(A, lam: float) -> tuple[np.ndarray, float]:
     return (S if wide else S.T), float(np.maximum(sigma - lam, 0.0).sum())
 
 
+def box_bounds(a: float, shift=None):
+    """(lo, hi) of the box |A + shift|_ij <= a: the floats -a and a without
+    shift, else the arrays -a - shift and a - shift for a float64 shift.
+    Unchecked."""
+    if shift is None:
+        return -a, a
+    return -a - shift, a - shift
+
+
+def clamp_box(A, lo, hi) -> tuple[np.ndarray, bool]:
+    """(A clamped entrywise to box_bounds' [lo, hi], whether any entry moved).
+    Unchecked: a NaN entry counts as moved.
+
+    np.clip runs only when a range test fails (max/min against scalar
+    bounds, entrywise against arrays); otherwise A itself is returned. Bit
+    for bit that is np.clip(A, lo, hi), except at a bound of +0.0
+    (|shift_ij| = a), where np.clip turns a -0.0 entry into +0.0.
+    """
+    if isinstance(lo, np.ndarray):
+        inside = bool(np.less_equal(A, hi).all() and np.greater_equal(A, lo).all())
+    else:
+        inside = A.max() <= hi and A.min() >= lo
+    return (A, False) if inside else (np.clip(A, lo, hi), True)
+
+
 def project_box(A, a: float, shift=None) -> np.ndarray:
-    """Entrywise clamp so |(A + shift)_ij| <= a; plain clamp to [-a, a] without shift."""
+    """Entrywise clamp so |(A + shift)_ij| <= a; plain clamp to [-a, a] without
+    shift. Returns A itself when no entry lies outside the box (clamp_box)."""
     if a <= 0.0:
         raise ValueError(f"box level must be positive, got {a!r}")
     A = _as_matrix(A)
-    if shift is None:
-        return np.clip(A, -a, a)
-    shift = np.asarray(shift, dtype=np.float64)
-    if shift.shape != A.shape:
-        raise ValueError(f"shift shape {shift.shape} does not match A shape {A.shape}")
-    return np.clip(A, -a - shift, a - shift)
+    if shift is not None:
+        shift = np.asarray(shift, dtype=np.float64)
+        if shift.shape != A.shape:
+            raise ValueError(f"shift shape {shift.shape} does not match A shape {A.shape}")
+    return clamp_box(A, *box_bounds(a, shift))[0]

@@ -32,9 +32,14 @@ whose objective exceeds the objective at A_k is dropped, t is reset to 1 and
 the step is redone from Y = A_k. Every accepted step is therefore either no
 worse than A_k or a plain majorize-minimize step from A_k.
 
-A step the box clips is not a proximal step of the objective and can raise
-it, so t is also reset to 1 after such a step, and the trace reports a fit
-whose last step was clipped as box-active: its result is not certified.
+The box bounds are computed once per solve (linalg.box_bounds); a candidate
+is clipped (linalg.clamp_box) only when a range test finds an entry outside
+them, and that test also says whether the step was clipped. A step the box
+clips is not a proximal step of the objective and can raise it, so t is
+also reset to 1 after such a step, and the trace reports a fit whose last
+step was clipped as box-active: its result is not certified. The candidate
+is not checked for finiteness; a non-finite one ends in SolverDivergedError
+at the loss-value check.
 
 The penalty of a step needs no second SVD: soft_threshold returns the
 nuclear norm of its result. Only a clipped step takes its penalty from a
@@ -46,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from transmc.linalg import project_box, soft_threshold
+from transmc.linalg import box_bounds, clamp_box, soft_threshold
 
 GAMMA = 2.0  # least factor by which backtracking raises phi; the slack rule lowers it by GAMMA
 PATIENCE = 3  # accepted steps with slack in a row before phi is lowered
@@ -97,8 +102,8 @@ def _nuclear_penalty(A, lam):
 
 def lamm_solve(loss, lam: float, a: float, cfg: SolverConfig, shift=None):
     """Minimize L(A) + lam * ||A||_* over the box |A + shift|_inf <= a (shift
-    None: |A|_inf <= a), starting from A = 0, which the box must contain:
-    |shift|_inf <= a.
+    None: |A|_inf <= a; else a matrix of the loss's shape), starting from
+    A = 0, which the box must contain: |shift|_inf <= a.
 
     Returns (solution, SolveTrace). Hitting max_iters is reported through
     trace.converged = False, not an error; a non-finite loss raises
@@ -108,8 +113,13 @@ def lamm_solve(loss, lam: float, a: float, cfg: SolverConfig, shift=None):
         raise ValueError(f"lam must be nonnegative, got {lam!r}")
     if not a > 0.0:
         raise ValueError(f"box level a must be positive, got {a!r}")
-    if shift is not None and np.max(np.abs(shift)) > a * (1.0 + 1e-12) + 1e-12:
-        raise ValueError("the zero start violates the box constraint: |shift| > a")
+    if shift is not None:
+        shift = np.asarray(shift, dtype=np.float64)
+        if shift.shape != loss.shape:
+            raise ValueError(f"shift shape {shift.shape} does not match {loss.shape}")
+        if np.max(np.abs(shift)) > a * (1.0 + 1e-12) + 1e-12:
+            raise ValueError("the zero start violates the box constraint: |shift| > a")
+    lo, hi = box_bounds(a, shift)
     A = np.zeros(loss.shape)
     epsilon = cfg.epsilon
     if epsilon is None:
@@ -154,7 +164,7 @@ def lamm_solve(loss, lam: float, a: float, cfg: SolverConfig, shift=None):
             np.divide(grad, phi, out=B)
             np.subtract(point, B, out=B)
             shrunk, nuclear = soft_threshold(B, lam / phi)
-            candidate = project_box(shrunk, a, shift)
+            candidate, clipped = clamp_box(shrunk, lo, hi)
             np.subtract(candidate, point, out=diff)
             linear = float(np.vdot(grad, diff))
             sq_step = float(np.vdot(diff, diff))
@@ -170,7 +180,6 @@ def lamm_solve(loss, lam: float, a: float, cfg: SolverConfig, shift=None):
                 break
             # A rejected step has sq_step > 0: at candidate == point the test passes.
             phi = min(curvature, max(GAMMA * phi, 2.0 * excess / sq_step))
-        clipped = not np.array_equal(candidate, shrunk)
         obj_c = value_c + (_nuclear_penalty(candidate, lam) if clipped else lam * nuclear)
         if extrapolated and obj_c > obj_A:
             t = 1.0  # restart: redo the step from A without momentum

@@ -277,6 +277,23 @@ def test_task_ids_are_nonnegative(tmp_path):
         assert err.value.line_no == 1
 
 
+@pytest.mark.parametrize("dims", ["1_0 2", "٣ 2", "3 ٢", "3 2٠"])
+@pytest.mark.parametrize("reader, token", [(read_frame, "f"), (read_samples, "task1"),
+                                           (read_dataset, "f"), (read_dataset, "task1")])
+def test_header_dimensions_follow_the_record_grammar(tmp_path, dims, reader, token):
+    # Python's int reads "1_0" as 10 and Arabic-Indic digits as ASCII ones;
+    # the header, like the records, takes ASCII digits without '_'.
+    path = tmp_path / "h.txt"
+    path.write_text(f"{dims} {token}\n0 1 1.5\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="non-integer dimensions") as err:
+        reader(path)
+    assert err.value.line_no == 1
+    # A sign is part of the record grammar too.
+    path.write_text(f"+3 2 {token}\n0 1 1.5\n", encoding="utf-8")
+    back = reader(path)
+    assert (back.m1, back.m2) == (3, 2)
+
+
 def test_samples_preserve_simulated_dataset_bits(tmp_path):
     data = generate_scenario(PRESETS["paper-5.1-small"], rep=1)
     path = tmp_path / "t.samples"

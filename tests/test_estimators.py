@@ -283,6 +283,56 @@ def test_trans_mc_warns_when_target_share_too_small(caplog):
     assert any("technical bound" in rec.message for rec in caplog.records)
 
 
+def _svds_without_vectors(monkeypatch):
+    """Shapes of the np.linalg.svd calls without vectors from now on. With v
+    given and a box that never clips, trans_mc makes such a call only for the
+    rank of the pooled fit in its sample-balance check."""
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(A, *args, **kwargs):
+        if not kwargs.get("compute_uv", True):
+            shapes.append(A.shape)
+        return real_svd(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return shapes
+
+
+def test_trans_mc_sample_balance_bound_uses_the_pooled_rank(caplog, monkeypatch):
+    # n0/N = 5/5005 and a full-rank truth: the pooled fit has rank 5, so the
+    # bound is a^2 log(6 + 5) / (a^2 * 5 * 6) = 0.0799, not its rank-1 value 0.4.
+    rng = np.random.default_rng(60)
+    T = 3 * rng.standard_normal((6, 5))
+    target = _sampled_task(T, 5, (60, 0), 0)
+    sources = [_sampled_task(T, 5000, (60, 1), 1)]
+    policy = PenaltyPolicy(a=30.0, c1=penalty_multiplier(0.01, 30.0, 0.1, 5005, 5),
+                           c2=penalty_multiplier(0.05, 30.0, 0.1, 5, 5), v=0.1)
+    svds = _svds_without_vectors(monkeypatch)
+    with caplog.at_level(logging.WARNING, logger="transmc"):
+        trans_mc(target, sources, policy, SolverConfig(max_iters=3000, epsilon=1e-8))
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "target share n0/N = 0.000999 below the theory's technical bound 0.0799; "
+        "debiasing may be under-powered"]
+    assert svds == [(6, 5)]
+
+
+def test_trans_mc_skips_the_rank_svd_when_the_balance_check_cannot_fire(caplog, monkeypatch):
+    # n0/N = 60/100 lies above the bound at rank 1, log(5 + 4) / 5 = 0.44, and
+    # the bound only falls as the rank grows.
+    rng = np.random.default_rng(33)
+    T = np.outer(rng.standard_normal(5), rng.standard_normal(4))
+    target = _sampled_task(T, 60, (33, 0), 0)
+    sources = [_sampled_task(T, 20, (33, k), k) for k in (1, 2)]
+    policy = PenaltyPolicy(a=8.0, c1=0.3, c2=0.3, v=0.5)
+    svds = _svds_without_vectors(monkeypatch)
+    with caplog.at_level(logging.WARNING, logger="transmc"):
+        est = trans_mc(target, sources, policy, CFG)
+    assert not est.trace.box_active
+    assert svds == []
+    assert not any("technical bound" in rec.getMessage() for rec in caplog.records)
+
+
 def test_unconverged_fit_logs_warning(caplog):
     rng = np.random.default_rng(61)
     T = np.outer(rng.standard_normal(6), rng.standard_normal(5))

@@ -394,6 +394,60 @@ def test_project_box_idempotent(m1, m2, a, with_shift, seed):
     assert np.max(np.abs(target)) <= a + 1e-12
 
 
+@pytest.mark.parametrize("fn", [lambda A: linalg.soft_threshold(A, 0.5),
+                                lambda A: linalg.project_box(A, 2.0),
+                                lambda A: linalg.project_box(A, 2.0, np.zeros(A.shape))],
+                         ids=["soft_threshold", "project_box", "project_box-shifted"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_public_primitives_reject_non_finite_entries(fn, bad):
+    A = RNG.standard_normal((4, 3))
+    A[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        fn(A)
+
+
+def _box_case(rng, shape, a, with_shift, kinds):
+    """(S, shift) for the box |S + shift| <= a, each entry of S drawn from
+    kinds: 0 inside, 1 at -a, 2 at a, 3 one ulp below -a, 4 one ulp above a,
+    5 far below -a (all in terms of S + shift)."""
+    shift = rng.uniform(-a, a, shape) if with_shift else None
+    lo, hi = (-a, a) if shift is None else (-a - shift, a - shift)
+    lo, hi = np.broadcast_to(lo, shape), np.broadcast_to(hi, shape)
+    choices = [lo + (hi - lo) * rng.uniform(0.01, 0.99, shape), lo, hi,
+               np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+               lo - rng.uniform(1.0, 3.0, shape)]
+    kind = rng.choice(kinds, shape)
+    kind.flat[0] = max(kinds)
+    return np.choose(kind, choices), shift
+
+
+@pytest.mark.parametrize("shape", [(60, 30), (30, 60), (91, 180), (1, 7), (7, 1)])
+@pytest.mark.parametrize("with_shift", [False, True])
+@pytest.mark.parametrize("kinds", [[0], [0, 1, 2], [0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 5]],
+                         ids=["inside", "at-bound", "one-ulp-out", "far-out"])
+def test_clamp_box_matches_the_clip_and_equality_test(shape, with_shift, kinds):
+    # The solver's box path (bounds once per solve, a range test, the clip
+    # only when it fails) gives the entrywise clip to -a - shift <= S <= a -
+    # shift to the last bit, and reports a clip exactly when np.array_equal
+    # says the clip changed S.
+    rng = np.random.default_rng([*shape, with_shift, len(kinds)])
+    a = float(rng.uniform(0.5, 3.0))
+    S, shift = _box_case(rng, shape, a, with_shift, kinds)
+    expected = np.clip(S, -a, a) if shift is None else np.clip(S, -a - shift, a - shift)
+    got, clipped = linalg.clamp_box(S, *linalg.box_bounds(a, shift))
+    assert got.tobytes() == expected.tobytes()
+    assert clipped == (not np.array_equal(expected, S))
+    assert clipped == (max(kinds) > 2)
+    assert linalg.project_box(S, a, shift).tobytes() == expected.tobytes()
+
+
+def test_clamp_box_counts_nan_as_clipped():
+    S = np.array([[0.5, np.nan]])
+    for lo, hi in [(-1.0, 1.0), (np.full((1, 2), -1.0), np.full((1, 2), 1.0))]:
+        got, clipped = linalg.clamp_box(S, lo, hi)
+        assert clipped and np.isnan(got[0, 1]) and got[0, 0] == 0.5
+
+
 # ---------------------------------------------------------------------------
 # project_rowcol
 # ---------------------------------------------------------------------------

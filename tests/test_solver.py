@@ -289,12 +289,29 @@ def test_lamm_nonfinite_loss_raises():
         lamm_solve(_NanLoss(), 0.0, 1.0, cfg)
 
 
+def test_lamm_nonfinite_prox_raises_through_the_loss_check(monkeypatch):
+    # The candidate is not re-checked after soft_threshold: a non-finite one
+    # is caught by the loss value at it.
+    from transmc import solver
+
+    def nan_threshold(B, lam):
+        return np.full(B.shape, np.nan), 0.0
+
+    monkeypatch.setattr(solver, "soft_threshold", nan_threshold)
+    loss = MaskedSquaredLoss.from_dataset(random_dataset(4, 3, 10))
+    for shift in (None, np.zeros((4, 3))):
+        with pytest.raises(SolverDivergedError, match="candidate"):
+            lamm_solve(loss, 0.1, 1.0, SolverConfig(max_iters=5), shift=shift)
+
+
 def test_lamm_infeasible_init_rejected():
     # The solve starts at zero, which |A + shift|_inf <= a excludes when |shift| > a.
     ds = random_dataset(3, 3, 6)
     loss = MaskedSquaredLoss.from_dataset(ds)
     with pytest.raises(ValueError, match="zero start"):
         lamm_solve(loss, 0.0, 0.5, SolverConfig(max_iters=5), shift=np.full((3, 3), 2.0))
+    with pytest.raises(ValueError, match="shift shape"):
+        lamm_solve(loss, 0.0, 0.5, SolverConfig(max_iters=5), shift=np.zeros((1, 3)))
 
 
 def test_lamm_backtracking_stays_bounded():
