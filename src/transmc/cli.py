@@ -7,6 +7,7 @@ nonzero after printing a single ``error: ...`` line to stderr.
 """
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -255,14 +256,15 @@ def _write_selection_report(path, report):
 # ---------------------------------------------------------------------------
 
 def _bench_worker(payload):
-    """One (scheme, replicate) cell; returns per-method errors and the curve."""
+    """One (scheme, replicate) cell; returns per-method errors and the curve
+    (None where the fit failed), the sources s-transmc selected and one
+    "tag: message" per failed fit."""
     spec, rep, methods, params = payload
     data = generate_scenario(spec, rep=rep)
     solver = SolverConfig(max_iters=params["max_iters"])
     opts = argparse.Namespace(**params, noise_sd=spec.noise_sd, lam=None)
     policy = _policy(data.target, spec.a_cap, opts, solver, methods)
-    result = {"rep": rep, "errors": {}, "curve": None, "selected": None,
-              "failures": []}
+    result = {"errors": {}, "curve": None, "selected": None, "failures": []}
     # Chosen sources' task ids -> trans_mc Estimate or the error it raised.
     # Every transfer fit of one replicate shares target, policy and solver, so
     # s-transmc, the `transmc` method and the curve make one fit per set of
@@ -313,6 +315,18 @@ def run_benchmark(spec: ScenarioSpec, reps: int, methods, params,
             for i, scheme in enumerate(schemes)}
 
 
+# The summary of a method or curve point whose fit failed in every replicate.
+_NO_FITS = metrics.RepSummary(errors=(), mean=math.nan, median=math.nan, min=math.nan,
+                             max=math.nan, sd=math.nan)
+
+
+def _summarize_fits(errors):
+    """metrics.summarize of the replicate errors whose fit did not fail (is not
+    None); _NO_FITS when every fit failed."""
+    ok = [e for e in errors if e is not None]
+    return metrics.summarize(ok) if ok else _NO_FITS
+
+
 def cmd_benchmark(args) -> int:
     spec = _load_spec(args)
     methods = _comma_list(args.methods, "method", (*METHODS, "curve"))
@@ -329,23 +343,17 @@ def cmd_benchmark(args) -> int:
     bench = run_benchmark(spec, args.reps, methods, params, schemes=schemes)
 
     summary_rows = []
-    n_failures = 0
+    failures = []  # "scheme rep r tag: message", in (scheme, replicate) order
     for label, block in bench.items():
-        for method in methods:
-            if method == "curve":
-                continue
-            errs = [r["errors"].get(method) for r in block["results"]]
-            ok = [e for e in errs if e is not None]
-            n_failures += sum(1 for e in errs if e is None)
-            if ok:
-                summary_rows.append((method, label, metrics.summarize(ok)))
+        results = block["results"]
+        for rep, r in enumerate(results):
+            failures.extend(f"{label} rep {rep} {message}" for message in r["failures"])
+        summary_rows.extend((method, label, _summarize_fits(r["errors"][method] for r in results))
+                            for method in methods if method != "curve")
         if "curve" in methods:
             points = []
-            K = len(spec.contrasts)
-            for k in range(K + 1):
-                vals = [r["curve"][k] for r in block["results"] if r["curve"][k] is not None]
-                n_failures += len(block["results"]) - len(vals)
-                s = metrics.summarize(vals)
+            for k in range(len(spec.contrasts) + 1):
+                s = _summarize_fits(r["curve"][k] for r in results)
                 points.append((k, s.mean, s.sd))
             metrics.write_curve_csv(out / f"curve_{label.lower()}.csv", points)
     metrics.write_summary_csv(out / "summary.csv", summary_rows)
@@ -354,9 +362,10 @@ def cmd_benchmark(args) -> int:
         fh.write(f"replications: {args.reps}\n")
         fh.write(f"schemes: {','.join(bench)}\n")
         fh.write(f"methods: {','.join(methods)}\n")
-        fh.write(f"solver_failures: {n_failures}\n")
+        fh.write(f"solver_failures: {len(failures)}\n")
+        fh.write("".join(f"failure: {f}\n" for f in failures))
     print(f"benchmark complete: {args.reps} reps x {len(bench)} schemes, "
-          f"{n_failures} solver failures")
+          f"{len(failures)} solver failures")
     return 0
 
 

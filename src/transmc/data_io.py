@@ -8,7 +8,8 @@ its id; its coordinates must be unique, unobserved entries are simply absent
 (never sentinel zeros), and writers emit records sorted by (row, col), so
 write/read is byte-lossless on canonicalized frames. A sample file's token is
 ``task`` and its task id (at least 0) in ASCII digits, which is how
-read_dataset tells it from a frame; its records may repeat coordinates.
+read_dataset tells it from a frame (any other token, ``task-1`` too, is a
+frame id); its records may repeat coordinates.
 """
 
 import math
@@ -99,13 +100,18 @@ def _read_records(path, fh, m1, m2, build, unique):
         raise
 
 
+def _token(parse, field):
+    """parse (int or float) of one header or record token, in loadtxt's
+    grammar: unlike Python's int and float, it reads ASCII digits only and no
+    '_' separators, so any other token is a ValueError."""
+    if not field.isascii() or "_" in field:
+        raise ValueError(f"token {field!r} is outside the record grammar")
+    return parse(field)
+
+
 def _raise_first_bad_record(path, lines, m1, m2, unique):
     """Raise ParseError for the first line (numbered from 2) that is not a valid
-    record; return if there is none.
-
-    Tokens follow loadtxt's grammar: unlike Python's int and float, it reads
-    ASCII digits only and no '_' separators.
-    """
+    record (tokens read by _token); return if there is none."""
     seen = set()
     for line_no, line in enumerate(lines, start=2):
         if not line.strip():
@@ -114,11 +120,8 @@ def _raise_first_bad_record(path, lines, m1, m2, unique):
         if len(fields) != 3:
             raise ParseError(path, line_no, f"expected 'row col value', got {line.strip()!r}")
         try:
-            r, c, v = int(fields[0]), int(fields[1]), float(fields[2])
-            parsed = all(f.isascii() and "_" not in f for f in fields)
+            r, c, v = _token(int, fields[0]), _token(int, fields[1]), _token(float, fields[2])
         except ValueError:
-            parsed = False
-        if not parsed:
             raise ParseError(path, line_no, f"could not parse record {line.strip()!r}")
         if not (0 <= r < m1 and 0 <= c < m2):
             raise ParseError(path, line_no, f"coordinate ({r}, {c}) out of range for {m1}x{m2}")
@@ -137,13 +140,12 @@ def _write_records(fh, rows, cols, values):
 
 # The header token of a sample file: "task" and the task id in ASCII digits.
 # Any other token is a frame id.
-_SAMPLE_TAG = re.compile(r"task([0-9]+)")
+_SAMPLE_TAG = re.compile(r"task[0-9]+")
 
 
 def _read_header(path, fh):
     """(m1, m2, token) of the ``m1 m2 token`` header, the line fh reads next;
-    m1 and m2 must be positive integers in the record grammar's digits
-    (ASCII, no '_')."""
+    m1 and m2 must be positive integers, read by _token."""
     header = fh.readline()
     if not header:
         raise ParseError(path, 1, "empty file, expected header 'm1 m2 token'")
@@ -151,9 +153,7 @@ def _read_header(path, fh):
     if len(parts) != 3:
         raise ParseError(path, 1, f"malformed header {header.strip()!r}")
     try:
-        m1, m2 = int(parts[0]), int(parts[1])
-        if not all(f.isascii() and "_" not in f for f in parts[:2]):
-            raise ValueError
+        m1, m2 = _token(int, parts[0]), _token(int, parts[1])
     except ValueError:
         raise ParseError(path, 1, f"non-integer dimensions in header {header.strip()!r}")
     if m1 < 1 or m2 < 1:
@@ -281,18 +281,6 @@ def write_samples(dataset: MaskedDataset, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{dataset.m1} {dataset.m2} task{dataset.task_id}\n")
         _write_records(fh, dataset.rows, dataset.cols, dataset.values)
-
-
-def read_samples(path) -> MaskedDataset:
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        m1, m2, token = _read_header(path, fh)
-        tag = _SAMPLE_TAG.fullmatch(token)
-        if not tag:
-            raise ParseError(path, 1, f"sample header token {token!r} is not 'task' "
-                             "followed by a task id in decimal digits")
-        return _read_records(path, fh, m1, m2,
-                             partial(MaskedDataset, m1, m2, task_id=int(tag[1])), unique=False)
 
 
 def read_dataset(path, task_id: int = 0) -> MaskedDataset:

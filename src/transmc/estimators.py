@@ -114,11 +114,9 @@ def fit_loss(loss: MaskedSquaredLoss, lam: float, a: float, cfg: SolverConfig,
     return Estimate(matrix=matrix, penalty_used=lam, trace=trace, stage=stage)
 
 
-def fit_single(data: MaskedDataset, lam: float, a: float, cfg: SolverConfig,
-               label: str = "single") -> Estimate:
-    """Nuclear-norm penalized regression on one dataset over the box |A|_inf <= a;
-    label names the fit in the solver warnings (see fit_loss)."""
-    return fit_loss(MaskedSquaredLoss.from_dataset(data), lam, a, cfg, label=label)
+def fit_single(data: MaskedDataset, lam: float, a: float, cfg: SolverConfig) -> Estimate:
+    """Nuclear-norm penalized regression on one dataset over the box |A|_inf <= a."""
+    return fit_loss(MaskedSquaredLoss.from_dataset(data), lam, a, cfg)
 
 
 def pooled_fit(datasets, lam1: float, a: float, cfg: SolverConfig) -> Estimate:

@@ -2,11 +2,10 @@
 soft-thresholding (with the nuclear norm of its result) and the entrywise box
 projection.
 
-The public functions, `soft_threshold` and `project_box`, are pure, operate
-on float64 numpy arrays and reject non-finite input. The box has one home,
-the unchecked pair `box_bounds` and `clamp_box`: `project_box` runs them
-after its checks, and the solver computes the bounds once per solve and
-clamps each candidate, the output of the checked `soft_threshold`.
+`soft_threshold` is pure, operates on float64 numpy arrays and rejects
+non-finite input. The box has one home, the unchecked pair `box_bounds` and
+`clamp_box`: the solver computes the bounds once per solve and clamps each
+candidate, the output of the checked `soft_threshold`.
 
 The one dense factorization, that of the symmetric positive semidefinite
 Gram matrix inside `soft_threshold`, is `np.linalg.svd(G, hermitian=True)`:
@@ -108,15 +107,3 @@ def clamp_box(A, lo, hi) -> tuple[np.ndarray, bool]:
         inside = A.max() <= hi and A.min() >= lo
     return (A, False) if inside else (np.clip(A, lo, hi), True)
 
-
-def project_box(A, a: float, shift=None) -> np.ndarray:
-    """Entrywise clamp so |(A + shift)_ij| <= a; plain clamp to [-a, a] without
-    shift. Returns A itself when no entry lies outside the box (clamp_box)."""
-    if a <= 0.0:
-        raise ValueError(f"box level must be positive, got {a!r}")
-    A = _as_matrix(A)
-    if shift is not None:
-        shift = np.asarray(shift, dtype=np.float64)
-        if shift.shape != A.shape:
-            raise ValueError(f"shift shape {shift.shape} does not match A shape {A.shape}")
-    return clamp_box(A, *box_bounds(a, shift))[0]

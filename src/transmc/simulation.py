@@ -17,6 +17,7 @@ import numpy as np
 from transmc.datasets import MaskedDataset
 
 CONTRAST_BAND = 0.025  # relative tolerance on achieved contrast nuclear norms
+MAX_CONTRAST_DRAWS = 50  # contrast draws per source before gen_sources gives up
 _MATRIX_STREAM = 0
 _SAMPLING_STREAM = 1
 _OBS_STREAM = 2
@@ -96,13 +97,13 @@ def gen_target(spec: ScenarioSpec) -> np.ndarray:
     return A0
 
 
-def gen_sources(A0: np.ndarray, spec: ScenarioSpec, max_retries: int = 50):
+def gen_sources(A0: np.ndarray, spec: ScenarioSpec):
     """Sources A_k = A_0 + D_k with ||D_k||_* scaled to the configured target.
 
     The contrast is drawn with uniform [0, 1] singular values on random
     orthonormal factors and rescaled exactly to the target; draws whose sum
     A_0 + D_k breaks the entry cap are rejected and redrawn, up to
-    max_retries times each. Returns (matrices, achieved nuclear norms).
+    MAX_CONTRAST_DRAWS times each. Returns (matrices, achieved nuclear norms).
     """
     matrices, achieved = [], []
     m = min(spec.m1, spec.m2)
@@ -114,7 +115,7 @@ def gen_sources(A0: np.ndarray, spec: ScenarioSpec, max_retries: int = 50):
             matrices.append(A0.copy())
             achieved.append(0.0)
             continue
-        for attempt in range(max_retries):
+        for _ in range(MAX_CONTRAST_DRAWS):
             U, Vt = _random_orthonormal_pair(rng, spec.m1, spec.m2)
             s = rng.uniform(size=m)
             s *= h / s.sum()
@@ -127,7 +128,7 @@ def gen_sources(A0: np.ndarray, spec: ScenarioSpec, max_retries: int = 50):
         else:
             raise GenerationError(
                 f"source {k + 1}: no contrast draw with ||A_k||_inf <= {spec.a_cap} "
-                f"in {max_retries} attempts"
+                f"in {MAX_CONTRAST_DRAWS} attempts"
             )
     return matrices, achieved
 

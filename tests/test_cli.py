@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from transmc import cli, selection
-from transmc.data_io import FrameFile, read_samples, read_scenario, write_dense, write_frame
+from transmc.data_io import FrameFile, read_dataset, read_scenario, write_dense, write_frame
 from transmc.estimators import PenaltyPolicy, trans_mc
 from transmc.selection import SelectionConfig, s_trans_mc
 from transmc.solver import SolverConfig
@@ -77,7 +77,7 @@ def test_simulate_written_scenario_round_trips(tmp_path, tiny_cfg):
     assert run(["simulate", "--config", str(tiny_cfg), "--out", "sim"], tmp_path) == 0
     spec = read_scenario(tmp_path / "sim" / "scenario.cfg")
     assert spec.m1 == 12 and spec.contrasts == (5.0, 40.0)
-    ds = read_samples(tmp_path / "sim" / "target.samples")
+    ds = read_dataset(tmp_path / "sim" / "target.samples")
     assert ds.n == spec.n0
     truth = np.loadtxt(tmp_path / "sim" / "truth_task00.txt", skiprows=1, ndmin=2)
     assert truth.shape == (12, 8)
@@ -131,8 +131,8 @@ def test_fit_transfer_select_pipeline(tmp_path, tiny_cfg):
     assert est.shape == (12, 8)
 
     # transfer and select write what the library estimators return
-    target_ds = read_samples(target)
-    source_ds = [read_samples(p) for p in sources.split(",")]
+    target_ds = read_dataset(target)
+    source_ds = [read_dataset(p, task_id=k) for k, p in enumerate(sources.split(","), start=1)]
     policy = PenaltyPolicy(a=30.0, c1=cli.DEFAULT_MULTIPLIER, c2=cli.DEFAULT_MULTIPLIER,
                            v=0.5)
     solver = SolverConfig(max_iters=300)
@@ -175,7 +175,9 @@ def test_selection_report_has_a_row_per_fit(tmp_path, tiny_cfg):
                            v=0.5)
     cfg = SelectionConfig(J=2, c_tilde=2.0, c0=cli.DEFAULT_MULTIPLIER,
                           ck=cli.DEFAULT_MULTIPLIER, seed=4)
-    report, _ = s_trans_mc(read_samples(target), [read_samples(p) for p in sources.split(",")],
+    report, _ = s_trans_mc(read_dataset(target),
+                           [read_dataset(p, task_id=k)
+                            for k, p in enumerate(sources.split(","), start=1)],
                            cfg, policy, SolverConfig(max_iters=3))
     assert report.fold_traces[0].converged is False
     rows = list(csv.reader(open(tmp_path / "sel" / "selection_report.csv")))
@@ -202,7 +204,8 @@ def test_select_writes_what_s_trans_mc_returns_byte_for_byte(tmp_path, tiny_cfg)
                            v=0.5)
     cfg = SelectionConfig(J=3, c_tilde=1.5, epsilon0=0.4, c0=cli.DEFAULT_MULTIPLIER,
                           ck=cli.DEFAULT_MULTIPLIER, seed=7)
-    report, est = s_trans_mc(read_samples(target), [read_samples(p) for p in sources],
+    report, est = s_trans_mc(read_dataset(target),
+                             [read_dataset(p, task_id=k) for k, p in enumerate(sources, start=1)],
                              cfg, policy, SolverConfig(max_iters=300))
     write_dense(est.matrix, tmp_path / "estimate.txt", label="s-transmc")
     cli._write_selection_report(tmp_path / "selection_report.csv", report)
@@ -403,6 +406,35 @@ def test_benchmark_shared_fit_failure_is_recorded_under_both_tags(monkeypatch):
     assert result["errors"]["transmc"] is None
     assert result["curve"][2] is None and result["curve"][0] is not None
     assert result["failures"] == ["transmc: diverged", "curve-k2: diverged"]
+
+
+def test_benchmark_writes_a_curve_point_that_failed_in_every_replicate(
+        tmp_path, tiny_cfg, monkeypatch, set_workers):
+    # Every fit on both sources diverges: the `transmc` method and curve point
+    # k = 2 have no error to summarize, yet the run writes its files, gives
+    # both a row of nan and names each failure in run_report.txt.
+    from transmc.solver import SolverDivergedError
+
+    def failing(target, sources, policy, solver):
+        if len(sources) == 2:
+            raise SolverDivergedError("diverged")
+        return trans_mc(target, sources, policy, solver)
+
+    monkeypatch.setattr(cli, "trans_mc", failing)
+    set_workers(2)
+    assert run(["benchmark", "--config", str(tiny_cfg), "--out", "b", "--reps", "2",
+                "--methods", "transmc,curve", "--schemes", "uniform"], tmp_path) == 0
+    out = tmp_path / "b"
+    assert list(csv.reader(open(out / "summary.csv")))[1:] == [["transmc", "SS1", *["nan"] * 5]]
+    curve = list(csv.reader(open(out / "curve_ss1.csv")))
+    assert curve[3] == ["2", "nan", "nan"] and "nan" not in curve[1] + curve[2]
+    assert (out / "run_report.txt").read_text().splitlines()[3:] == [
+        "solver_failures: 4",
+        "failure: SS1 rep 0 transmc: diverged",
+        "failure: SS1 rep 0 curve-k2: diverged",
+        "failure: SS1 rep 1 transmc: diverged",
+        "failure: SS1 rep 1 curve-k2: diverged",
+    ]
 
 
 @pytest.mark.parametrize("option, named", [

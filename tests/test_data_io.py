@@ -13,7 +13,6 @@ from transmc.data_io import (
     holdout_split,
     read_dataset,
     read_frame,
-    read_samples,
     read_scenario,
     window_sources,
     write_dense,
@@ -220,14 +219,14 @@ def test_read_frame_matches_line_by_line_oracle(oracle_dir, body):
 @settings(max_examples=400, deadline=None)
 @given(body=record_bodies(unique=False))
 def test_read_samples_matches_line_by_line_oracle(oracle_dir, body):
-    # The samples reader accepts what the line-by-line samples reader
-    # accepts, bit for bit. Unlike that reader, which leaves range and
+    # read_dataset accepts on a sample file what the line-by-line samples
+    # reader accepts, bit for bit. Unlike that reader, which leaves range and
     # finiteness to MaskedDataset, it checks them per line, so it names the
     # first line the frame oracle without the duplicate check rejects.
     m1, m2 = body[:2]
     samples = _write_records_file(oracle_dir / "s.samples", f"{m1} {m2} task3", body)
     frame = _write_records_file(oracle_dir / "s.frame", f"{m1} {m2} s", body)
-    new = _outcome(read_samples, samples)
+    new = _outcome(partial(read_dataset, task_id=3), samples)
     per_line = _outcome(partial(read_frame_line_by_line, unique=False), frame)
     if per_line[0] == "ParseError":
         assert new == per_line
@@ -258,28 +257,20 @@ def test_samples_round_trip_with_duplicates(tmp_path):
     ds = MaskedDataset(3, 4, [0, 0, 2], [1, 1, 3], [1.5, -0.25, 3.0], task_id=2)
     path = tmp_path / "x.samples"
     write_samples(ds, path)
-    back = read_samples(path)
-    assert back.task_id == 2
+    back = read_dataset(path)
     assert np.array_equal(back.rows, ds.rows)
     assert np.array_equal(back.cols, ds.cols)
     assert np.array_equal(back.values, ds.values)
 
 
-def test_task_ids_are_nonnegative(tmp_path):
+def test_task_ids_are_nonnegative():
     with pytest.raises(ValueError, match="task_id"):
         MaskedDataset(3, 4, [0], [1], [1.5], task_id=-1)
-    # The header token is "task" and ASCII digits only, as read_dataset reads it.
-    path = tmp_path / "neg.samples"
-    for token in ("task-1", "task+1", "task", "task1_0", "task\u0661"):
-        path.write_text(f"3 4 {token}\n0 1 1.5\n", encoding="utf-8")
-        with pytest.raises(ParseError) as err:
-            read_samples(path)
-        assert err.value.line_no == 1
 
 
 @pytest.mark.parametrize("dims", ["1_0 2", "٣ 2", "3 ٢", "3 2٠"])
-@pytest.mark.parametrize("reader, token", [(read_frame, "f"), (read_samples, "task1"),
-                                           (read_dataset, "f"), (read_dataset, "task1")])
+@pytest.mark.parametrize("reader, token", [(read_frame, "f"), (read_dataset, "f"),
+                                           (read_dataset, "task1")])
 def test_header_dimensions_follow_the_record_grammar(tmp_path, dims, reader, token):
     # Python's int reads "1_0" as 10 and Arabic-Indic digits as ASCII ones;
     # the header, like the records, takes ASCII digits without '_'.
@@ -298,7 +289,7 @@ def test_samples_preserve_simulated_dataset_bits(tmp_path):
     data = generate_scenario(PRESETS["paper-5.1-small"], rep=1)
     path = tmp_path / "t.samples"
     write_samples(data.target, path)
-    back = read_samples(path)
+    back = read_dataset(path)
     assert np.array_equal(back.values, data.target.values)
 
 
@@ -324,6 +315,17 @@ def test_read_dataset_tells_a_task_frame_id_from_a_sample_header(tmp_path):
                               MaskedDataset(3, 4, samples.rows, samples.cols, samples.values,
                                             task_id=1))
     assert read_dataset(tmp_path / "t.samples").task_id == 0
+    # A sample header is "task" and ASCII digits only; any other token, a
+    # negative task id too, is a frame id, so a repeated coordinate is an error.
+    path = tmp_path / "neg.samples"
+    for token in ("task-1", "task+1", "task", "task1_0", "task\u0661"):
+        path.write_text(f"3 4 {token}\n0 1 1.5\n", encoding="utf-8")
+        assert _same_observations(read_dataset(path, task_id=1),
+                                  FrameFile(3, 4, token, [0], [1], [1.5]).to_dataset(1))
+        path.write_text(f"3 4 {token}\n0 1 1.5\n0 1 2.5\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="duplicate coordinate") as err:
+            read_dataset(path)
+        assert err.value.line_no == 3
 
 
 # ---------------------------------------------------------------------------

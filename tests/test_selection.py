@@ -407,7 +407,8 @@ def test_paper_52_source_only_fits_converge(paper_52_small):
     m = min(spec.m1, spec.m2)
     for k, ds in enumerate(data.sources, start=1):
         lam = theorem_penalty(DEFAULT_MULTIPLIER, spec.a_cap, spec.noise_sd, ds.n, m)
-        est = fit_single(ds, lam, spec.a_cap, SolverConfig(), label=f"source {k}")
+        est = fit_loss(MaskedSquaredLoss.from_dataset(ds), lam, spec.a_cap, SolverConfig(),
+                       label=f"source {k}")
         assert est.trace.converged, f"source {k}"
         assert est.trace.iterations <= 500
 

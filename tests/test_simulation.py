@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from transmc import simulation
 from transmc.simulation import (
     CONTRAST_BAND,
     PRESETS,
@@ -86,11 +87,12 @@ def test_gen_sources_band_separation():
     assert max(informative) < min(noninformative)
 
 
-def test_gen_sources_infeasible_cap_raises():
+def test_gen_sources_infeasible_cap_raises(monkeypatch):
+    monkeypatch.setattr(simulation, "MAX_CONTRAST_DRAWS", 5)
     spec = ScenarioSpec(m1=6, m2=5, rank=1, a_cap=0.01, contrasts=(50.0,), seed=1)
     A0 = gen_target(spec)
-    with pytest.raises(GenerationError):
-        gen_sources(A0, spec, max_retries=5)
+    with pytest.raises(GenerationError, match="in 5 attempts"):
+        gen_sources(A0, spec)
 
 
 # ---------------------------------------------------------------------------

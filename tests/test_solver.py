@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from transmc.datasets import MaskedDataset
-from transmc.estimators import fit_single
+from transmc.estimators import fit_loss
 from transmc.losses import MaskedSquaredLoss
 from transmc.solver import SolverConfig, SolverDivergedError, lamm_solve
 from _oracles import (
@@ -258,7 +258,7 @@ def test_lamm_final_objective_matches_fresh_svd(a, caplog):
     loss = MaskedSquaredLoss.from_dataset(ds)
     lam = 0.02
     with caplog.at_level(logging.WARNING, logger="transmc"):
-        est = fit_single(ds, lam, a, SolverConfig(), label="fold 1")
+        est = fit_loss(loss, lam, a, SolverConfig(), label="fold 1")
     A, trace = est.matrix, est.trace
     assert trace.converged
     assert np.count_nonzero(np.abs(A) == a) == (1 if a == 3.0 else 0)
