@@ -106,34 +106,34 @@ def _box_level(a, value_arrays) -> float:
     return 1.05 * max([1.0, *(float(np.max(np.abs(v))) for v in value_arrays if v.size)])
 
 
-def _policy(target, a, opts, solver, methods) -> PenaltyPolicy:
-    """The penalty policy of every method in methods on one target, with the
-    noise scale resolved once: opts.noise_sd, else a pilot fit on target. No
-    pilot runs when every method is `single` with an explicit opts.lam."""
-    policy = PenaltyPolicy(a=a, c1=opts.c1, c2=opts.c2, v=opts.noise_sd)
-    if opts.lam is not None and set(methods) == {"single"}:
-        return policy
-    return policy.resolve(target, solver)
+def _settings(params, methods, a, v, seed=0):
+    """The PenaltyPolicy of params' c1 and c2 at box level a and noise scale v,
+    and the SelectionConfig of params' folds, c_tilde and epsilon0 and of seed
+    when s-transmc is among methods (else None); both checked before any fit."""
+    policy = PenaltyPolicy(a=a, c1=params["c1"], c2=params["c2"], v=v)
+    if "s-transmc" not in methods:
+        return policy, None
+    return policy, SelectionConfig(J=params["folds"], c_tilde=params["c_tilde"], seed=seed,
+                                   epsilon0=params["epsilon0"], c0=policy.c1, ck=policy.c2)
 
 
-def _estimate(method, target, sources, policy, opts, solver, seed):
+def _estimate(method, target, sources, policy, selection, solver, lam=None):
     """Run one of the paper's estimators; returns (Estimate, SelectionReport or None).
 
-    policy comes from _policy; opts carries the single-task penalty lam (None:
-    the policy's rule with c2) and the selection knobs folds, c_tilde and
-    epsilon0; seed draws the s-transmc fold split.
+    lam is the single-task penalty (None: the policy's rule with c2) and
+    selection the s-transmc SelectionConfig. Each estimator that reads the
+    noise scale resolves policy on target itself, so a policy resolved
+    beforehand is shared by its methods without a second pilot.
     """
     if method == "single":
-        lam = opts.lam
         if lam is None:
+            policy = policy.resolve(target, solver)
             lam = policy.penalty(policy.c2, target.n, min(target.m1, target.m2))
         return fit_single(target, lam, policy.a, solver), None
     if method == "transmc":
         return trans_mc(target, sources, policy, solver), None
     if method == "s-transmc":
-        cfg = SelectionConfig(J=opts.folds, c_tilde=opts.c_tilde, epsilon0=opts.epsilon0,
-                              c0=policy.c1, ck=policy.c2, seed=seed)
-        report, est = s_trans_mc(target, sources, cfg, policy, solver)
+        report, est = s_trans_mc(target, sources, selection, policy, solver)
         return est, report
     raise CliError(f"unknown method {method!r}")
 
@@ -212,10 +212,9 @@ def cmd_estimate(args) -> int:
     target, *sources = [data_io.read_dataset(_resolve(p), task_id=k)
                         for k, p in enumerate(paths)]
     a = _box_level(args.a, [ds.values for ds in (target, *sources)])
-    solver = SolverConfig(max_iters=args.max_iters)
-    policy = _policy(target, a, args, solver, [args.method])
-    est, report = _estimate(args.method, target, sources, policy, args, solver,
-                            args.seed or 0)
+    policy, selection = _settings(vars(args), [args.method], a, args.noise_sd, args.seed or 0)
+    est, report = _estimate(args.method, target, sources, policy, selection,
+                            SolverConfig(max_iters=args.max_iters), args.lam)
     out = _out_dir(args)
     data_io.write_dense(est.matrix, out / "estimate.txt", label=args.method)
     with open(out / "fit_report.txt", "w", encoding="utf-8", newline="\n") as fh:
@@ -262,8 +261,8 @@ def _bench_worker(payload):
     spec, rep, methods, params = payload
     data = generate_scenario(spec, rep=rep)
     solver = SolverConfig(max_iters=params["max_iters"])
-    opts = argparse.Namespace(**params, noise_sd=spec.noise_sd, lam=None)
-    policy = _policy(data.target, spec.a_cap, opts, solver, methods)
+    policy, selection = _settings(params, methods, spec.a_cap, spec.noise_sd,
+                                  (spec.seed, 4, rep))
     result = {"errors": {}, "curve": None, "selected": None, "failures": []}
     # Chosen sources' task ids -> trans_mc Estimate or the error it raised.
     # Every transfer fit of one replicate shares target, policy and solver, so
@@ -278,8 +277,7 @@ def _bench_worker(payload):
             est = fits[key]
         else:
             try:
-                est, report = _estimate(method, data.target, sources, policy, opts, solver,
-                                        (spec.seed, 4, rep))
+                est, report = _estimate(method, data.target, sources, policy, selection, solver)
             except SolverDivergedError as exc:
                 est, report = exc, None
             if method == "transmc":
@@ -333,12 +331,13 @@ def cmd_benchmark(args) -> int:
     schemes = _comma_list(args.schemes, "sampling scheme", tuple(SCHEME_LABELS))
     if args.reps < 1:
         raise CliError(f"--reps must be at least 1, got {args.reps}")
-    out = _out_dir(args)
     params = {
         "c1": args.c1, "c2": args.c2, "c_tilde": args.c_tilde,
         "epsilon0": args.epsilon0, "folds": args.folds,
         "max_iters": args.max_iters,
     }
+    _settings(params, methods, spec.a_cap, spec.noise_sd)  # each replicate builds its own
+    out = _out_dir(args)
 
     bench = run_benchmark(spec, args.reps, methods, params, schemes=schemes)
 
@@ -417,26 +416,26 @@ def cmd_evaluate(args) -> int:
     methods = _comma_list(cfg.get("methods", ",".join(METHODS)), "method", METHODS)
     frames = map_in_chunks(data_io.read_frame, frame_paths)
     a = _box_level(setting("a", float), [f.values for f in frames])
-    opts = argparse.Namespace(**{
-        **vars(args),
-        "c1": setting("c1", float, DEFAULT_MULTIPLIER),
-        "c2": setting("c2", float, DEFAULT_MULTIPLIER),
-        "noise_sd": setting("noise_sd", float),
-    })
+    multipliers = {c: setting(c, float, DEFAULT_MULTIPLIER) for c in ("c1", "c2")}
+    policy, selection = _settings({**vars(args), **multipliers}, methods, a,
+                                  setting("noise_sd", float))
     solver = SolverConfig(max_iters=args.max_iters)
+    # One pilot per target frame, shared by its methods; none for single alone at --lam.
+    pilot = args.lam is None or methods != ("single",)
 
     out = _out_dir(args)
-    cases = []  # (target index, train, test, sources, policy, method), target by target
+    cases = []  # (target index, train, test, sources, policy, selection, method)
     for t in targets:
         train, test = data_io.holdout_split(frames[t], fraction, (seed, t))
         sources = [frames[i].to_dataset(task_id=j + 1) for j, i in
                    enumerate(data_io.window_sources(len(frames), t, half_width))]
-        policy = _policy(train, a, opts, solver, methods)
-        cases.extend((t, train, test, sources, policy, method) for method in methods)
+        shared = (t, train, test, sources, policy.resolve(train, solver) if pilot else policy,
+                  selection and replace(selection, seed=(seed, 5, t)))
+        cases.extend((*shared, method) for method in methods)
 
     def case_errors(case):
-        t, train, test, sources, policy, method = case
-        est, _ = _estimate(method, train, sources, policy, opts, solver, (seed, 5, t))
+        t, train, test, sources, policy, selection, method = case
+        est, _ = _estimate(method, train, sources, policy, selection, solver, args.lam)
         return metrics.holdout_errors(est.matrix, test)
 
     # Every case is independent, so they run side by side, but the s-transmc

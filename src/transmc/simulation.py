@@ -16,7 +16,6 @@ import numpy as np
 
 from transmc.datasets import MaskedDataset
 
-CONTRAST_BAND = 0.025  # relative tolerance on achieved contrast nuclear norms
 MAX_CONTRAST_DRAWS = 50  # contrast draws per source before gen_sources gives up
 _MATRIX_STREAM = 0
 _SAMPLING_STREAM = 1

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from transmc import cli, selection
+from transmc import cli, estimators, selection
 from transmc.data_io import FrameFile, read_dataset, read_scenario, write_dense, write_frame
 from transmc.estimators import PenaltyPolicy, trans_mc
 from transmc.selection import SelectionConfig, s_trans_mc
@@ -300,6 +300,59 @@ def test_select_runs_the_noise_pilot_once(tmp_path, tiny_cfg, pilot_calls):
     assert len(pilot_calls) == 1
 
 
+@pytest.mark.parametrize("command, pilots", [
+    (["fit", "--data", "sim/target.samples", "--lam", "0.1"], 0),
+    (["fit", "--data", "sim/target.samples"], 1),
+    (["transfer", "--target", "sim/target.samples", "--sources", "sim/source_01.samples"], 1),
+])
+def test_fit_and_transfer_run_the_noise_pilot_only_where_v_is_read(tmp_path, tiny_cfg,
+                                                                   pilot_calls, command, pilots):
+    # An explicit --lam leaves nothing that reads v; a rule penalty and
+    # trans_mc read it, resolving it once.
+    assert run(["simulate", "--config", str(tiny_cfg), "--out", "sim"], tmp_path) == 0
+    assert run(command + ["--out", "x", "--max-iters", "300"], tmp_path) == 0
+    assert len(pilot_calls) == pilots
+
+
+@pytest.fixture
+def fit_count(monkeypatch, set_workers):
+    """The number of solver runs (pilots included) in this process; with one
+    worker every fit of a command runs here."""
+    solve = estimators.lamm_solve
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "lamm_solve", counting)
+    set_workers(1)
+    return lambda: len(calls)
+
+
+@pytest.mark.parametrize("option", [["--folds", "1"], ["--epsilon0", "0"]])
+def test_a_bad_selection_setting_exits_2_before_any_fit(tmp_path, tiny_cfg, capsys, fit_count,
+                                                        option):
+    # s-transmc is listed last in evaluate, after single and transmc cases
+    # and their pilots, which must not run either.
+    assert run(["simulate", "--config", str(tiny_cfg), "--out", "sim"], tmp_path) == 0
+    cfg = _tiny_frames(tmp_path)
+    cfg.write_text(cfg.read_text().replace("methods: single,transmc",
+                                           "methods: single,transmc,s-transmc"))
+    commands = {
+        "evaluate": ["evaluate", "--config", str(cfg)],
+        "select": ["select", "--target", "sim/target.samples",
+                   "--sources", "sim/source_01.samples"],
+        "benchmark": ["benchmark", "--config", str(tiny_cfg), "--methods", "single,s-transmc"],
+    }
+    for name, command in commands.items():
+        capsys.readouterr()
+        assert run(command + ["--out", name, *option], tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error: validation: ")
+        assert not (tmp_path / name).exists()
+    assert fit_count() == 0
+
+
 # ---------------------------------------------------------------------------
 # benchmark
 # ---------------------------------------------------------------------------
@@ -327,6 +380,14 @@ def test_benchmark_outputs_and_parallel_byte_stability(tmp_path, tiny_cfg, set_w
     curve = list(csv.reader(open(tmp_path / "b1" / "curve_ss1.csv")))
     assert curve[0] == ["k_sources", "mean_err", "sd"]
     assert len(curve) - 1 == 3  # K + 1 rows for K = 2
+
+
+def test_benchmark_runs_no_noise_pilot(tmp_path, tiny_cfg, pilot_calls, set_workers):
+    # Every replicate fits at the scenario's known noise scale.
+    set_workers(1)
+    assert run(["benchmark", "--config", str(tiny_cfg), "--out", "b", "--reps", "2",
+                "--max-iters", "300", "--epsilon0", "0.5"], tmp_path) == 0
+    assert pilot_calls == []
 
 
 def test_benchmark_single_scheme_and_methods_subset(tmp_path, tiny_cfg):
@@ -541,6 +602,17 @@ def test_evaluate_runs_the_noise_pilot_once_per_target_frame(tmp_path, pilot_cal
     assert len(pilot_calls) == 2
     rows = list(csv.reader(open(tmp_path / "ev" / "eval.csv")))
     assert [r[1] for r in rows[1:]] == ["single", "transmc", "s-transmc"] * 2
+
+
+def test_evaluate_of_single_at_an_explicit_lam_runs_no_noise_pilot(tmp_path, pilot_calls):
+    cfg = _tiny_frames(tmp_path)
+    lines = [line for line in cfg.read_text().splitlines()
+             if not line.startswith(("noise_sd:", "methods:"))]
+    cfg.write_text("\n".join(lines + ["methods: single"]) + "\n")
+    assert run(["evaluate", "--config", str(cfg), "--out", "ev", "--lam", "0.1"], tmp_path) == 0
+    assert pilot_calls == []
+    assert run(["evaluate", "--config", str(cfg), "--out", "ev_rule"], tmp_path) == 0
+    assert len(pilot_calls) == 6
 
 
 def test_evaluate_perfect_frames_zero_errors(tmp_path):

@@ -1,5 +1,6 @@
-"""Every public top-level function and class of src/transmc has a reference
-elsewhere in src: library code that only tests call does not live there."""
+"""Every public top-level function, class and assigned name of src/transmc has
+a reference elsewhere in src: library code and constants that only tests read
+do not live there."""
 
 import ast
 from pathlib import Path
@@ -28,16 +29,30 @@ def _referenced(node) -> set[str]:
     return out
 
 
+def _defined(stmt) -> set[str]:
+    """The names a top-level statement defines: a function's or class's name,
+    or the names an assignment stores to."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return set()
+    return {sub.id for target in targets for sub in ast.walk(target)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)}
+
+
 def unreferenced_public_names(src_dir) -> set[str]:
-    """The public top-level functions and classes of the modules in src_dir
-    that no top-level statement other than their own definition refers to."""
+    """The public names that top-level statements of the modules in src_dir
+    define and no other top-level statement refers to."""
     statements = [stmt for path in sorted(Path(src_dir).glob("*.py"))
                   for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
     refs = [(stmt, _referenced(stmt)) for stmt in statements]
-    return {stmt.name for stmt in statements
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not stmt.name.startswith("_")
-            and not any(stmt.name in names for other, names in refs if other is not stmt)}
+    return {name for stmt in statements for name in _defined(stmt)
+            if not name.startswith("_")
+            and not any(name in names for other, names in refs if other is not stmt)}
 
 
 def test_every_public_name_in_src_has_a_reference_in_src():
@@ -51,7 +66,12 @@ def test_the_scan_counts_names_attributes_and_imports_but_not_self_reference(tmp
         "def imported():\n    pass\n\n"
         "class ByAttribute:\n    pass\n\n"
         "def _private():\n    pass\n\n"
-        "x = called()\n", encoding="utf-8")
+        "x = called()\n"
+        "SQUARES = [i * i for i in range(3)]\n"
+        "LIMIT: int = 3\n"
+        "LEFT, RIGHT = 1, 2\n"
+        "_HIDDEN = 4\n", encoding="utf-8")
     (tmp_path / "b.py").write_text(
-        "import a\nfrom a import imported\n\ny = a.ByAttribute\n", encoding="utf-8")
-    assert unreferenced_public_names(tmp_path) == {"recursive"}
+        "import a\nfrom a import imported\n\ny = a.ByAttribute + LEFT\n"
+        "def f():\n    return x + a.LIMIT\n", encoding="utf-8")
+    assert unreferenced_public_names(tmp_path) == {"recursive", "SQUARES", "RIGHT", "y", "f"}
