@@ -3,7 +3,8 @@
 Subcommands: simulate, fit, transfer, select, benchmark, evaluate. Relative
 paths resolve against the workspace root given by the TRANSMC_WORKSPACE
 environment variable (default: current directory). Validation failures exit
-nonzero after printing a single ``error: ...`` line to stderr.
+nonzero after printing a single ``error: ...`` line to stderr. benchmark and
+evaluate run every case and write every file, then exit 3 if a fit diverged.
 """
 
 import argparse
@@ -80,6 +81,14 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _write_kv(path, **pairs):
+    """One 'key: value' line per pair, in order, and one per element of a list
+    value; LF line endings."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for key, value in pairs.items():
+            fh.writelines(f"{key}: {v}\n" for v in (value if isinstance(value, list) else [value]))
+
+
 def _entries(entries, what, known=None):
     """entries as a tuple, checked: none empty, none repeated and, when known
     is given, each one of known; a CliError names the offending entry."""
@@ -110,6 +119,8 @@ def _settings(params, methods, a, v, seed=0):
     """The PenaltyPolicy of params' c1 and c2 at box level a and noise scale v,
     and the SelectionConfig of params' folds, c_tilde and epsilon0 and of seed
     when s-transmc is among methods (else None); both checked before any fit."""
+    if not 0.0 <= (params.get("lam") or 0.0) < math.inf:
+        raise ValueError(f"penalty lam must be finite and at least 0, got {params['lam']}")
     policy = PenaltyPolicy(a=a, c1=params["c1"], c2=params["c2"], v=v)
     if "s-transmc" not in methods:
         return policy, None
@@ -138,6 +149,38 @@ def _estimate(method, target, sources, policy, selection, solver, lam=None):
     raise CliError(f"unknown method {method!r}")
 
 
+def _run_cases(cases, solver, lam=None) -> list:
+    """Each case's (Estimate, SelectionReport or None), or the
+    SolverDivergedError its fit raised; a case is _estimate's (method, target,
+    sources, policy, selection). The s-transmc cases run first, one at a time
+    here so that their screening fans out, and record their transfer fits.
+    The other cases run in one map_in_workers call, one fit per key: cases
+    that share a fit share its outcome, and its warnings appear once."""
+    def key(method, target, sources, policy, selection):
+        # What the fit reads besides solver and lam; datasets by identity.
+        return (method, id(target), tuple(map(id, sources)), policy,
+                selection if method == "s-transmc" else None)
+
+    def attempt(case):
+        try:
+            return _estimate(*case, solver, lam)
+        except SolverDivergedError as exc:
+            return exc
+
+    outcomes = {}  # key of a fit -> its outcome
+    for case in cases:
+        if case[0] == "s-transmc" and key(*case) not in outcomes:
+            outcomes[key(*case)] = outcome = attempt(case)
+            if not isinstance(outcome, SolverDivergedError):
+                _, target, sources, policy, _ = case
+                chosen = [sources[k - 1] for k in outcome[1].selected]
+                outcomes[key("transmc", target, chosen, policy, None)] = outcome[0], None
+    # Cases that share a key share the fit, so any one of them can run it.
+    rest = {k: case for case in cases if (k := key(*case)) not in outcomes}
+    outcomes.update(zip(rest, map_in_workers(attempt, rest.values())))
+    return [outcomes[key(*case)] for case in cases]
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -156,15 +199,9 @@ def _simulate_tec_frames(args) -> int:
         data_io.write_frame(frame, out / name)
         data_io.write_dense(truth, out / f"truth_{t:03d}.txt", label=f"t{t:03d}")
         names.append(name)
-    n_eval = min(10, len(names))
-    with open(out / "eval.cfg", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"frames: {','.join(str(out / n) for n in names)}\n")
-        fh.write(f"targets: 0-{n_eval - 1}\n")
-        fh.write("half_width: 10\n")
-        fh.write("holdout_fraction: 0.2\n")
-        fh.write(f"seed: {params['seed']}\n")
-        fh.write(f"noise_sd: {params['noise_sd']!r}\n")
-        fh.write("methods: single,transmc\n")
+    _write_kv(out / "eval.cfg", frames=",".join(str(out / n) for n in names),
+              targets=f"0-{min(10, len(names)) - 1}", half_width=10, holdout_fraction=0.2,
+              seed=params["seed"], noise_sd=repr(params["noise_sd"]), methods="single,transmc")
     print(f"wrote {len(names)} frames + truths + eval.cfg to {out}")
     return 0
 
@@ -186,13 +223,9 @@ def cmd_simulate(args) -> int:
         data_io.write_dense(truth, out / f"truth_task{k:02d}.txt", label=f"task{k}")
         source_files.append(name)
 
-    with open(out / "simulate_manifest.txt", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("scenario: scenario.cfg\n")
-        fh.write("target: target.samples\n")
-        fh.write(f"sources: {','.join(source_files)}\n")
-        fh.write(f"rep: {args.rep}\n")
-        fh.write("achieved_contrasts: "
-                 + ",".join(f"{h!r}" for h in data.achieved_contrasts) + "\n")
+    _write_kv(out / "simulate_manifest.txt", scenario="scenario.cfg", target="target.samples",
+              sources=",".join(source_files), rep=args.rep,
+              achieved_contrasts=",".join(repr(h) for h in data.achieved_contrasts))
     print(f"wrote 1 target, {len(source_files)} sources, {1 + len(source_files)} "
           f"truth matrices to {out}")
     return 0
@@ -217,14 +250,10 @@ def cmd_estimate(args) -> int:
                             SolverConfig(max_iters=args.max_iters), args.lam)
     out = _out_dir(args)
     data_io.write_dense(est.matrix, out / "estimate.txt", label=args.method)
-    with open(out / "fit_report.txt", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"stage: {est.stage}\n")
-        fh.write(f"penalty: {est.penalty_used!r}\n")
-        fh.write(f"iterations: {est.trace.iterations}\n")
-        fh.write(f"prox_evals: {est.trace.prox_evals}\n")
-        fh.write(f"converged: {est.trace.converged}\n")
-        fh.write(f"box_active: {est.trace.box_active}\n")
-        fh.write(f"objective: {est.trace.objective_values[-1]!r}\n")
+    _write_kv(out / "fit_report.txt", stage=est.stage, penalty=repr(est.penalty_used),
+              iterations=est.trace.iterations, prox_evals=est.trace.prox_evals,
+              converged=est.trace.converged, box_active=est.trace.box_active,
+              objective=repr(est.trace.objective_values[-1]))
     print(f"{args.method} fit: lam={est.penalty_used:.6g}, "
           f"iterations={est.trace.iterations}, converged={est.trace.converged}")
     if report is not None:
@@ -260,43 +289,25 @@ def _bench_worker(payload):
     "tag: message" per failed fit."""
     spec, rep, methods, params = payload
     data = generate_scenario(spec, rep=rep)
-    solver = SolverConfig(max_iters=params["max_iters"])
     policy, selection = _settings(params, methods, spec.a_cap, spec.noise_sd,
                                   (spec.seed, 4, rep))
-    result = {"errors": {}, "curve": None, "selected": None, "failures": []}
-    # Chosen sources' task ids -> trans_mc Estimate or the error it raised.
-    # Every transfer fit of one replicate shares target, policy and solver, so
-    # s-transmc, the `transmc` method and the curve make one fit per set of
-    # sources between them. s-transmc runs first, to seed the memo with its
-    # transfer fit.
-    fits = {}
-
-    def run(tag, method, sources):
-        key = tuple(ds.task_id for ds in sources)
-        if method == "transmc" and key in fits:
-            est = fits[key]
-        else:
-            try:
-                est, report = _estimate(method, data.target, sources, policy, selection, solver)
-            except SolverDivergedError as exc:
-                est, report = exc, None
-            if method == "transmc":
-                fits[key] = est
-            if report is not None:
-                result["selected"] = report.selected
-                fits[tuple(key[k - 1] for k in report.selected)] = est
-        if isinstance(est, SolverDivergedError):
-            result["failures"].append(f"{tag}: {est}")
-            return None
-        return metrics.rel_frob_error(est.matrix, data.truth)
-
-    for method in sorted(methods, key=lambda m: m != "s-transmc"):
-        if method == "curve":
-            result["curve"] = [run(f"curve-k{k}", "transmc", data.sources[:k])
-                               for k in range(len(data.sources) + 1)]
-        else:
-            result["errors"][method] = run(method, method, data.sources)
-    return result
+    named = [m for m in methods if m != "curve"]
+    # (tag, method, sources) of each fit; _run_cases makes a shared fit once.
+    runs = [(m, m, data.sources) for m in named] + [
+        (f"curve-k{k}", "transmc", data.sources[:k])
+        for k in range(len(data.sources) + 1) if "curve" in methods]
+    outcomes = _run_cases([(method, data.target, sources, policy, selection)
+                           for _, method, sources in runs],
+                          SolverConfig(max_iters=params["max_iters"]))
+    failed = [isinstance(outcome, SolverDivergedError) for outcome in outcomes]
+    errors = [None if f else metrics.rel_frob_error(outcome[0].matrix, data.truth)
+              for f, outcome in zip(failed, outcomes)]
+    reports = [outcome[1] for f, outcome in zip(failed, outcomes) if not f and outcome[1]]
+    return {"errors": dict(zip(named, errors)),
+            "curve": errors[len(named):] if "curve" in methods else None,
+            "selected": reports[0].selected if reports else None,
+            "failures": [f"{tag}: {outcome}"
+                         for (tag, _, _), f, outcome in zip(runs, failed, outcomes) if f]}
 
 
 def run_benchmark(spec: ScenarioSpec, reps: int, methods, params,
@@ -313,16 +324,11 @@ def run_benchmark(spec: ScenarioSpec, reps: int, methods, params,
             for i, scheme in enumerate(schemes)}
 
 
-# The summary of a method or curve point whose fit failed in every replicate.
-_NO_FITS = metrics.RepSummary(errors=(), mean=math.nan, median=math.nan, min=math.nan,
-                             max=math.nan, sd=math.nan)
-
-
 def _summarize_fits(errors):
     """metrics.summarize of the replicate errors whose fit did not fail (is not
-    None); _NO_FITS when every fit failed."""
+    None); nan for every statistic when every fit failed."""
     ok = [e for e in errors if e is not None]
-    return metrics.summarize(ok) if ok else _NO_FITS
+    return metrics.summarize(ok) if ok else metrics.RepSummary((), *[math.nan] * 5)
 
 
 def cmd_benchmark(args) -> int:
@@ -331,15 +337,10 @@ def cmd_benchmark(args) -> int:
     schemes = _comma_list(args.schemes, "sampling scheme", tuple(SCHEME_LABELS))
     if args.reps < 1:
         raise CliError(f"--reps must be at least 1, got {args.reps}")
-    params = {
-        "c1": args.c1, "c2": args.c2, "c_tilde": args.c_tilde,
-        "epsilon0": args.epsilon0, "folds": args.folds,
-        "max_iters": args.max_iters,
-    }
-    _settings(params, methods, spec.a_cap, spec.noise_sd)  # each replicate builds its own
+    _settings(vars(args), methods, spec.a_cap, spec.noise_sd)  # each replicate builds its own
     out = _out_dir(args)
 
-    bench = run_benchmark(spec, args.reps, methods, params, schemes=schemes)
+    bench = run_benchmark(spec, args.reps, methods, vars(args), schemes=schemes)
 
     summary_rows = []
     failures = []  # "scheme rep r tag: message", in (scheme, replicate) order
@@ -357,15 +358,11 @@ def cmd_benchmark(args) -> int:
             metrics.write_curve_csv(out / f"curve_{label.lower()}.csv", points)
     metrics.write_summary_csv(out / "summary.csv", summary_rows)
 
-    with open(out / "run_report.txt", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"replications: {args.reps}\n")
-        fh.write(f"schemes: {','.join(bench)}\n")
-        fh.write(f"methods: {','.join(methods)}\n")
-        fh.write(f"solver_failures: {len(failures)}\n")
-        fh.write("".join(f"failure: {f}\n" for f in failures))
+    _write_kv(out / "run_report.txt", replications=args.reps, schemes=",".join(bench),
+              methods=",".join(methods), solver_failures=len(failures), failure=failures)
     print(f"benchmark complete: {args.reps} reps x {len(bench)} schemes, "
           f"{len(failures)} solver failures")
-    return 0
+    return 3 if failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +387,11 @@ def _parse_targets(raw, n_frames):
     return _entries(out, "target frame")
 
 
+# The evaluate flags that only some methods read, by dest, with those methods.
+READ_BY = {"folds": {"s-transmc"}, "c_tilde": {"s-transmc"}, "epsilon0": {"s-transmc"},
+           "lam": {"single"}, "c1": {"transmc", "s-transmc"}}
+
+
 def cmd_evaluate(args) -> int:
     if not args.config:
         raise CliError("evaluate needs --config FILE")
@@ -402,10 +404,9 @@ def cmd_evaluate(args) -> int:
             return flag
         return parse(cfg[key]) if key in cfg else default
 
-    frame_paths = [p for p in cfg.get("frames", "").split(",") if p]
+    frame_paths = [_resolve(p) for p in cfg.get("frames", "").split(",") if p]
     if not frame_paths:
         raise CliError("evaluate config needs a 'frames' list")
-    frame_paths = [_resolve(p) for p in frame_paths]
     missing = [str(p) for p in frame_paths if not p.exists()]
     if missing:
         raise CliError(f"missing frames: {', '.join(missing)}")
@@ -414,43 +415,43 @@ def cmd_evaluate(args) -> int:
     fraction = float(cfg.get("holdout_fraction", 0.2))
     seed = setting("seed", int, 0)
     methods = _comma_list(cfg.get("methods", ",".join(METHODS)), "method", METHODS)
+    for key, readers in READ_BY.items():
+        if getattr(args, key) is not None and not readers & set(methods):
+            raise CliError(f"{OPTIONS[key][0]} is read by none of the methods {','.join(methods)}")
     frames = map_in_chunks(data_io.read_frame, frame_paths)
     a = _box_level(setting("a", float), [f.values for f in frames])
-    multipliers = {c: setting(c, float, DEFAULT_MULTIPLIER) for c in ("c1", "c2")}
-    policy, selection = _settings({**vars(args), **multipliers}, methods, a,
-                                  setting("noise_sd", float))
+    # An absent c1 or c2 comes from the config; an absent folds or c_tilde from OPTIONS.
+    params = {**vars(args), **{c: setting(c, float, DEFAULT_MULTIPLIER) for c in ("c1", "c2")}}
+    params.update({k: OPTIONS[k][1]["default"] for k in ("folds", "c_tilde") if params[k] is None})
+    policy, selection = _settings(params, methods, a, setting("noise_sd", float))
     solver = SolverConfig(max_iters=args.max_iters)
     # One pilot per target frame, shared by its methods; none for single alone at --lam.
     pilot = args.lam is None or methods != ("single",)
 
     out = _out_dir(args)
-    cases = []  # (target index, train, test, sources, policy, selection, method)
+    cases, tests = [], []  # the cases and, for each, (frame id, method, holdout split)
     for t in targets:
         train, test = data_io.holdout_split(frames[t], fraction, (seed, t))
         sources = [frames[i].to_dataset(task_id=j + 1) for j, i in
                    enumerate(data_io.window_sources(len(frames), t, half_width))]
-        shared = (t, train, test, sources, policy.resolve(train, solver) if pilot else policy,
+        shared = (train, sources, policy.resolve(train, solver) if pilot else policy,
                   selection and replace(selection, seed=(seed, 5, t)))
-        cases.extend((*shared, method) for method in methods)
+        cases.extend((method, *shared) for method in methods)
+        tests.extend((frames[t].frame_id, method, test) for method in methods)
 
-    def case_errors(case):
-        t, train, test, sources, policy, selection, method = case
-        est, _ = _estimate(method, train, sources, policy, selection, solver, args.lam)
-        return metrics.holdout_errors(est.matrix, test)
-
-    # Every case is independent, so they run side by side, but the s-transmc
-    # cases run afterwards, here, so that their screening fits get a fan-out
-    # of their own.
-    first = [i for i, case in enumerate(cases) if case[-1] != "s-transmc"]
-    errors = dict(zip(first, map_in_workers(case_errors, [cases[i] for i in first])))
-    rows = []
-    for i, case in enumerate(cases):
-        e, rel = errors[i] if i in errors else case_errors(case)
-        rows.append((frames[case[0]].frame_id, case[-1], f"{e:.12g}", f"{rel:.12g}"))
+    rows, status = [], 0
+    for (frame_id, method, test), outcome in zip(tests, _run_cases(cases, solver, args.lam)):
+        if isinstance(outcome, SolverDivergedError):
+            print(f"error: solver-diverged: {frame_id} {method}: {outcome}", file=sys.stderr)
+            e = rel = math.nan
+            status = 3
+        else:
+            e, rel = metrics.holdout_errors(outcome[0].matrix, test)
+        rows.append((frame_id, method, f"{e:.12g}", f"{rel:.12g}"))
 
     metrics.write_csv(out / "eval.csv", ("frame", "method", "E", "RE"), rows)
     print(f"evaluated {len(targets)} frames x {len(methods)} methods -> {out / 'eval.csv'}")
-    return 0
+    return status
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +478,7 @@ OPTIONS = {
     "folds": ("--folds", dict(type=int, default=4, help="cross-validation folds")),
     "noise_sd": ("--noise-sd", dict(type=float, default=None,
                                     help="known noise scale (skips the pilot estimate)")),
+    "lam": ("--lam", dict(type=float, default=None, help="explicit single-task penalty")),
 }
 FIT_OPTIONS = ("max_iters", "a", "c1", "c2", "noise_sd")
 # A single-task fit takes only c2 of the two multipliers.
@@ -502,8 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", type=int, default=0, help="replicate index to materialize")
     p.set_defaults(func=cmd_simulate)
 
-    p = command("fit", "single-task nuclear-norm fit", *SINGLE_FIT_OPTIONS)
-    p.add_argument("--lam", type=float, default=None, help="explicit penalty")
+    p = command("fit", "single-task nuclear-norm fit", *SINGLE_FIT_OPTIONS, "lam")
     p.add_argument("--data", dest="target", help="samples or frame file")
     p.set_defaults(func=cmd_estimate, method="single", sources="", seed=None,
                    c1=DEFAULT_MULTIPLIER)
@@ -528,11 +529,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_benchmark)
 
     p = command("evaluate", "holdout evaluation over a frame sequence", "config", "seed",
-                *FIT_OPTIONS, *SELECTION_OPTIONS)
-    p.add_argument("--lam", type=float, default=None,
-                   help="explicit penalty of the single method")
-    # None marks an absent flag: cmd_evaluate then reads the config's c1 and c2.
-    p.set_defaults(func=cmd_evaluate, c1=None, c2=None)
+                *FIT_OPTIONS, *SELECTION_OPTIONS, "lam")
+    # None marks an absent flag (see cmd_evaluate).
+    p.set_defaults(func=cmd_evaluate, c1=None, c2=None, folds=None, c_tilde=None)
     return parser
 
 

@@ -291,6 +291,31 @@ def test_options_rejected_where_the_command_does_not_read_them(tmp_path, command
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("methods, option", [
+    ("single,transmc", ["--folds", "2"]),
+    ("single,transmc", ["--c-tilde", "1.5"]),
+    ("single", ["--epsilon0", "0.5"]),
+    ("single", ["--folds", "1", "--c-tilde", "-5", "--epsilon0", "-1"]),
+    ("transmc,s-transmc", ["--lam", "0.1"]),
+    ("single", ["--c1", "0.1"]),
+])
+def test_evaluate_rejects_options_its_methods_do_not_read(tmp_path, monkeypatch, capsys,
+                                                          methods, option):
+    # Which flags evaluate reads depends on its config's methods, so the
+    # check comes after the config, but before any frame is parsed.
+    cfg = _tiny_frames(tmp_path)
+    cfg.write_text(cfg.read_text().replace("methods: single,transmc", f"methods: {methods}"))
+    parsed = []
+    monkeypatch.setattr(cli.data_io, "read_frame", parsed.append)
+    capsys.readouterr()
+    assert run(["evaluate", "--config", str(cfg), "--out", "x", *option], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid-invocation: {option[0]} is read by none of the "
+                          f"methods {methods}")
+    assert parsed == []
+    assert not (tmp_path / "x").exists()
+
+
 def test_select_runs_the_noise_pilot_once(tmp_path, tiny_cfg, pilot_calls):
     assert run(["simulate", "--config", str(tiny_cfg), "--out", "sim"], tmp_path) == 0
     sources = ",".join(str(tmp_path / "sim" / f"source_{k:02d}.samples") for k in (1, 2))
@@ -349,6 +374,21 @@ def test_a_bad_selection_setting_exits_2_before_any_fit(tmp_path, tiny_cfg, caps
         capsys.readouterr()
         assert run(command + ["--out", name, *option], tmp_path) == 2
         assert capsys.readouterr().err.startswith("error: validation: ")
+        assert not (tmp_path / name).exists()
+    assert fit_count() == 0
+
+
+@pytest.mark.parametrize("lam", ["inf", "nan", "-1"])
+def test_a_non_finite_or_negative_lam_exits_2_before_any_fit(tmp_path, tiny_cfg, capsys,
+                                                             fit_count, lam):
+    assert run(["simulate", "--config", str(tiny_cfg), "--out", "sim"], tmp_path) == 0
+    commands = {"fit": ["fit", "--data", "sim/target.samples"],
+                "evaluate": ["evaluate", "--config", str(_tiny_frames(tmp_path))]}
+    for name, command in commands.items():
+        capsys.readouterr()
+        assert run(command + ["--out", name, "--lam", lam], tmp_path) == 2
+        assert capsys.readouterr().err == ("error: validation: penalty lam must be finite "
+                                           f"and at least 0, got {float(lam)}\n")
         assert not (tmp_path / name).exists()
     assert fit_count() == 0
 
@@ -473,7 +513,7 @@ def test_benchmark_writes_a_curve_point_that_failed_in_every_replicate(
         tmp_path, tiny_cfg, monkeypatch, set_workers):
     # Every fit on both sources diverges: the `transmc` method and curve point
     # k = 2 have no error to summarize, yet the run writes its files, gives
-    # both a row of nan and names each failure in run_report.txt.
+    # both a row of nan, names each failure in run_report.txt and exits 3.
     from transmc.solver import SolverDivergedError
 
     def failing(target, sources, policy, solver):
@@ -484,7 +524,7 @@ def test_benchmark_writes_a_curve_point_that_failed_in_every_replicate(
     monkeypatch.setattr(cli, "trans_mc", failing)
     set_workers(2)
     assert run(["benchmark", "--config", str(tiny_cfg), "--out", "b", "--reps", "2",
-                "--methods", "transmc,curve", "--schemes", "uniform"], tmp_path) == 0
+                "--methods", "transmc,curve", "--schemes", "uniform"], tmp_path) == 3
     out = tmp_path / "b"
     assert list(csv.reader(open(out / "summary.csv")))[1:] == [["transmc", "SS1", *["nan"] * 5]]
     curve = list(csv.reader(open(out / "curve_ss1.csv")))
@@ -587,6 +627,81 @@ def test_evaluate_does_not_depend_on_the_worker_count(tmp_path, set_workers, cap
     assert warnings[1] == warnings[2]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_evaluate_runs_every_case_when_a_fit_diverges(tmp_path, monkeypatch, set_workers,
+                                                      capsys):
+    # trans_mc diverges on target frame 3 alone: evaluate still writes every
+    # row, gives that case nan, names it once on stderr and exits 3.
+    from transmc.data_io import holdout_split, read_frame
+    from transmc.solver import SolverDivergedError
+
+    cfg = _tiny_frames(tmp_path)
+    train, _ = holdout_split(read_frame(tmp_path / "tec" / "frame_003.frame"), 0.2, (42, 3))
+    assert "holdout_fraction: 0.2\n" in cfg.read_text() and "seed: 42\n" in cfg.read_text()
+
+    def failing(target, sources, policy, solver):
+        if np.array_equal(target.values, train.values):
+            raise SolverDivergedError("diverged")
+        return trans_mc(target, sources, policy, solver)
+
+    monkeypatch.setattr(cli, "trans_mc", failing)
+    outputs = []
+    for workers in (1, 2):
+        set_workers(workers)
+        capsys.readouterr()
+        assert run(["evaluate", "--config", str(cfg), "--out", f"ev{workers}",
+                    "--max-iters", "300"], tmp_path) == 3
+        outputs.append(((tmp_path / f"ev{workers}" / "eval.csv").read_bytes(),
+                        capsys.readouterr().err))
+    assert outputs[0] == outputs[1]
+    rows = list(csv.reader(open(tmp_path / "ev1" / "eval.csv")))[1:]
+    assert [r[:2] for r in rows] == [[f"t{t:03d}", m] for t in range(6)
+                                     for m in ("single", "transmc")]
+    assert [r for r in rows if "nan" in r] == [["t003", "transmc", "nan", "nan"]]
+    assert [line for line in outputs[0][1].splitlines() if line.startswith("error")] == [
+        "error: solver-diverged: t003 transmc: diverged"]
+
+
+def test_evaluate_s_transmc_reuses_its_transfer_fit(tmp_path, monkeypatch, set_workers):
+    # With frame 5 negated and a window of two frames each side, screening
+    # keeps every source of targets 0-2 and drops some of targets 3-5. Where
+    # it keeps every source, its transfer fit is the transmc case's fit.
+    from dataclasses import replace
+
+    from transmc.data_io import read_frame
+
+    cfg = _tiny_frames(tmp_path)
+    cfg.write_text(cfg.read_text().replace("half_width: 10", "half_width: 2")
+                   .replace("methods: single,transmc", "methods: single,transmc,s-transmc"))
+    path = tmp_path / "tec" / "frame_005.frame"
+    frame = read_frame(path)
+    write_frame(replace(frame, values=-frame.values), path)
+    calls, keeps_all = [], {}  # target of each trans_mc call; target -> every source kept
+
+    def counting(target, sources, policy, solver):
+        calls.append(id(target))
+        return trans_mc(target, sources, policy, solver)
+
+    def screening(target, sources, *args):
+        report = screen(target, sources, *args)
+        keeps_all[id(target)] = len(report.selected) == len(sources)
+        return report
+
+    screen = selection.screen_sources
+    monkeypatch.setattr(cli, "trans_mc", counting)
+    monkeypatch.setattr(selection, "trans_mc", counting)
+    monkeypatch.setattr(selection, "screen_sources", screening)
+    set_workers(1)  # every fit runs in this process, where the counters see it
+    assert run(["evaluate", "--config", str(cfg), "--out", "ev", "--max-iters", "300"],
+               tmp_path) == 0
+    # The s-transmc cases run first, in target order.
+    assert list(keeps_all.values()) == [True] * 3 + [False] * 3
+    assert [calls.count(t) for t in keeps_all] == [1] * 3 + [2] * 3
+    rows = {(r[0], r[1]): r[2:] for r in csv.reader(open(tmp_path / "ev" / "eval.csv"))}
+    for t in range(6):
+        same = rows[(f"t{t:03d}", "transmc")] == rows[(f"t{t:03d}", "s-transmc")]
+        assert same == (t < 3)
 
 
 def test_evaluate_runs_the_noise_pilot_once_per_target_frame(tmp_path, pilot_calls):
