@@ -27,8 +27,14 @@ from transmc.solver import SolverConfig, SolverDivergedError
 SCHEME_LABELS = {"uniform": "SS1", "product": "SS2"}
 # The estimators _estimate runs; benchmark also takes "curve".
 METHODS = ("single", "transmc", "s-transmc")
+# The settings each method reads besides max_iters, a and noise_sd; benchmark's
+# "curve" fits transmc on each prefix of the sources.
+READS = {"single": ("c2", "lam"), "transmc": ("c1", "c2"),
+         "s-transmc": ("c1", "c2", "folds", "c_tilde", "epsilon0"), "curve": ("c1", "c2")}
 # Penalty multipliers calibrated for the shipped presets (noise sd 1, cap 30).
 DEFAULT_MULTIPLIER = 0.07
+# What _settings uses for an absent setting; an absent epsilon0 or lam stays None.
+DEFAULTS = {"c1": DEFAULT_MULTIPLIER, "c2": DEFAULT_MULTIPLIER, "folds": 4, "c_tilde": 2.0}
 
 # The keys of an evaluate config.
 EVALUATE_KEYS = ("frames", "targets", "half_width", "holdout_fraction", "seed", "noise_sd",
@@ -118,14 +124,25 @@ def _box_level(a, value_arrays) -> float:
 def _settings(params, methods, a, v, seed=0):
     """The PenaltyPolicy of params' c1 and c2 at box level a and noise scale v,
     and the SelectionConfig of params' folds, c_tilde and epsilon0 and of seed
-    when s-transmc is among methods (else None); both checked before any fit."""
-    if not 0.0 <= (params.get("lam") or 0.0) < math.inf:
+    when s-transmc is among methods (else None); both checked before any fit.
+    A setting that params lacks or holds as None takes its DEFAULTS value."""
+    params = {**DEFAULTS, **{k: x for k, x in params.items() if x is not None}}
+    if not 0.0 <= params.get("lam", 0.0) < math.inf:
         raise ValueError(f"penalty lam must be finite and at least 0, got {params['lam']}")
     policy = PenaltyPolicy(a=a, c1=params["c1"], c2=params["c2"], v=v)
     if "s-transmc" not in methods:
         return policy, None
     return policy, SelectionConfig(J=params["folds"], c_tilde=params["c_tilde"], seed=seed,
-                                   epsilon0=params["epsilon0"], c0=policy.c1, ck=policy.c2)
+                                   epsilon0=params.get("epsilon0"), c0=policy.c1, ck=policy.c2)
+
+
+def _reject_unread(params, methods):
+    """A CliError naming the first setting given in params that none of methods reads."""
+    read = {s for m in methods for s in READS[m]}
+    for dest in dict.fromkeys(s for row in READS.values() for s in row):
+        if params.get(dest) is not None and dest not in read:
+            raise CliError(f"{OPTIONS[dest][0]} is read by none of the methods "
+                           f"{','.join(methods)}")
 
 
 def _estimate(method, target, sources, policy, selection, solver, lam=None):
@@ -237,17 +254,19 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     """fit, transfer and select: args.method on the given files."""
+    params = vars(args)  # without the flags that the command does not take
     if args.method == "single" and not args.target:
         raise CliError("fit needs --data FILE")
     if args.method != "single" and not (args.target and args.sources):
         raise CliError("need --target FILE and --sources F1,F2,...")
-    paths = [args.target, *(p for p in args.sources.split(",") if p)]
+    paths = [args.target, *(p for p in params.get("sources", "").split(",") if p)]
     target, *sources = [data_io.read_dataset(_resolve(p), task_id=k)
                         for k, p in enumerate(paths)]
     a = _box_level(args.a, [ds.values for ds in (target, *sources)])
-    policy, selection = _settings(vars(args), [args.method], a, args.noise_sd, args.seed or 0)
+    policy, selection = _settings(params, [args.method], a, args.noise_sd,
+                                  params.get("seed") or 0)
     est, report = _estimate(args.method, target, sources, policy, selection,
-                            SolverConfig(max_iters=args.max_iters), args.lam)
+                            SolverConfig(max_iters=args.max_iters), params.get("lam"))
     out = _out_dir(args)
     data_io.write_dense(est.matrix, out / "estimate.txt", label=args.method)
     _write_kv(out / "fit_report.txt", stage=est.stage, penalty=repr(est.penalty_used),
@@ -313,7 +332,8 @@ def _bench_worker(payload):
 def run_benchmark(spec: ScenarioSpec, reps: int, methods, params,
                   schemes=("uniform", "product")):
     """Replicates of each scheme, run through map_in_workers and merged in
-    (scheme, replicate) order.
+    (scheme, replicate) order. Each scheme replaces spec's own sampling, so
+    a preset and its -ss2 twin give the same results.
 
     Returns {scheme_label: {"results": [per-rep dicts]}}.
     """
@@ -333,7 +353,8 @@ def _summarize_fits(errors):
 
 def cmd_benchmark(args) -> int:
     spec = _load_spec(args)
-    methods = _comma_list(args.methods, "method", (*METHODS, "curve"))
+    methods = _comma_list(args.methods, "method", tuple(READS))
+    _reject_unread(vars(args), methods)
     schemes = _comma_list(args.schemes, "sampling scheme", tuple(SCHEME_LABELS))
     if args.reps < 1:
         raise CliError(f"--reps must be at least 1, got {args.reps}")
@@ -387,23 +408,10 @@ def _parse_targets(raw, n_frames):
     return _entries(out, "target frame")
 
 
-# The evaluate flags that only some methods read, by dest, with those methods.
-READ_BY = {"folds": {"s-transmc"}, "c_tilde": {"s-transmc"}, "epsilon0": {"s-transmc"},
-           "lam": {"single"}, "c1": {"transmc", "s-transmc"}}
-
-
 def cmd_evaluate(args) -> int:
     if not args.config:
         raise CliError("evaluate needs --config FILE")
     cfg = data_io._read_kv(_resolve(args.config), EVALUATE_KEYS)
-
-    def setting(key, parse, default=None):
-        """The --key flag if given, else the config's key, else default."""
-        flag = getattr(args, key)
-        if flag is not None:
-            return flag
-        return parse(cfg[key]) if key in cfg else default
-
     frame_paths = [_resolve(p) for p in cfg.get("frames", "").split(",") if p]
     if not frame_paths:
         raise CliError("evaluate config needs a 'frames' list")
@@ -413,17 +421,15 @@ def cmd_evaluate(args) -> int:
     targets = _parse_targets(cfg.get("targets", "0"), len(frame_paths))
     half_width = int(cfg.get("half_width", 10))
     fraction = float(cfg.get("holdout_fraction", 0.2))
-    seed = setting("seed", int, 0)
     methods = _comma_list(cfg.get("methods", ",".join(METHODS)), "method", METHODS)
-    for key, readers in READ_BY.items():
-        if getattr(args, key) is not None and not readers & set(methods):
-            raise CliError(f"{OPTIONS[key][0]} is read by none of the methods {','.join(methods)}")
+    # A given flag, else its config key read with the flag's type.
+    params = {**{k: OPTIONS[k][1]["type"](x) for k, x in cfg.items() if k in OPTIONS},
+              **{k: x for k, x in vars(args).items() if x is not None}}
+    _reject_unread(params, methods)
+    seed = params.get("seed", 0)
     frames = map_in_chunks(data_io.read_frame, frame_paths)
-    a = _box_level(setting("a", float), [f.values for f in frames])
-    # An absent c1 or c2 comes from the config; an absent folds or c_tilde from OPTIONS.
-    params = {**vars(args), **{c: setting(c, float, DEFAULT_MULTIPLIER) for c in ("c1", "c2")}}
-    params.update({k: OPTIONS[k][1]["default"] for k in ("folds", "c_tilde") if params[k] is None})
-    policy, selection = _settings(params, methods, a, setting("noise_sd", float))
+    a = _box_level(params.get("a"), [f.values for f in frames])
+    policy, selection = _settings(params, methods, a, params.get("noise_sd"))
     solver = SolverConfig(max_iters=args.max_iters)
     # One pilot per target frame, shared by its methods; none for single alone at --lam.
     pilot = args.lam is None or methods != ("single",)
@@ -458,32 +464,25 @@ def cmd_evaluate(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-# Every option of the subcommands, by dest; each subcommand takes the ones it reads.
+# Every option of the subcommands, by dest, in --help order; each subcommand
+# takes the ones it reads. An absent setting is None until _settings.
 OPTIONS = {
+    "out": ("--out", dict(default="out", help="output directory")),
     "config": ("--config", dict(help="scenario or evaluation config file")),
     "preset": ("--preset", dict(help="named scenario preset")),
-    "out": ("--out", dict(default="out", help="output directory")),
-    "seed": ("--seed", dict(type=int, default=None, help="seed override")),
+    "seed": ("--seed", dict(type=int, help="seed override")),
     "reps": ("--reps", dict(type=int, default=1, help="replication count")),
     "max_iters": ("--max-iters", dict(type=int, default=500)),
-    "a": ("--a", dict(type=float, default=None, help="entrywise box level")),
-    "c1": ("--c1", dict(type=float, default=DEFAULT_MULTIPLIER,
-                        help="pooling penalty multiplier")),
-    "c2": ("--c2", dict(type=float, default=DEFAULT_MULTIPLIER,
-                        help="debias / single-task penalty multiplier")),
-    "c_tilde": ("--c-tilde", dict(type=float, default=2.0,
-                                  help="selection threshold multiplier")),
-    "epsilon0": ("--epsilon0", dict(type=float, default=None,
-                                    help="selection threshold floor")),
-    "folds": ("--folds", dict(type=int, default=4, help="cross-validation folds")),
-    "noise_sd": ("--noise-sd", dict(type=float, default=None,
+    "a": ("--a", dict(type=float, help="entrywise box level")),
+    "c1": ("--c1", dict(type=float, help="pooling penalty multiplier")),
+    "c2": ("--c2", dict(type=float, help="debias / single-task penalty multiplier")),
+    "noise_sd": ("--noise-sd", dict(type=float,
                                     help="known noise scale (skips the pilot estimate)")),
-    "lam": ("--lam", dict(type=float, default=None, help="explicit single-task penalty")),
+    "c_tilde": ("--c-tilde", dict(type=float, help="selection threshold multiplier")),
+    "epsilon0": ("--epsilon0", dict(type=float, help="selection threshold floor")),
+    "folds": ("--folds", dict(type=int, help="cross-validation folds")),
+    "lam": ("--lam", dict(type=float, help="explicit single-task penalty")),
 }
-FIT_OPTIONS = ("max_iters", "a", "c1", "c2", "noise_sd")
-# A single-task fit takes only c2 of the two multipliers.
-SINGLE_FIT_OPTIONS = ("max_iters", "a", "c2", "noise_sd")
-SELECTION_OPTIONS = ("c_tilde", "epsilon0", "folds")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -493,45 +492,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help_text, *options):
+    def command(name, help_text, func, *options):
         p = sub.add_parser(name, help=help_text)
-        for dest in ("out", *options):
+        p.set_defaults(func=func)
+        for dest in sorted({"out", *options}, key=list(OPTIONS).index):
             flag, kwargs = OPTIONS[dest]
             p.add_argument(flag, dest=dest, **kwargs)
         return p
 
-    p = command("simulate", "generate scenario datasets on disk", "config", "preset", "seed")
+    p = command("simulate", "generate scenario datasets on disk", cmd_simulate,
+                "config", "preset", "seed")
     p.add_argument("--rep", type=int, default=0, help="replicate index to materialize")
-    p.set_defaults(func=cmd_simulate)
-
-    p = command("fit", "single-task nuclear-norm fit", *SINGLE_FIT_OPTIONS, "lam")
-    p.add_argument("--data", dest="target", help="samples or frame file")
-    p.set_defaults(func=cmd_estimate, method="single", sources="", seed=None,
-                   c1=DEFAULT_MULTIPLIER)
 
     # Only select draws a fold split, so only select takes --seed.
-    for name, method, help_text, options in (
-        ("transfer", "transmc", "two-step transfer fit", FIT_OPTIONS),
-        ("select", "s-transmc", "informative-source selection + transfer fit",
-         FIT_OPTIONS + SELECTION_OPTIONS + ("seed",)),
+    for name, method, help_text in (
+        ("fit", "single", "single-task nuclear-norm fit"),
+        ("transfer", "transmc", "two-step transfer fit"),
+        ("select", "s-transmc", "informative-source selection + transfer fit"),
     ):
-        p = command(name, help_text, *options)
-        p.add_argument("--target", help="target samples/frame file")
-        p.add_argument("--sources", help="comma-separated source files")
-        p.set_defaults(func=cmd_estimate, method=method, lam=None, seed=None)
+        p = command(name, help_text, cmd_estimate, "max_iters", "a", "noise_sd",
+                    *READS[method], *(["seed"] if method == "s-transmc" else []))
+        if method == "single":
+            p.add_argument("--data", dest="target", help="samples or frame file")
+        else:
+            p.add_argument("--target", help="target samples/frame file")
+            p.add_argument("--sources", help="comma-separated source files")
+        p.set_defaults(method=method)
 
-    p = command("benchmark", "Monte-Carlo benchmark over a scenario", "config", "preset",
-                "seed", "reps", "max_iters", "c1", "c2", *SELECTION_OPTIONS)
+    # benchmark's single fits take the penalty rule, so it takes no --lam.
+    p = command("benchmark", "Monte-Carlo benchmark over a scenario", cmd_benchmark,
+                "config", "preset", "seed", "reps", "max_iters", *READS["s-transmc"])
     p.add_argument("--methods", default="single,transmc,s-transmc,curve",
                    help="comma list out of single,transmc,s-transmc,curve")
     p.add_argument("--schemes", default="uniform,product",
-                   help="sampling schemes to run (uniform and/or product)")
-    p.set_defaults(func=cmd_benchmark)
+                   help="sampling schemes to run (uniform and/or product); each replaces "
+                        "the scenario's own sampling")
 
-    p = command("evaluate", "holdout evaluation over a frame sequence", "config", "seed",
-                *FIT_OPTIONS, *SELECTION_OPTIONS, "lam")
-    # None marks an absent flag (see cmd_evaluate).
-    p.set_defaults(func=cmd_evaluate, c1=None, c2=None, folds=None, c_tilde=None)
+    command("evaluate", "holdout evaluation over a frame sequence", cmd_evaluate, "config",
+            "seed", "max_iters", "a", "noise_sd", *(s for row in READS.values() for s in row))
     return parser
 
 

@@ -45,9 +45,10 @@ class SelectionConfig:
             raise ValueError(f"fold count J must be >= 2, got {self.J}")
         if self.epsilon0 is not None and not 0.0 < self.epsilon0 < math.inf:
             raise ValueError(f"epsilon0 must be positive and finite, got {self.epsilon0}")
-        if not 0.0 < self.c_tilde < math.inf:
-            raise ValueError(f"threshold multiplier c_tilde must be positive and finite, "
-                             f"got {self.c_tilde}")
+        for name in ("c_tilde", "c0", "ck"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"multiplier {name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

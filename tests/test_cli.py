@@ -316,6 +316,46 @@ def test_evaluate_rejects_options_its_methods_do_not_read(tmp_path, monkeypatch,
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("methods, option", [
+    ("single", ["--folds", "1"]),
+    ("single", ["--c-tilde", "1.5"]),
+    ("single", ["--c1", "0.1"]),
+    ("curve", ["--epsilon0", "0.5"]),
+])
+def test_benchmark_rejects_options_its_methods_do_not_read(tmp_path, monkeypatch, capsys,
+                                                           methods, option):
+    runs = []
+    monkeypatch.setattr(cli, "run_benchmark", lambda *args, **kwargs: runs.append(args))
+    capsys.readouterr()
+    assert run(["benchmark", "--preset", "paper-5.1-small", "--methods", methods,
+                "--out", "x", *option], tmp_path) == 2
+    assert capsys.readouterr().err == (f"error: invalid-invocation: {option[0]} is read by "
+                                       f"none of the methods {methods}\n")
+    assert runs == []
+    assert not (tmp_path / "x").exists()
+
+
+def test_evaluate_rejects_a_config_key_its_methods_do_not_read(tmp_path, monkeypatch, capsys):
+    # A config key is checked as its flag is, and named by that flag.
+    cfg = _tiny_frames(tmp_path)
+    cfg.write_text(cfg.read_text().replace("methods: single,transmc", "methods: single")
+                   + "c1: 0.1\n")
+    parsed = []
+    monkeypatch.setattr(cli.data_io, "read_frame", parsed.append)
+    capsys.readouterr()
+    assert run(["evaluate", "--config", str(cfg), "--out", "x"], tmp_path) == 2
+    assert capsys.readouterr().err == ("error: invalid-invocation: --c1 is read by none of "
+                                       "the methods single\n")
+    assert parsed == []
+    assert not (tmp_path / "x").exists()
+
+
+def test_benchmark_takes_c1_when_curve_reads_it(tmp_path, tiny_cfg):
+    assert run(["benchmark", "--config", str(tiny_cfg), "--methods", "transmc,curve",
+                "--c1", "0.1", "--schemes", "uniform", "--max-iters", "300",
+                "--out", "b"], tmp_path) == 0
+
+
 def test_select_runs_the_noise_pilot_once(tmp_path, tiny_cfg, pilot_calls):
     assert run(["simulate", "--config", str(tiny_cfg), "--out", "sim"], tmp_path) == 0
     sources = ",".join(str(tmp_path / "sim" / f"source_{k:02d}.samples") for k in (1, 2))

@@ -444,6 +444,8 @@ def test_selection_config_validation():
 @pytest.mark.parametrize("field, value", [
     *(("epsilon0", x) for x in (float("nan"), float("inf"), 0.0, -1.0)),
     *(("c_tilde", x) for x in (float("nan"), float("inf"), 0.0, -1.0)),
+    *(("c0", x) for x in (float("nan"), float("inf"), 0.0, -1.0)),
+    *(("ck", x) for x in (float("nan"), float("inf"), 0.0, -1.0)),
 ])
 def test_selection_config_rejects_non_finite_and_out_of_range_settings(field, value):
     with pytest.raises(ValueError, match=field):
