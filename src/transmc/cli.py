@@ -53,13 +53,9 @@ class CliError(Exception):
     pass
 
 
-def _workspace() -> Path:
-    return Path(os.environ.get("TRANSMC_WORKSPACE", "."))
-
-
 def _resolve(path) -> Path:
-    p = Path(path)
-    return p if p.is_absolute() else _workspace() / p
+    """path against the TRANSMC_WORKSPACE root (default .); an absolute path is kept."""
+    return Path(os.environ.get("TRANSMC_WORKSPACE", "."), path)
 
 
 def _load_spec(args, also_known=()) -> ScenarioSpec:
@@ -109,9 +105,19 @@ def _entries(entries, what, known=None):
     return entries
 
 
-def _comma_list(raw, what, known):
+def _comma_list(raw, what, known=None):
     """The entries of a comma list, checked by _entries."""
     return _entries((e.strip() for e in raw.split(",") if e.strip()), what, known)
+
+
+def _input_files(entries, what):
+    """The workspace paths of input-file entries, checked by _entries as real
+    paths (a.samples and ./a.samples are one); a CliError names every one missing."""
+    paths = [_resolve(e) for e in entries]
+    _entries(map(os.path.realpath, paths), what)
+    if missing := [str(p) for p in paths if not p.exists()]:
+        raise CliError(f"missing {what}s: {', '.join(missing)}")
+    return paths
 
 
 def _box_level(a, value_arrays) -> float:
@@ -203,6 +209,8 @@ def _run_cases(cases, solver, lam=None) -> list:
 # ---------------------------------------------------------------------------
 
 def _simulate_tec_frames(args) -> int:
+    if args.rep is not None:
+        raise CliError(f"--rep is read by none of the frame presets {','.join(TEC_PRESETS)}")
     params = dict(TEC_PRESETS[args.preset])
     if args.seed is not None:
         params["seed"] = args.seed
@@ -224,11 +232,11 @@ def _simulate_tec_frames(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.preset in TEC_PRESETS:
+    if args.preset in TEC_PRESETS and not args.config:  # with --config, _load_spec rejects it
         return _simulate_tec_frames(args)
     spec = _load_spec(args, also_known=TEC_PRESETS)
     out = _out_dir(args)
-    data = generate_scenario(spec, rep=args.rep)
+    data = generate_scenario(spec, rep=args.rep or 0)
 
     data_io.write_scenario(spec, out / "scenario.cfg")
     data_io.write_dense(data.truth, out / "truth_task00.txt", label="task0")
@@ -241,7 +249,7 @@ def cmd_simulate(args) -> int:
         source_files.append(name)
 
     _write_kv(out / "simulate_manifest.txt", scenario="scenario.cfg", target="target.samples",
-              sources=",".join(source_files), rep=args.rep,
+              sources=",".join(source_files), rep=args.rep or 0,
               achieved_contrasts=",".join(repr(h) for h in data.achieved_contrasts))
     print(f"wrote 1 target, {len(source_files)} sources, {1 + len(source_files)} "
           f"truth matrices to {out}")
@@ -253,15 +261,11 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_estimate(args) -> int:
-    """fit, transfer and select: args.method on the given files."""
+    """fit, transfer and select: args.method on its target and sources, one checked list."""
     params = vars(args)  # without the flags that the command does not take
-    if args.method == "single" and not args.target:
-        raise CliError("fit needs --data FILE")
-    if args.method != "single" and not (args.target and args.sources):
-        raise CliError("need --target FILE and --sources F1,F2,...")
-    paths = [args.target, *(p for p in params.get("sources", "").split(",") if p)]
-    target, *sources = [data_io.read_dataset(_resolve(p), task_id=k)
-                        for k, p in enumerate(paths)]
+    sources = _comma_list(args.sources, "source file") if "sources" in params else ()
+    target, *sources = [data_io.read_dataset(p, task_id=k) for k, p in
+                        enumerate(_input_files([args.target, *sources], "input file"))]
     a = _box_level(args.a, [ds.values for ds in (target, *sources)])
     policy, selection = _settings(params, [args.method], a, args.noise_sd,
                                   params.get("seed") or 0)
@@ -412,12 +416,7 @@ def cmd_evaluate(args) -> int:
     if not args.config:
         raise CliError("evaluate needs --config FILE")
     cfg = data_io._read_kv(_resolve(args.config), EVALUATE_KEYS)
-    frame_paths = [_resolve(p) for p in cfg.get("frames", "").split(",") if p]
-    if not frame_paths:
-        raise CliError("evaluate config needs a 'frames' list")
-    missing = [str(p) for p in frame_paths if not p.exists()]
-    if missing:
-        raise CliError(f"missing frames: {', '.join(missing)}")
+    frame_paths = _input_files(_comma_list(cfg.get("frames", ""), "frame"), "frame")
     targets = _parse_targets(cfg.get("targets", "0"), len(frame_paths))
     half_width = int(cfg.get("half_width", 10))
     fraction = float(cfg.get("holdout_fraction", 0.2))
@@ -502,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("simulate", "generate scenario datasets on disk", cmd_simulate,
                 "config", "preset", "seed")
-    p.add_argument("--rep", type=int, default=0, help="replicate index to materialize")
+    p.add_argument("--rep", type=int, help="replicate index to materialize (default 0)")
 
     # Only select draws a fold split, so only select takes --seed.
     for name, method, help_text in (
@@ -513,10 +512,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = command(name, help_text, cmd_estimate, "max_iters", "a", "noise_sd",
                     *READS[method], *(["seed"] if method == "s-transmc" else []))
         if method == "single":
-            p.add_argument("--data", dest="target", help="samples or frame file")
+            p.add_argument("--data", dest="target", required=True, help="samples or frame file")
         else:
-            p.add_argument("--target", help="target samples/frame file")
-            p.add_argument("--sources", help="comma-separated source files")
+            p.add_argument("--target", required=True, help="target samples/frame file")
+            p.add_argument("--sources", required=True, help="comma-separated source files")
         p.set_defaults(method=method)
 
     # benchmark's single fits take the penalty rule, so it takes no --lam.

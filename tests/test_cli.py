@@ -935,3 +935,108 @@ def test_evaluate_rejects_a_negative_half_width(tmp_path, capsys):
     assert run(["evaluate", "--config", str(cfg), "--out", "ev"], tmp_path) == 2
     assert "half_width -3" in capsys.readouterr().err
     assert not (tmp_path / "ev" / "eval.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# input files and lists
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def inputs(tmp_path, tiny_cfg):
+    """simulate's sample files under sim/, and the eval.cfg of
+    tec-synthetic-tiny under tec/."""
+    assert run(["simulate", "--config", str(tiny_cfg), "--out", "sim"], tmp_path) == 0
+    return _tiny_frames(tmp_path)
+
+
+@pytest.mark.parametrize("command, key, value, named", [
+    ("benchmark", "--methods", "single,single", "method 'single' listed twice"),
+    ("benchmark", "--schemes", "uniform, uniform", "sampling scheme 'uniform' listed twice"),
+    ("evaluate", "methods", "single, single", "method 'single' listed twice"),
+    ("evaluate", "targets", "1, 0-2", "target frame 1 listed twice"),
+    ("evaluate", "frames", "tec/frame_000.frame, tec/frame_000.frame",
+     "frame 'tec/frame_000.frame' listed twice"),
+    # Input files are compared as real paths: ./a and x/../a repeat a.
+    ("evaluate", "frames", "tec/frame_000.frame, ./tec/frame_000.frame",
+     "frame '{real}/tec/frame_000.frame' listed twice"),
+    ("transfer", "--sources", "sim/source_01.samples, sim/source_01.samples",
+     "source file 'sim/source_01.samples' listed twice"),
+    ("select", "--sources", "sim/source_01.samples,tec/../sim/source_01.samples",
+     "input file '{real}/sim/source_01.samples' listed twice"),
+    # The target and the sources are one list.
+    ("transfer", "--sources", "sim/source_01.samples,sim/target.samples",
+     "input file '{real}/sim/target.samples' listed twice"),
+    ("select", "--sources", "./sim/target.samples",
+     "input file '{real}/sim/target.samples' listed twice"),
+    ("transfer", "--sources", ",", "no source file listed"),
+    ("select", "--sources", " , ", "no source file listed"),
+    ("evaluate", "frames", ",", "no frame listed"),
+    # Every missing file is named, not only the first.
+    ("transfer", "--sources", "sim/s8.samples,sim/source_01.samples,sim/s9.samples",
+     "missing input files: {ws}/sim/s8.samples, {ws}/sim/s9.samples"),
+    ("evaluate", "frames", "tec/frame_000.frame, tec/f8.frame, tec/f9.frame",
+     "missing frames: {ws}/tec/f8.frame, {ws}/tec/f9.frame"),
+    ("fit", "--data", "sim/s8.samples", "missing input files: {ws}/sim/s8.samples"),
+])
+def test_lists_and_input_files_are_checked_before_any_work(tmp_path, inputs, monkeypatch, capsys,
+                                                           command, key, value, named):
+    base = {"benchmark": ["--preset", "paper-5.1-small"], "evaluate": ["--config", str(inputs)],
+            "fit": [], "transfer": ["--target", "sim/target.samples"],
+            "select": ["--target", "sim/target.samples"]}[command]
+    if command == "evaluate":  # key is a config key
+        lines = [x for x in inputs.read_text().splitlines() if not x.startswith(f"{key}:")]
+        inputs.write_text("\n".join([*lines, f"{key}: {value}"]) + "\n")
+    else:
+        base += [key, value]
+    parsed = []
+    monkeypatch.setattr(cli.data_io, "read_dataset", lambda *args, **kwargs: parsed.append(args))
+    monkeypatch.setattr(cli.data_io, "read_frame", parsed.append)
+    monkeypatch.setattr(cli, "run_benchmark", lambda *args, **kwargs: parsed.append(args))
+    capsys.readouterr()
+    assert run([command, *base, "--out", "x"], tmp_path) == 2
+    named = named.format(ws=tmp_path, real=os.path.realpath(tmp_path))
+    assert capsys.readouterr().err == f"error: invalid-invocation: {named}\n"
+    assert parsed == []
+    assert not (tmp_path / "x").exists()
+
+
+def test_file_lists_strip_their_entries(tmp_path, inputs):
+    # A space after each comma of --sources or frames changes no output.
+    sources = ["sim/source_01.samples", "sim/source_02.samples"]
+    text = inputs.read_text().replace("targets: 0-5", "targets: 0-1")
+    frames = next(x for x in text.splitlines() if x.startswith("frames: "))
+    spaced = tmp_path / "spaced.cfg"
+    spaced.write_text(text.replace(frames, frames.replace(",", ", ")))
+    inputs.write_text(text)
+    for out, sep, cfg in (("tight", ",", inputs), ("spaced", ", ", spaced)):
+        assert run(["transfer", "--target", "sim/target.samples", "--sources", sep.join(sources),
+                    "--out", f"tr_{out}", "--noise-sd", "0.5", "--max-iters", "300"],
+                   tmp_path) == 0
+        assert run(["evaluate", "--config", str(cfg), "--out", f"ev_{out}",
+                    "--max-iters", "300"], tmp_path) == 0
+    for name in ("tr_{}/estimate.txt", "tr_{}/fit_report.txt", "ev_{}/eval.csv"):
+        assert (tmp_path / name.format("tight")).read_bytes() == \
+            (tmp_path / name.format("spaced")).read_bytes()
+
+
+@pytest.mark.parametrize("option, named", [
+    (["--config", "tiny.cfg"], "pass either --preset or --config, not both"),
+    (["--rep", "3"], "--rep is read by none of the frame presets "
+                     "tec-synthetic-small,tec-synthetic-tiny"),
+    (["--rep", "0"], "--rep is read by none of the frame presets "
+                     "tec-synthetic-small,tec-synthetic-tiny"),
+])
+def test_simulate_frame_preset_rejects_what_it_does_not_read(tmp_path, tiny_cfg, capsys, option,
+                                                             named):
+    assert run(["simulate", "--preset", "tec-synthetic-tiny", "--out", "x", *option],
+               tmp_path) == 2
+    assert capsys.readouterr().err == f"error: invalid-invocation: {named}\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_simulate_scenario_without_rep_writes_replicate_0(tmp_path, tiny_cfg):
+    for out, option in (("absent", []), ("zero", ["--rep", "0"])):
+        assert run(["simulate", "--config", str(tiny_cfg), "--out", out, *option], tmp_path) == 0
+    for name in ("target.samples", "simulate_manifest.txt"):
+        assert (tmp_path / "absent" / name).read_bytes() == (tmp_path / "zero" / name).read_bytes()
+    assert "rep: 0\n" in (tmp_path / "absent" / "simulate_manifest.txt").read_text()
