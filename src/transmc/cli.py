@@ -36,10 +36,6 @@ DEFAULT_MULTIPLIER = 0.07
 # What _settings uses for an absent setting; an absent epsilon0 or lam stays None.
 DEFAULTS = {"c1": DEFAULT_MULTIPLIER, "c2": DEFAULT_MULTIPLIER, "folds": 4, "c_tilde": 2.0}
 
-# The keys of an evaluate config.
-EVALUATE_KEYS = ("frames", "targets", "half_width", "holdout_fraction", "seed", "noise_sd",
-                 "methods", "a", "c1", "c2")
-
 # Synthetic partially-observed frame sequences for the holdout pipeline.
 TEC_PRESETS = {
     "tec-synthetic-small": dict(m1=91, m2=180, n_frames=12, rank=5, missing=0.25,
@@ -81,14 +77,6 @@ def _out_dir(args) -> Path:
     out = _resolve(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _write_kv(path, **pairs):
-    """One 'key: value' line per pair, in order, and one per element of a list
-    value; LF line endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in pairs.items():
-            fh.writelines(f"{key}: {v}\n" for v in (value if isinstance(value, list) else [value]))
 
 
 def _entries(entries, what, known=None):
@@ -224,9 +212,10 @@ def _simulate_tec_frames(args) -> int:
         data_io.write_frame(frame, out / name)
         data_io.write_dense(truth, out / f"truth_{t:03d}.txt", label=f"t{t:03d}")
         names.append(name)
-    _write_kv(out / "eval.cfg", frames=",".join(str(out / n) for n in names),
-              targets=f"0-{min(10, len(names)) - 1}", half_width=10, holdout_fraction=0.2,
-              seed=params["seed"], noise_sd=repr(params["noise_sd"]), methods="single,transmc")
+    data_io._write_kv(out / "eval.cfg", frames=",".join(str(out / n) for n in names),
+                      targets=f"0-{min(10, len(names)) - 1}", half_width=10,
+                      holdout_fraction=0.2, seed=params["seed"], noise_sd=params["noise_sd"],
+                      methods="single,transmc")
     print(f"wrote {len(names)} frames + truths + eval.cfg to {out}")
     return 0
 
@@ -248,9 +237,10 @@ def cmd_simulate(args) -> int:
         data_io.write_dense(truth, out / f"truth_task{k:02d}.txt", label=f"task{k}")
         source_files.append(name)
 
-    _write_kv(out / "simulate_manifest.txt", scenario="scenario.cfg", target="target.samples",
-              sources=",".join(source_files), rep=args.rep or 0,
-              achieved_contrasts=",".join(repr(h) for h in data.achieved_contrasts))
+    data_io._write_kv(out / "simulate_manifest.txt", scenario="scenario.cfg",
+                      target="target.samples", sources=",".join(source_files),
+                      rep=args.rep or 0,
+                      achieved_contrasts=",".join(map(str, data.achieved_contrasts)))
     print(f"wrote 1 target, {len(source_files)} sources, {1 + len(source_files)} "
           f"truth matrices to {out}")
     return 0
@@ -273,10 +263,10 @@ def cmd_estimate(args) -> int:
                             SolverConfig(max_iters=args.max_iters), params.get("lam"))
     out = _out_dir(args)
     data_io.write_dense(est.matrix, out / "estimate.txt", label=args.method)
-    _write_kv(out / "fit_report.txt", stage=est.stage, penalty=repr(est.penalty_used),
-              iterations=est.trace.iterations, prox_evals=est.trace.prox_evals,
-              converged=est.trace.converged, box_active=est.trace.box_active,
-              objective=repr(est.trace.objective_values[-1]))
+    data_io._write_kv(out / "fit_report.txt", stage=est.stage, penalty=est.penalty_used,
+                      iterations=est.trace.iterations, prox_evals=est.trace.prox_evals,
+                      converged=est.trace.converged, box_active=est.trace.box_active,
+                      objective=est.trace.objective_values[-1])
     print(f"{args.method} fit: lam={est.penalty_used:.6g}, "
           f"iterations={est.trace.iterations}, converged={est.trace.converged}")
     if report is not None:
@@ -288,12 +278,12 @@ def cmd_estimate(args) -> int:
 
 def _write_selection_report(path, report):
     metrics.write_csv(path, ("quantity", "index", "value"), [
-        *(["fold_loss", j, f"{x:.12g}"] for j, x in enumerate(report.fold_losses)),
-        ["benchmark", "", f"{report.benchmark:.12g}"],
-        *(["source_loss", k, f"{x:.12g}"] for k, x in enumerate(report.source_losses, start=1)),
-        ["sigma_hat", "", f"{report.sigma_hat:.12g}"],
-        ["epsilon0", "", f"{report.epsilon0:.12g}"],
-        ["threshold", "", f"{report.threshold:.12g}"],
+        *(["fold_loss", j, x] for j, x in enumerate(report.fold_losses)),
+        ["benchmark", "", report.benchmark],
+        *(["source_loss", k, x] for k, x in enumerate(report.source_losses, start=1)),
+        ["sigma_hat", "", report.sigma_hat],
+        ["epsilon0", "", report.epsilon0],
+        ["threshold", "", report.threshold],
         ["selected", "", " ".join(str(k) for k in report.selected)],
         ["unconverged", "", ";".join(report.unconverged)],
         *(["fit", name, f"iterations={t.iterations} prox_evals={t.prox_evals} "
@@ -362,7 +352,9 @@ def cmd_benchmark(args) -> int:
     schemes = _comma_list(args.schemes, "sampling scheme", tuple(SCHEME_LABELS))
     if args.reps < 1:
         raise CliError(f"--reps must be at least 1, got {args.reps}")
-    _settings(vars(args), methods, spec.a_cap, spec.noise_sd)  # each replicate builds its own
+    # Checked before --out is made; each replicate builds its own.
+    _settings(vars(args), methods, spec.a_cap, spec.noise_sd)
+    SolverConfig(max_iters=args.max_iters)
     out = _out_dir(args)
 
     bench = run_benchmark(spec, args.reps, methods, vars(args), schemes=schemes)
@@ -383,8 +375,9 @@ def cmd_benchmark(args) -> int:
             metrics.write_curve_csv(out / f"curve_{label.lower()}.csv", points)
     metrics.write_summary_csv(out / "summary.csv", summary_rows)
 
-    _write_kv(out / "run_report.txt", replications=args.reps, schemes=",".join(bench),
-              methods=",".join(methods), solver_failures=len(failures), failure=failures)
+    data_io._write_kv(out / "run_report.txt", replications=args.reps,
+                      schemes=",".join(bench), methods=",".join(methods),
+                      solver_failures=len(failures), failure=failures)
     print(f"benchmark complete: {args.reps} reps x {len(bench)} schemes, "
           f"{len(failures)} solver failures")
     return 3 if failures else 0
@@ -394,7 +387,7 @@ def cmd_benchmark(args) -> int:
 # evaluate
 # ---------------------------------------------------------------------------
 
-def _parse_targets(raw, n_frames):
+def _parse_targets(raw):
     """The frame indices of an evaluate `targets` list of entries N and
     ascending ranges N-M, checked by _entries."""
     out = []
@@ -406,9 +399,6 @@ def _parse_targets(raw, n_frames):
         if hi < lo:
             raise CliError(f"descending target range {chunk!r}")
         out.extend(range(lo, hi + 1))
-    for t in out:
-        if t >= n_frames:
-            raise CliError(f"target frame index {t} out of range (0..{n_frames - 1})")
     return _entries(out, "target frame")
 
 
@@ -416,13 +406,14 @@ def cmd_evaluate(args) -> int:
     if not args.config:
         raise CliError("evaluate needs --config FILE")
     cfg = data_io._read_kv(_resolve(args.config), EVALUATE_KEYS)
-    frame_paths = _input_files(_comma_list(cfg.get("frames", ""), "frame"), "frame")
-    targets = _parse_targets(cfg.get("targets", "0"), len(frame_paths))
-    half_width = int(cfg.get("half_width", 10))
-    fraction = float(cfg.get("holdout_fraction", 0.2))
-    methods = _comma_list(cfg.get("methods", ",".join(METHODS)), "method", METHODS)
-    # A given flag, else its config key read with the flag's type.
-    params = {**{k: OPTIONS[k][1]["type"](x) for k, x in cfg.items() if k in OPTIONS},
+    frame_paths = _input_files(cfg.get("frames", ()), "frame")
+    targets, methods = cfg.get("targets", (0,)), cfg.get("methods", METHODS)
+    half_width, fraction = cfg.get("half_width", 10), cfg.get("holdout_fraction", 0.2)
+    if beyond := [t for t in targets if t >= len(frame_paths)]:
+        raise CliError(f"target frame index {beyond[0]} out of range "
+                       f"(0..{len(frame_paths) - 1})")
+    # A given flag, else its config key.
+    params = {**{k: x for k, x in cfg.items() if k in OPTIONS},
               **{k: x for k, x in vars(args).items() if x is not None}}
     _reject_unread(params, methods)
     seed = params.get("seed", 0)
@@ -452,7 +443,7 @@ def cmd_evaluate(args) -> int:
             status = 3
         else:
             e, rel = metrics.holdout_errors(outcome[0].matrix, test)
-        rows.append((frame_id, method, f"{e:.12g}", f"{rel:.12g}"))
+        rows.append((frame_id, method, e, rel))
 
     metrics.write_csv(out / "eval.csv", ("frame", "method", "E", "RE"), rows)
     print(f"evaluated {len(targets)} frames x {len(methods)} methods -> {out / 'eval.csv'}")
@@ -463,13 +454,20 @@ def cmd_evaluate(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def non_negative_int(raw) -> int:
+    """The type of a seed or replicate index: an int that is at least 0."""
+    if (value := int(raw)) < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 # Every option of the subcommands, by dest, in --help order; each subcommand
 # takes the ones it reads. An absent setting is None until _settings.
 OPTIONS = {
     "out": ("--out", dict(default="out", help="output directory")),
     "config": ("--config", dict(help="scenario or evaluation config file")),
     "preset": ("--preset", dict(help="named scenario preset")),
-    "seed": ("--seed", dict(type=int, help="seed override")),
+    "seed": ("--seed", dict(type=non_negative_int, help="seed override")),
     "reps": ("--reps", dict(type=int, default=1, help="replication count")),
     "max_iters": ("--max-iters", dict(type=int, default=500)),
     "a": ("--a", dict(type=float, help="entrywise box level")),
@@ -482,6 +480,13 @@ OPTIONS = {
     "folds": ("--folds", dict(type=int, help="cross-validation folds")),
     "lam": ("--lam", dict(type=float, help="explicit single-task penalty")),
 }
+
+# The keys of an evaluate config and their parsers; each setting that is also
+# a flag is parsed with the flag's type.
+EVALUATE_KEYS = {"frames": lambda raw: _comma_list(raw, "frame"), "targets": _parse_targets,
+                 "half_width": int, "holdout_fraction": float,
+                 "methods": lambda raw: _comma_list(raw, "method", METHODS),
+                 **{k: OPTIONS[k][1]["type"] for k in ("seed", "noise_sd", "a", "c1", "c2")}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -501,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("simulate", "generate scenario datasets on disk", cmd_simulate,
                 "config", "preset", "seed")
-    p.add_argument("--rep", type=int, help="replicate index to materialize (default 0)")
+    p.add_argument("--rep", type=non_negative_int,
+                   help="replicate index to materialize (default 0)")
 
     # Only select draws a fold split, so only select takes --seed.
     for name, method, help_text in (

@@ -1,5 +1,5 @@
-"""Persistence: masked-frame files, scenario configs, sample files, dense
-matrices, source windows and train/test holdout splitting.
+"""Persistence: masked-frame files, key-value files (configs and reports),
+sample files, dense matrices, source windows and train/test holdout splitting.
 
 Frame and sample files (UTF-8, LF) share one layout: a header line
 ``m1 m2 token`` followed by one ``row col value`` line per observation,
@@ -15,7 +15,7 @@ frame id); its records may repeat coordinates.
 import math
 import re
 import warnings
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -210,12 +210,13 @@ def window_sources(n_frames: int, t: int, half_width: int = 10) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# key-value config files (scenario specs and evaluation configs)
+# key-value files (scenario specs, evaluation configs and run reports)
 # ---------------------------------------------------------------------------
 
-def _read_kv(path, keys) -> dict:
-    """The ``key: value`` lines of a config file; a key outside keys, or one
-    given twice, is a ParseError that names it."""
+def _read_kv(path, parsers) -> dict:
+    """The values of the ``key: value`` lines of a config file, each read by
+    its key's parser; a key outside parsers, a key given twice or a value that
+    its parser rejects with a ValueError is a ParseError that names it."""
     out = {}
     line_of = {}
     path = Path(path)
@@ -228,28 +229,34 @@ def _read_kv(path, keys) -> dict:
                 raise ParseError(path, line_no, f"expected 'key: value', got {stripped!r}")
             key, _, value = stripped.partition(":")
             key = key.strip()
-            if key not in keys:
+            if key not in parsers:
                 raise ParseError(path, line_no, f"unknown key {key!r}; known keys: "
-                                 + ", ".join(keys))
+                                 + ", ".join(parsers))
             if key in line_of:
                 raise ParseError(path, line_no, f"key {key!r} given twice, on lines "
                                  f"{line_of[key]} and {line_no}")
-            out[key] = value.strip()
+            try:
+                out[key] = parsers[key](value.strip())
+            except ValueError as exc:
+                raise ParseError(path, line_no, f"bad value of key {key!r}: {exc}") from None
             line_of[key] = line_no
     return out
 
 
+def _write_kv(path, comment=None, /, **pairs):
+    """A '# comment' line if comment is given, then one 'key: value' line per
+    pair, in order, and one per element of a list value; LF line endings."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        for key, value in pairs.items():
+            fh.writelines(f"{key}: {v}\n" for v in (value if isinstance(value, list) else [value]))
+
+
 def write_scenario(spec: ScenarioSpec, path):
     """One 'key: value' line per ScenarioSpec field, in field order."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# transmc scenario\n")
-        for f in fields(ScenarioSpec):
-            value = getattr(spec, f.name)
-            if isinstance(value, tuple):
-                value = ",".join(repr(x) for x in value)
-            elif not isinstance(value, str):
-                value = repr(value)
-            fh.write(f"{f.name}: {value}\n")
+    _write_kv(path, "transmc scenario",
+              **{**asdict(spec), "contrasts": ",".join(map(str, spec.contrasts))})
 
 
 # How read_scenario parses the value of a ScenarioSpec field of each type.
@@ -261,15 +268,15 @@ def read_scenario(path) -> ScenarioSpec:
     """The ScenarioSpec of a file write_scenario wrote: one key per field, a
     missing optional key taking the field's default. The spectrum_law line of
     older files is read and must name the one law, exp5_uniform."""
-    kv = _read_kv(path, [*(f.name for f in fields(ScenarioSpec)), "spectrum_law"])
+    kv = _read_kv(path, {**{f.name: _FIELD_PARSERS[f.type] for f in fields(ScenarioSpec)},
+                         "spectrum_law": str})
     law = kv.pop("spectrum_law", "exp5_uniform")
     if law != "exp5_uniform":
         raise ValueError(f"scenario {path}: unknown spectrum law {law!r}")
     for f in fields(ScenarioSpec):
         if f.name not in kv and f.default is MISSING:
             raise ValueError(f"scenario {path} missing key {f.name!r}")
-    return ScenarioSpec(**{f.name: _FIELD_PARSERS[f.type](kv[f.name])
-                           for f in fields(ScenarioSpec) if f.name in kv})
+    return ScenarioSpec(**kv)
 
 
 def write_samples(dataset: MaskedDataset, path):

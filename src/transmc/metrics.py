@@ -72,27 +72,23 @@ def summarize(errors) -> RepSummary:
     )
 
 
-def _fmt(x) -> str:
-    return f"{x:.12g}" if isinstance(x, float) else str(x)
-
-
 def write_csv(path, header, rows):
     """The one CSV dialect of every table transmc writes: UTF-8, comma
-    separated, LF line ends, the header row first."""
+    separated, LF line ends, the header row first, and every float cell
+    printed to 12 significant digits (format ".12g")."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([f"{x:.12g}" if isinstance(x, float) else x for x in row]
+                         for row in rows)
 
 
 def write_summary_csv(path, rows):
     """rows: iterable of (method, scheme, RepSummary)."""
-    write_csv(path, SUMMARY_COLUMNS,
-              ([method, scheme, _fmt(s.mean), _fmt(s.median), _fmt(s.min), _fmt(s.max),
-                _fmt(s.sd)] for method, scheme, s in rows))
+    write_csv(path, SUMMARY_COLUMNS, ([method, scheme, s.mean, s.median, s.min, s.max, s.sd]
+                                      for method, scheme, s in rows))
 
 
 def write_curve_csv(path, points):
     """points: iterable of (k_sources, mean_err, sd)."""
-    write_csv(path, CURVE_COLUMNS,
-              ([k, _fmt(float(mean_err)), _fmt(float(sd))] for k, mean_err, sd in points))
+    write_csv(path, CURVE_COLUMNS, points)

@@ -57,6 +57,8 @@ class ScenarioSpec:
             raise ValueError(f"a_cap must be positive and finite, got {self.a_cap}")
         if not all(0.0 <= h < math.inf for h in self.contrasts):
             raise ValueError("contrast targets must be nonnegative and finite")
+        if self.seed < 0:
+            raise ValueError(f"scenario seed must be at least 0, got {self.seed}")
         if self.sampling not in ("uniform", "product"):
             raise ValueError(f"unknown sampling scheme {self.sampling!r}; "
                              "use uniform or product")

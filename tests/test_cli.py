@@ -25,6 +25,27 @@ def run(args, workspace):
             os.environ["TRANSMC_WORKSPACE"] = env_before
 
 
+def exit_code(args, workspace):
+    """run's exit status, also where argparse rejects the command line."""
+    try:
+        return run(args, workspace)
+    except SystemExit as exc:
+        return exc.code
+
+
+def assert_csv_numbers(cells):
+    """Each cell is a number in the one CSV number format, ".12g"."""
+    for cell in cells:
+        assert cell == format(float(cell), ".12g")
+
+
+def assert_kv_floats(path, keys):
+    """The value of each of keys in the key-value file path is a float as repr prints it."""
+    values = dict(line.split(": ", 1) for line in path.read_text().splitlines())
+    for key in keys:
+        assert values[key] == repr(float(values[key]))
+
+
 TINY_SCENARIO = """\
 m1: 12
 m2: 8
@@ -58,7 +79,10 @@ def test_simulate_preset_file_count(tmp_path):
     assert (out / "target.samples").exists()
     truths = sorted(out.glob("truth_task*.txt"))
     assert len(truths) == 11
-    assert (out / "scenario.cfg").exists()
+    assert (out / "scenario.cfg").read_text() == (
+        "# transmc scenario\nm1: 60\nm2: 30\nrank: 3\na_cap: 30.0\n"
+        f"contrasts: {','.join(['80.0'] * 10)}\nn0_frac: 0.2\nnk_frac: 0.1\nnoise_sd: 1.0\n"
+        "sampling: uniform\nseed: 11\n")
     assert (out / "simulate_manifest.txt").exists()
 
 
@@ -129,6 +153,7 @@ def test_fit_transfer_select_pipeline(tmp_path, tiny_cfg):
                 "--max-iters", "300"], tmp_path) == 0
     est = np.loadtxt(tmp_path / "fit" / "estimate.txt", skiprows=1, ndmin=2)
     assert est.shape == (12, 8)
+    assert_kv_floats(tmp_path / "fit" / "fit_report.txt", ("penalty", "objective"))
 
     # transfer and select write what the library estimators return
     target_ds = read_dataset(target)
@@ -156,6 +181,8 @@ def test_fit_transfer_select_pipeline(tmp_path, tiny_cfg):
     kinds = {r[0] for r in rows[1:]}
     assert {"fold_loss", "benchmark", "source_loss", "sigma_hat",
             "threshold", "selected", "unconverged"} <= kinds
+    assert_csv_numbers(r[2] for r in rows if r[0] in (
+        "fold_loss", "benchmark", "source_loss", "sigma_hat", "epsilon0", "threshold"))
 
     assert run(["select", "--target", target, "--sources", sources,
                 "--out", "sel3", "--a", "30", "--noise-sd", "0.5",
@@ -456,10 +483,13 @@ def test_benchmark_outputs_and_parallel_byte_stability(tmp_path, tiny_cfg, set_w
     methods_schemes = {(r[0], r[1]) for r in rows[1:]}
     assert ("single", "SS1") in methods_schemes
     assert ("s-transmc", "SS2") in methods_schemes
+    assert_csv_numbers(cell for r in rows[1:] for cell in r[2:])
 
-    curve = list(csv.reader(open(tmp_path / "b1" / "curve_ss1.csv")))
-    assert curve[0] == ["k_sources", "mean_err", "sd"]
-    assert len(curve) - 1 == 3  # K + 1 rows for K = 2
+    for name in ("curve_ss1.csv", "curve_ss2.csv"):
+        curve = list(csv.reader(open(tmp_path / "b1" / name)))
+        assert curve[0] == ["k_sources", "mean_err", "sd"]
+        assert len(curve) - 1 == 3  # K + 1 rows for K = 2
+        assert_csv_numbers(cell for r in curve[1:] for cell in r[1:])
 
 
 def test_benchmark_runs_no_noise_pilot(tmp_path, tiny_cfg, pilot_calls, set_workers):
@@ -628,6 +658,7 @@ def test_evaluate_three_methods_three_rows_per_frame(tmp_path):
     assert run(["simulate", "--preset", "tec-synthetic-tiny", "--out", "tec"],
                tmp_path) == 0
     cfg = tmp_path / "tec" / "eval.cfg"
+    assert_kv_floats(cfg, ("holdout_fraction", "noise_sd"))
     text = cfg.read_text().replace("methods: single,transmc",
                                    "methods: single,transmc,s-transmc")
     text = text.replace("targets: 0-5", "targets: 0-1")
@@ -639,6 +670,7 @@ def test_evaluate_three_methods_three_rows_per_frame(tmp_path):
     body = rows[1:]
     assert len(body) == 6  # 2 frames x 3 methods
     assert [r[1] for r in body[:3]] == ["single", "transmc", "s-transmc"]
+    assert_csv_numbers(cell for r in body for cell in r[2:])
 
 
 def test_evaluate_does_not_depend_on_the_worker_count(tmp_path, set_workers, caplog):
@@ -935,6 +967,60 @@ def test_evaluate_rejects_a_negative_half_width(tmp_path, capsys):
     assert run(["evaluate", "--config", str(cfg), "--out", "ev"], tmp_path) == 2
     assert "half_width -3" in capsys.readouterr().err
     assert not (tmp_path / "ev" / "eval.csv").exists()
+
+
+EVAL_CONFIG = """\
+frames: f0.frame,f1.frame
+targets: 0
+half_width: 1
+holdout_fraction: 0.2
+seed: 0
+methods: single,transmc
+c1: 0.1
+"""
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "m1", "sixty"),
+    ("simulate", "contrasts", "80.0,abc"),
+    ("evaluate", "half_width", "ten"),
+    ("evaluate", "holdout_fraction", "abc"),
+    ("evaluate", "c1", "x"),
+    ("evaluate", "seed", "1.5"),
+])
+def test_a_bad_config_value_names_its_file_line_and_key(tmp_path, capsys, command, key, value):
+    lines = {"simulate": TINY_SCENARIO, "evaluate": EVAL_CONFIG}[command].splitlines()
+    line_no = next(i for i, x in enumerate(lines, start=1) if x.startswith(f"{key}:"))
+    lines[line_no - 1] = f"{key}: {value}"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert run([command, "--config", str(cfg), "--out", "x"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: validation: {cfg}:{line_no}: bad value of key '{key}': ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command, named", [
+    (["simulate", "--preset", "paper-5.1-small", "--rep", "-1"], "argument --rep: "),
+    (["simulate", "--preset", "tec-synthetic-tiny", "--seed", "-3"], "argument --seed: "),
+    (["benchmark", "--preset", "paper-5.1-small", "--seed", "-1"], "argument --seed: "),
+    (["select", "--target", "t.samples", "--sources", "s.samples", "--seed", "-2"],
+     "argument --seed: "),
+    (["evaluate", "--config", "eval.cfg"], "eval.cfg:5: bad value of key 'seed': expected a "
+                                           "non-negative integer, got -5"),
+    (["simulate", "--config", "scenario.cfg"], "scenario seed must be at least 0, got -5"),
+    (["benchmark", "--preset", "paper-5.1-small", "--max-iters", "0"],
+     "max_iters must be >= 1, got 0"),
+], ids=["simulate-rep", "simulate-frames-seed", "benchmark-seed", "select-seed", "evaluate-seed",
+        "scenario-seed", "benchmark-max-iters"])
+def test_a_negative_seed_or_zero_max_iters_exits_2_before_out_is_made(tmp_path, capsys,
+                                                                      command, named):
+    (tmp_path / "eval.cfg").write_text(EVAL_CONFIG.replace("seed: 0", "seed: -5"))
+    (tmp_path / "scenario.cfg").write_text(TINY_SCENARIO.replace("seed: 3", "seed: -5"))
+    assert exit_code([*command, "--out", "x"], tmp_path) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 # ---------------------------------------------------------------------------

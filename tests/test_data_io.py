@@ -442,7 +442,8 @@ def test_scenario_missing_keys_take_the_spec_defaults(tmp_path):
 def test_scenario_parse_error_line_numbers(tmp_path):
     path = tmp_path / "bad.cfg"
     for text, message in [("m1: 4\nnot a key-value line\n", "expected 'key: value'"),
-                          ("m1: 4\nn0_fraction: 0.9\n", "unknown key 'n0_fraction'")]:
+                          ("m1: 4\nn0_fraction: 0.9\n", "unknown key 'n0_fraction'"),
+                          ("m1: 4\nrank: two\n", "bad value of key 'rank'")]:
         path.write_text(text)
         with pytest.raises(ParseError, match=message) as err:
             read_scenario(path)

@@ -202,6 +202,9 @@ def test_scenario_spec_validation():
         ScenarioSpec(m1=4, m2=4, rank=2, contrasts=(1.0,), sampling=("uniform", "product"))
     with pytest.raises(ValueError, match="bogus"):
         ScenarioSpec(m1=4, m2=4, rank=2, sampling="bogus")
+    # A negative seed fails here, also through replace, not in numpy's SeedSequence.
+    with pytest.raises(ValueError, match="scenario seed must be at least 0, got -1"):
+        replace(ScenarioSpec(m1=4, m2=4, rank=2), seed=-1)
 
 
 @pytest.mark.parametrize("settings, message", [
