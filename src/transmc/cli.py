@@ -33,8 +33,9 @@ READS = {"single": ("c2", "lam"), "transmc": ("c1", "c2"),
          "s-transmc": ("c1", "c2", "folds", "c_tilde", "epsilon0"), "curve": ("c1", "c2")}
 # Penalty multipliers calibrated for the shipped presets (noise sd 1, cap 30).
 DEFAULT_MULTIPLIER = 0.07
-# What _settings uses for an absent setting; an absent epsilon0 or lam stays None.
-DEFAULTS = {"c1": DEFAULT_MULTIPLIER, "c2": DEFAULT_MULTIPLIER, "folds": 4, "c_tilde": 2.0}
+# What _settings uses for an absent c1 or c2; every other absent setting takes
+# its config class's default, and an absent lam stays None.
+DEFAULTS = {"c1": DEFAULT_MULTIPLIER, "c2": DEFAULT_MULTIPLIER}
 
 # Synthetic partially-observed frame sequences for the holdout pipeline.
 TEC_PRESETS = {
@@ -45,8 +46,9 @@ TEC_PRESETS = {
 }
 
 
-class CliError(Exception):
-    pass
+class CliError(ValueError):
+    """A bad invocation; a ValueError, so that a config file's parser that
+    raises it names the file, line and key."""
 
 
 def _resolve(path) -> Path:
@@ -116,18 +118,23 @@ def _box_level(a, value_arrays) -> float:
 
 
 def _settings(params, methods, a, v, seed=0):
-    """The PenaltyPolicy of params' c1 and c2 at box level a and noise scale v,
-    and the SelectionConfig of params' folds, c_tilde and epsilon0 and of seed
-    when s-transmc is among methods (else None); both checked before any fit.
-    A setting that params lacks or holds as None takes its DEFAULTS value."""
+    """The configs of params, all checked before any fit: the PenaltyPolicy of
+    c1 and c2 at box level a and noise scale v, the SelectionConfig of folds,
+    c_tilde, epsilon0 and seed when s-transmc is among methods (else None),
+    and the SolverConfig of max_iters. An absent setting (lacking or None in
+    params) takes its DEFAULTS value, else its config class's default."""
     params = {**DEFAULTS, **{k: x for k, x in params.items() if x is not None}}
     if not 0.0 <= params.get("lam", 0.0) < math.inf:
         raise ValueError(f"penalty lam must be finite and at least 0, got {params['lam']}")
+
+    def given(**names):  # config keyword -> the setting it takes, where given
+        return {kw: params[k] for kw, k in names.items() if k in params}
+
     policy = PenaltyPolicy(a=a, c1=params["c1"], c2=params["c2"], v=v)
-    if "s-transmc" not in methods:
-        return policy, None
-    return policy, SelectionConfig(J=params["folds"], c_tilde=params["c_tilde"], seed=seed,
-                                   epsilon0=params.get("epsilon0"), c0=policy.c1, ck=policy.c2)
+    selection = SelectionConfig(
+        **given(J="folds", c_tilde="c_tilde", epsilon0="epsilon0"),
+        seed=seed, c0=policy.c1, ck=policy.c2) if "s-transmc" in methods else None
+    return policy, selection, SolverConfig(**given(max_iters="max_iters"))
 
 
 def _reject_unread(params, methods):
@@ -140,7 +147,7 @@ def _reject_unread(params, methods):
 
 
 def _estimate(method, target, sources, policy, selection, solver, lam=None):
-    """Run one of the paper's estimators; returns (Estimate, SelectionReport or None).
+    """Run method, one of METHODS; returns (Estimate, SelectionReport or None).
 
     lam is the single-task penalty (None: the policy's rule with c2) and
     selection the s-transmc SelectionConfig. Each estimator that reads the
@@ -154,10 +161,8 @@ def _estimate(method, target, sources, policy, selection, solver, lam=None):
         return fit_single(target, lam, policy.a, solver), None
     if method == "transmc":
         return trans_mc(target, sources, policy, solver), None
-    if method == "s-transmc":
-        report, est = s_trans_mc(target, sources, selection, policy, solver)
-        return est, report
-    raise CliError(f"unknown method {method!r}")
+    report, est = s_trans_mc(target, sources, selection, policy, solver)
+    return est, report
 
 
 def _run_cases(cases, solver, lam=None) -> list:
@@ -257,10 +262,10 @@ def cmd_estimate(args) -> int:
     target, *sources = [data_io.read_dataset(p, task_id=k) for k, p in
                         enumerate(_input_files([args.target, *sources], "input file"))]
     a = _box_level(args.a, [ds.values for ds in (target, *sources)])
-    policy, selection = _settings(params, [args.method], a, args.noise_sd,
-                                  params.get("seed") or 0)
-    est, report = _estimate(args.method, target, sources, policy, selection,
-                            SolverConfig(max_iters=args.max_iters), params.get("lam"))
+    policy, selection, solver = _settings(params, [args.method], a, args.noise_sd,
+                                          params.get("seed") or 0)
+    est, report = _estimate(args.method, target, sources, policy, selection, solver,
+                            params.get("lam"))
     out = _out_dir(args)
     data_io.write_dense(est.matrix, out / "estimate.txt", label=args.method)
     data_io._write_kv(out / "fit_report.txt", stage=est.stage, penalty=est.penalty_used,
@@ -302,16 +307,15 @@ def _bench_worker(payload):
     "tag: message" per failed fit."""
     spec, rep, methods, params = payload
     data = generate_scenario(spec, rep=rep)
-    policy, selection = _settings(params, methods, spec.a_cap, spec.noise_sd,
-                                  (spec.seed, 4, rep))
+    policy, selection, solver = _settings(params, methods, spec.a_cap, spec.noise_sd,
+                                          (spec.seed, 4, rep))
     named = [m for m in methods if m != "curve"]
     # (tag, method, sources) of each fit; _run_cases makes a shared fit once.
     runs = [(m, m, data.sources) for m in named] + [
         (f"curve-k{k}", "transmc", data.sources[:k])
         for k in range(len(data.sources) + 1) if "curve" in methods]
     outcomes = _run_cases([(method, data.target, sources, policy, selection)
-                           for _, method, sources in runs],
-                          SolverConfig(max_iters=params["max_iters"]))
+                           for _, method, sources in runs], solver)
     failed = [isinstance(outcome, SolverDivergedError) for outcome in outcomes]
     errors = [None if f else metrics.rel_frob_error(outcome[0].matrix, data.truth)
               for f, outcome in zip(failed, outcomes)]
@@ -342,7 +346,7 @@ def _summarize_fits(errors):
     """metrics.summarize of the replicate errors whose fit did not fail (is not
     None); nan for every statistic when every fit failed."""
     ok = [e for e in errors if e is not None]
-    return metrics.summarize(ok) if ok else metrics.RepSummary((), *[math.nan] * 5)
+    return metrics.summarize(ok) if ok else metrics.RepSummary(*[math.nan] * 5)
 
 
 def cmd_benchmark(args) -> int:
@@ -354,7 +358,6 @@ def cmd_benchmark(args) -> int:
         raise CliError(f"--reps must be at least 1, got {args.reps}")
     # Checked before --out is made; each replicate builds its own.
     _settings(vars(args), methods, spec.a_cap, spec.noise_sd)
-    SolverConfig(max_iters=args.max_iters)
     out = _out_dir(args)
 
     bench = run_benchmark(spec, args.reps, methods, vars(args), schemes=schemes)
@@ -419,8 +422,7 @@ def cmd_evaluate(args) -> int:
     seed = params.get("seed", 0)
     frames = map_in_chunks(data_io.read_frame, frame_paths)
     a = _box_level(params.get("a"), [f.values for f in frames])
-    policy, selection = _settings(params, methods, a, params.get("noise_sd"))
-    solver = SolverConfig(max_iters=args.max_iters)
+    policy, selection, solver = _settings(params, methods, a, params.get("noise_sd"))
     # One pilot per target frame, shared by its methods; none for single alone at --lam.
     pilot = args.lam is None or methods != ("single",)
 
@@ -469,7 +471,7 @@ OPTIONS = {
     "preset": ("--preset", dict(help="named scenario preset")),
     "seed": ("--seed", dict(type=non_negative_int, help="seed override")),
     "reps": ("--reps", dict(type=int, default=1, help="replication count")),
-    "max_iters": ("--max-iters", dict(type=int, default=500)),
+    "max_iters": ("--max-iters", dict(type=int)),
     "a": ("--a", dict(type=float, help="entrywise box level")),
     "c1": ("--c1", dict(type=float, help="pooling penalty multiplier")),
     "c2": ("--c2", dict(type=float, help="debias / single-task penalty multiplier")),

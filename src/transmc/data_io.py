@@ -198,7 +198,7 @@ def holdout_split(frame: FrameFile, fraction: float, seed):
     return ds.subset(train_idx), ds.subset(test_idx)
 
 
-def window_sources(n_frames: int, t: int, half_width: int = 10) -> list[int]:
+def window_sources(n_frames: int, t: int, half_width: int) -> list[int]:
     """Indices of the source frames of target frame t in a sequence of
     n_frames: offsets +-1 .. +-half_width around t, truncated at the sequence
     boundaries; left neighbors first, ascending."""
@@ -266,17 +266,15 @@ _FIELD_PARSERS = {int: int, float: float, str: str,
 
 def read_scenario(path) -> ScenarioSpec:
     """The ScenarioSpec of a file write_scenario wrote: one key per field, a
-    missing optional key taking the field's default. The spectrum_law line of
-    older files is read and must name the one law, exp5_uniform."""
-    kv = _read_kv(path, {**{f.name: _FIELD_PARSERS[f.type] for f in fields(ScenarioSpec)},
-                         "spectrum_law": str})
-    law = kv.pop("spectrum_law", "exp5_uniform")
-    if law != "exp5_uniform":
-        raise ValueError(f"scenario {path}: unknown spectrum law {law!r}")
+    missing optional key taking the field's default. Each error names the file."""
+    kv = _read_kv(path, {f.name: _FIELD_PARSERS[f.type] for f in fields(ScenarioSpec)})
     for f in fields(ScenarioSpec):
         if f.name not in kv and f.default is MISSING:
             raise ValueError(f"scenario {path} missing key {f.name!r}")
-    return ScenarioSpec(**kv)
+    try:
+        return ScenarioSpec(**kv)
+    except ValueError as exc:
+        raise ValueError(f"scenario {path}: {exc}") from None
 
 
 def write_samples(dataset: MaskedDataset, path):

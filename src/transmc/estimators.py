@@ -42,8 +42,8 @@ class PenaltyPolicy:
     """
 
     a: float
-    c1: float = 2.0
-    c2: float = 2.0
+    c1: float
+    c2: float
     v: float | None = None
 
     def __post_init__(self):

@@ -14,7 +14,6 @@ CURVE_COLUMNS = ("k_sources", "mean_err", "sd")
 
 @dataclass(frozen=True)
 class RepSummary:
-    errors: tuple[float, ...]
     mean: float
     median: float
     min: float
@@ -59,11 +58,9 @@ def summarize(errors) -> RepSummary:
     arr = np.asarray(list(errors), dtype=np.float64)
     if arr.size == 0:
         raise ValueError("cannot summarize an empty error sequence")
-    raw = tuple(float(x) for x in arr)
     arr = np.sort(arr)
     sd = 0.0 if arr.size == 1 else float(np.std(arr, ddof=1))
     return RepSummary(
-        errors=raw,
         mean=float(arr.mean()),
         median=float(np.median(arr)),
         min=float(arr.min()),

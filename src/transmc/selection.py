@@ -23,7 +23,7 @@ from transmc.losses import MaskedSquaredLoss
 from transmc.solver import SolveTrace, SolverConfig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SelectionConfig:
     """Knobs for the source-selection procedure.
 
@@ -36,8 +36,8 @@ class SelectionConfig:
     J: int = 4
     epsilon0: float | None = None
     c_tilde: float = 2.0
-    c0: float = 2.0
-    ck: float = 2.0
+    c0: float
+    ck: float
     seed: int | tuple = 0
 
     def __post_init__(self):

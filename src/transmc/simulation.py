@@ -172,7 +172,6 @@ def sample_observations(A, marginals, n: int, noise_sd: float,
 class ScenarioData:
     """Everything one replicate of a scenario produces."""
 
-    spec: ScenarioSpec
     rep: int
     truth: np.ndarray
     source_truths: list
@@ -202,14 +201,13 @@ def generate_scenario(spec: ScenarioSpec, rep: int = 0) -> ScenarioData:
         for k, Ak in enumerate(source_truths)
     ]
     return ScenarioData(
-        spec=spec, rep=rep, truth=A0, source_truths=source_truths,
+        rep=rep, truth=A0, source_truths=source_truths,
         achieved_contrasts=achieved, target=target, sources=sources,
     )
 
 
-def synthetic_frames(m1: int = 91, m2: int = 180, n_frames: int = 12, rank: int = 5,
-                     missing: float = 0.25, noise_sd: float = 1.0, drift: float = 0.02,
-                     a_cap: float = 30.0, seed: int = 0):
+def synthetic_frames(*, m1: int, m2: int, n_frames: int, rank: int, missing: float,
+                     noise_sd: float, drift: float, a_cap: float = 30.0, seed: int):
     """Synthetic partially observed frame sequence for the holdout pipeline.
 
     Frame t observes a uniform random (1 - missing) share of cells of a

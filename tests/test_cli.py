@@ -907,7 +907,7 @@ def test_evaluate_rejects_bad_lists_before_parsing_frames(tmp_path, capsys, targ
     cfg.write_text(f"frames: {','.join(paths)}\ntargets: {targets}\nmethods: {methods}\n")
     assert run(["evaluate", "--config", str(cfg), "--out", "ev"], tmp_path) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: invalid-invocation: ") and named in err
+    assert err.startswith(f"error: validation: {cfg}:") and named in err
     assert not (tmp_path / "ev").exists()
 
 
@@ -1009,15 +1009,18 @@ def test_a_bad_config_value_names_its_file_line_and_key(tmp_path, capsys, comman
      "argument --seed: "),
     (["evaluate", "--config", "eval.cfg"], "eval.cfg:5: bad value of key 'seed': expected a "
                                            "non-negative integer, got -5"),
-    (["simulate", "--config", "scenario.cfg"], "scenario seed must be at least 0, got -5"),
+    (["simulate", "--config", "scenario.cfg"],
+     "scenario.cfg: scenario seed must be at least 0, got -5"),
+    (["simulate", "--config", "rank.cfg"], "rank.cfg: rank 9 not in [1, min(m1, m2)]"),
     (["benchmark", "--preset", "paper-5.1-small", "--max-iters", "0"],
      "max_iters must be >= 1, got 0"),
 ], ids=["simulate-rep", "simulate-frames-seed", "benchmark-seed", "select-seed", "evaluate-seed",
-        "scenario-seed", "benchmark-max-iters"])
+        "scenario-seed", "scenario-rank", "benchmark-max-iters"])
 def test_a_negative_seed_or_zero_max_iters_exits_2_before_out_is_made(tmp_path, capsys,
                                                                       command, named):
     (tmp_path / "eval.cfg").write_text(EVAL_CONFIG.replace("seed: 0", "seed: -5"))
     (tmp_path / "scenario.cfg").write_text(TINY_SCENARIO.replace("seed: 3", "seed: -5"))
+    (tmp_path / "rank.cfg").write_text(TINY_SCENARIO.replace("rank: 2", "rank: 9"))
     assert exit_code([*command, "--out", "x"], tmp_path) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
@@ -1033,6 +1036,12 @@ def inputs(tmp_path, tiny_cfg):
     tec-synthetic-tiny under tec/."""
     assert run(["simulate", "--config", str(tiny_cfg), "--out", "sim"], tmp_path) == 0
     return _tiny_frames(tmp_path)
+
+
+# The evaluate config values below that their key's parser rejects: each one
+# is a bad value at its file and line, not a bad invocation.
+BAD_CONFIG_VALUES = {("methods", "single, single"), ("targets", "1, 0-2"),
+                     ("frames", "tec/frame_000.frame, tec/frame_000.frame"), ("frames", ",")}
 
 
 @pytest.mark.parametrize("command, key, value, named", [
@@ -1069,9 +1078,13 @@ def test_lists_and_input_files_are_checked_before_any_work(tmp_path, inputs, mon
     base = {"benchmark": ["--preset", "paper-5.1-small"], "evaluate": ["--config", str(inputs)],
             "fit": [], "transfer": ["--target", "sim/target.samples"],
             "select": ["--target", "sim/target.samples"]}[command]
-    if command == "evaluate":  # key is a config key
+    kind = "invalid-invocation"
+    if command == "evaluate":  # key is a config key, given on the last line
         lines = [x for x in inputs.read_text().splitlines() if not x.startswith(f"{key}:")]
         inputs.write_text("\n".join([*lines, f"{key}: {value}"]) + "\n")
+        if (key, value) in BAD_CONFIG_VALUES:
+            kind = "validation"
+            named = f"{inputs}:{len(lines) + 1}: bad value of key '{key}': {named}"
     else:
         base += [key, value]
     parsed = []
@@ -1081,7 +1094,7 @@ def test_lists_and_input_files_are_checked_before_any_work(tmp_path, inputs, mon
     capsys.readouterr()
     assert run([command, *base, "--out", "x"], tmp_path) == 2
     named = named.format(ws=tmp_path, real=os.path.realpath(tmp_path))
-    assert capsys.readouterr().err == f"error: invalid-invocation: {named}\n"
+    assert capsys.readouterr().err == f"error: {kind}: {named}\n"
     assert parsed == []
     assert not (tmp_path / "x").exists()
 

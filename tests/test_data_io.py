@@ -399,7 +399,7 @@ def test_window_sources_boundary():
     assert window_sources(12, 11, half_width=10) == list(range(1, 11))
     assert window_sources(12, 2, half_width=3) == [0, 1, 3, 4, 5]
     with pytest.raises(ValueError):
-        window_sources(12, 12)
+        window_sources(12, 12, half_width=10)
 
 
 def test_window_sources_zero_width():
@@ -420,14 +420,6 @@ def test_scenario_round_trip(tmp_path):
     path = tmp_path / "s.cfg"
     write_scenario(spec, path)
     assert read_scenario(path) == spec
-    # Scenario files written before the spectrum law was fixed carry it.
-    text = path.read_text()
-    assert "spectrum_law" not in text
-    path.write_text(text + "spectrum_law: exp5_uniform\n")
-    assert read_scenario(path) == spec
-    path.write_text(text + "spectrum_law: flat\n")
-    with pytest.raises(ValueError, match="flat"):
-        read_scenario(path)
 
 
 def test_scenario_missing_keys_take_the_spec_defaults(tmp_path):

@@ -539,9 +539,9 @@ def test_estimate_noise_scale_close_to_truth():
 
 def test_penalty_policy_validation():
     with pytest.raises(ValueError):
-        PenaltyPolicy(a=-1.0)
+        PenaltyPolicy(a=-1.0, c1=2.0, c2=2.0)
     with pytest.raises(ValueError):
-        PenaltyPolicy(a=1.0, c1=0.0)
+        PenaltyPolicy(a=1.0, c1=0.0, c2=2.0)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -550,9 +550,9 @@ def test_penalty_policy_validation():
 ])
 def test_penalty_policy_rejects_non_finite_and_out_of_range_settings(field, value):
     with pytest.raises(ValueError, match=field):
-        PenaltyPolicy(**{"a": 1.0, field: value})
+        PenaltyPolicy(**{"a": 1.0, "c1": 2.0, "c2": 2.0, field: value})
 
 
 def test_penalty_policy_accepts_a_zero_or_missing_noise_scale():
-    assert PenaltyPolicy(a=1.0, v=0.0).v == 0.0
-    assert PenaltyPolicy(a=1.0).v is None
+    assert PenaltyPolicy(a=1.0, c1=2.0, c2=2.0, v=0.0).v == 0.0
+    assert PenaltyPolicy(a=1.0, c1=2.0, c2=2.0).v is None

@@ -80,7 +80,7 @@ def test_summarize_closed_forms():
 def test_summarize_recomputable_and_permutation_invariant():
     vals = [0.132, 0.135, 0.138, 0.1345, 0.1365]
     s = summarize(vals)
-    arr = np.array(s.errors)
+    arr = np.array(vals)
     assert s.mean == pytest.approx(arr.mean(), abs=1e-12)
     assert s.median == pytest.approx(np.median(arr), abs=1e-12)
     assert s.sd == pytest.approx(arr.std(ddof=1), abs=1e-12)

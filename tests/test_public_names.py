@@ -1,6 +1,7 @@
 """Every public top-level function, class and assigned name of src/transmc has
-a reference elsewhere in src: library code and constants that only tests read
-do not live there."""
+a reference elsewhere in src, and every dataclass field there is read as an
+attribute in src: library code, constants and fields that only tests read do
+not live there."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,12 @@ ALLOWED = {
     # perfbench's tracer binds it (perfbench/tracing.py, BOUNDARIES), and its
     # self-test asserts that every bound name exists.
     "benchmark_loss",
+}
+
+# Dataclass fields, as (class, field), kept without an attribute read in src.
+ALLOWED_FIELDS = {
+    # The solver tests check through it that phi never exceeds the curvature bound.
+    ("SolveTrace", "final_phi"),
 }
 
 
@@ -55,6 +62,30 @@ def unreferenced_public_names(src_dir) -> set[str]:
             and not any(name in names for other, names in refs if other is not stmt)}
 
 
+def _is_dataclass(cls) -> bool:
+    """Whether a class statement is decorated with dataclass, called or not,
+    by name or as an attribute."""
+    for deco in cls.decorator_list:
+        deco = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(deco, "id", getattr(deco, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_dataclass_fields(src_dir) -> set[tuple[str, str]]:
+    """(class, field) of each field of a dataclass in the modules of src_dir
+    that no module there reads as an attribute (x.field)."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(src_dir).glob("*.py"))]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return {(cls.name, stmt.target.id) for tree in trees for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in read}
+
+
 def test_every_public_name_in_src_has_a_reference_in_src():
     assert unreferenced_public_names(SRC) == ALLOWED
 
@@ -75,3 +106,21 @@ def test_the_scan_counts_names_attributes_and_imports_but_not_self_reference(tmp
         "import a\nfrom a import imported\n\ny = a.ByAttribute + LEFT\n"
         "def f():\n    return x + a.LIMIT\n", encoding="utf-8")
     assert unreferenced_public_names(tmp_path) == {"recursive", "SQUARES", "RIGHT", "y", "f"}
+
+
+def test_every_dataclass_field_in_src_is_read_in_src():
+    assert unread_dataclass_fields(SRC) == ALLOWED_FIELDS
+
+
+def test_the_field_scan_counts_attribute_reads_of_dataclass_fields_only(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import dataclasses\nfrom dataclasses import dataclass\n\n"
+        "@dataclass(frozen=True)\nclass Called:\n    read: int\n    unread: int = 0\n\n"
+        "@dataclass\nclass Bare:\n    stored: int\n    keyword: int\n\n"
+        "@dataclasses.dataclass\nclass Dotted:\n    other_module: int\n\n"
+        "class Plain:\n    annotated: int\n\n"
+        "def f(c, b):\n    b.stored = c.read\n    return Bare(stored=1, keyword=2)\n",
+        encoding="utf-8")
+    (tmp_path / "b.py").write_text("def g(d):\n    return d.other_module\n", encoding="utf-8")
+    assert unread_dataclass_fields(tmp_path) == {("Called", "unread"), ("Bare", "stored"),
+                                                 ("Bare", "keyword")}

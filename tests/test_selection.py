@@ -266,7 +266,7 @@ def test_s_trans_mc_no_sources_degenerates():
     target = uniform_task(T, 120, 8, noise=0.1)
     c = penalty_multiplier(0.02, 5.0, 0.1, 120, 3)
     policy = PenaltyPolicy(a=5.0, c1=c, c2=c, v=0.1)
-    cfg = SelectionConfig(J=4, seed=3)
+    cfg = SelectionConfig(J=4, seed=3, c0=2.0, ck=2.0)
     report, est = s_trans_mc(target, [], cfg, policy, CFG)
     assert report.selected == ()
     assert est.stage == "combined"
@@ -280,7 +280,7 @@ def test_s_trans_mc_determinism():
     sources = [uniform_task(T, 60, (14, k), k) for k in (1, 2)]
     policy = PenaltyPolicy(a=8.0, c1=penalty_multiplier(0.02, 8.0, 0.3, 210, 5),
                            c2=penalty_multiplier(0.03, 8.0, 0.3, 90, 5), v=0.3)
-    cfg = SelectionConfig(J=3, seed=5, epsilon0=0.5)
+    cfg = SelectionConfig(J=3, seed=5, epsilon0=0.5, c0=2.0, ck=2.0)
     r1, e1 = s_trans_mc(target, sources, cfg, policy, CFG)
     r2, e2 = s_trans_mc(target, sources, cfg, policy, CFG)
     assert e1.penalty_used == pytest.approx(0.03)
@@ -297,7 +297,8 @@ def test_s_trans_mc_all_pass_matches_trans_mc():
     sources = [uniform_task(T, 70, (15, k), k) for k in (1, 2, 3)]
     policy = PenaltyPolicy(a=8.0, c1=penalty_multiplier(0.02, 8.0, 0.3, 310, 5),
                            c2=penalty_multiplier(0.03, 8.0, 0.3, 100, 5), v=0.3)
-    cfg = SelectionConfig(J=4, seed=6, epsilon0=100.0)  # threshold passes everything
+    cfg = SelectionConfig(J=4, seed=6, epsilon0=100.0,  # threshold passes everything
+                          c0=2.0, ck=2.0)
     report, est = s_trans_mc(target, sources, cfg, policy, CFG)
     assert report.selected == (1, 2, 3)
     assert est.penalty_used == pytest.approx(0.03)
@@ -359,7 +360,7 @@ def test_screening_failure_logs_the_warnings_of_the_fits_before_it(set_workers, 
     target = uniform_task(T, 90, (19, 0), 0)
     huge = MaskedDataset(6, 5, [0, 1, 2], [0, 2, 4], [1e200, -1e200, 1e200], task_id=2)
     sources = [uniform_task(T, 60, (19, 1), 1), huge]
-    policy = PenaltyPolicy(a=8.0, v=0.3)
+    policy = PenaltyPolicy(a=8.0, c1=2.0, c2=2.0, v=0.3)
     cfg = SelectionConfig(J=3, seed=5, epsilon0=0.5, c0=0.3, ck=0.3)
     runs = []
     for workers in (1, 2):
@@ -434,11 +435,11 @@ def test_paper_52_noise_pilot_converges(paper_52_small, caplog):
 
 def test_selection_config_validation():
     with pytest.raises(ValueError):
-        SelectionConfig(J=1)
+        SelectionConfig(J=1, c0=2.0, ck=2.0)
     with pytest.raises(ValueError):
-        SelectionConfig(epsilon0=-0.1)
+        SelectionConfig(epsilon0=-0.1, c0=2.0, ck=2.0)
     with pytest.raises(ValueError):
-        SelectionConfig(c_tilde=0.0)
+        SelectionConfig(c_tilde=0.0, c0=2.0, ck=2.0)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -449,4 +450,4 @@ def test_selection_config_validation():
 ])
 def test_selection_config_rejects_non_finite_and_out_of_range_settings(field, value):
     with pytest.raises(ValueError, match=field):
-        SelectionConfig(**{field: value})
+        SelectionConfig(**{"c0": 2.0, "ck": 2.0, field: value})
