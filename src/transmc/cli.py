@@ -3,8 +3,9 @@
 Subcommands: simulate, fit, transfer, select, benchmark, evaluate. Relative
 paths resolve against the workspace root given by the TRANSMC_WORKSPACE
 environment variable (default: current directory). Validation failures exit
-nonzero after printing a single ``error: ...`` line to stderr. benchmark and
-evaluate run every case and write every file, then exit 3 if a fit diverged.
+nonzero after printing a single ``error: ...`` line to stderr. Every fit,
+noise pilots included, runs in _run_cases; benchmark and evaluate run every
+case and write every file, then exit 3 if a fit diverged.
 """
 
 import argparse
@@ -21,7 +22,7 @@ from transmc import data_io, metrics, simulation
 from transmc.estimators import PenaltyPolicy, fit_single, trans_mc
 from transmc.fanout import map_in_chunks, map_in_workers
 from transmc.selection import SelectionConfig, s_trans_mc
-from transmc.simulation import PRESETS, ScenarioSpec, generate_scenario
+from transmc.simulation import PRESETS, TEC_PRESETS, ScenarioSpec, generate_scenario
 from transmc.solver import SolverConfig, SolverDivergedError
 
 SCHEME_LABELS = {"uniform": "SS1", "product": "SS2"}
@@ -36,14 +37,6 @@ DEFAULT_MULTIPLIER = 0.07
 # What _settings uses for an absent c1 or c2; every other absent setting takes
 # its config class's default, and an absent lam stays None.
 DEFAULTS = {"c1": DEFAULT_MULTIPLIER, "c2": DEFAULT_MULTIPLIER}
-
-# Synthetic partially-observed frame sequences for the holdout pipeline.
-TEC_PRESETS = {
-    "tec-synthetic-small": dict(m1=91, m2=180, n_frames=12, rank=5, missing=0.25,
-                                noise_sd=1.0, drift=0.02, seed=42),
-    "tec-synthetic-tiny": dict(m1=20, m2=30, n_frames=6, rank=2, missing=0.25,
-                               noise_sd=0.5, drift=0.02, seed=42),
-}
 
 
 class CliError(ValueError):
@@ -150,13 +143,11 @@ def _estimate(method, target, sources, policy, selection, solver, lam=None):
     """Run method, one of METHODS; returns (Estimate, SelectionReport or None).
 
     lam is the single-task penalty (None: the policy's rule with c2) and
-    selection the s-transmc SelectionConfig. Each estimator that reads the
-    noise scale resolves policy on target itself, so a policy resolved
-    beforehand is shared by its methods without a second pilot.
+    selection the s-transmc SelectionConfig. policy is resolved wherever
+    method reads the noise scale, as _run_cases leaves it, so no pilot runs here.
     """
     if method == "single":
         if lam is None:
-            policy = policy.resolve(target, solver)
             lam = policy.penalty(policy.c2, target.n, min(target.m1, target.m2))
         return fit_single(target, lam, policy.a, solver), None
     if method == "transmc":
@@ -167,15 +158,32 @@ def _estimate(method, target, sources, policy, selection, solver, lam=None):
 
 def _run_cases(cases, solver, lam=None) -> list:
     """Each case's (Estimate, SelectionReport or None), or the
-    SolverDivergedError its fit raised; a case is _estimate's (method, target,
-    sources, policy, selection). The s-transmc cases run first, one at a time
-    here so that their screening fans out, and record their transfer fits.
-    The other cases run in one map_in_workers call, one fit per key: cases
-    that share a fit share its outcome, and its warnings appear once."""
+    SolverDivergedError its fit or noise pilot raised; a case is _estimate's
+    (method, target, sources, policy, selection). First, here and in case
+    order, the policy of each distinct (target, policy) that a case reads v on
+    (all but single at an explicit lam) is resolved, by a pilot fit where v is
+    not given; a diverged pilot is the outcome of each case that needed it.
+    The s-transmc cases run next, one at a time here so that their screening
+    fans out, and record their transfer fits. The other cases run in one
+    map_in_workers call, one fit per key: cases that share a fit share its
+    outcome, and its warnings appear once."""
     def key(method, target, sources, policy, selection):
         # What the fit reads besides solver and lam; datasets by identity.
         return (method, id(target), tuple(map(id, sources)), policy,
                 selection if method == "s-transmc" else None)
+
+    def reads_v(method):
+        return method != "single" or lam is None
+
+    resolved = {}  # (target by identity, policy) -> policy with v, or its pilot's error
+    for method, target, _, policy, _ in cases:
+        if reads_v(method) and (id(target), policy) not in resolved:
+            try:
+                resolved[id(target), policy] = policy.resolve(target, solver)
+            except SolverDivergedError as exc:
+                resolved[id(target), policy] = exc
+    cases = [(m, t, s, resolved[id(t), p] if reads_v(m) else p, sel)
+             for m, t, s, p, sel in cases]
 
     def attempt(case):
         try:
@@ -183,7 +191,9 @@ def _run_cases(cases, solver, lam=None) -> list:
         except SolverDivergedError as exc:
             return exc
 
-    outcomes = {}  # key of a fit -> its outcome
+    # key of a fit -> its outcome; a case whose pilot diverged has that error.
+    outcomes = {key(*case): case[3] for case in cases
+                if isinstance(case[3], SolverDivergedError)}
     for case in cases:
         if case[0] == "s-transmc" and key(*case) not in outcomes:
             outcomes[key(*case)] = outcome = attempt(case)
@@ -217,7 +227,9 @@ def _simulate_tec_frames(args) -> int:
         data_io.write_frame(frame, out / name)
         data_io.write_dense(truth, out / f"truth_{t:03d}.txt", label=f"t{t:03d}")
         names.append(name)
-    data_io._write_kv(out / "eval.cfg", frames=",".join(str(out / n) for n in names),
+    # Frame paths as --out was given, relative to the workspace, so that the
+    # workspace can move.
+    data_io._write_kv(out / "eval.cfg", frames=",".join(str(Path(args.out, n)) for n in names),
                       targets=f"0-{min(10, len(names)) - 1}", half_width=10,
                       holdout_fraction=0.2, seed=params["seed"], noise_sd=params["noise_sd"],
                       methods="single,transmc")
@@ -264,8 +276,11 @@ def cmd_estimate(args) -> int:
     a = _box_level(args.a, [ds.values for ds in (target, *sources)])
     policy, selection, solver = _settings(params, [args.method], a, args.noise_sd,
                                           params.get("seed") or 0)
-    est, report = _estimate(args.method, target, sources, policy, selection, solver,
-                            params.get("lam"))
+    [outcome] = _run_cases([(args.method, target, sources, policy, selection)], solver,
+                           params.get("lam"))
+    if isinstance(outcome, SolverDivergedError):
+        raise outcome
+    est, report = outcome
     out = _out_dir(args)
     data_io.write_dense(est.matrix, out / "estimate.txt", label=args.method)
     data_io._write_kv(out / "fit_report.txt", stage=est.stage, penalty=est.penalty_used,
@@ -423,8 +438,6 @@ def cmd_evaluate(args) -> int:
     frames = map_in_chunks(data_io.read_frame, frame_paths)
     a = _box_level(params.get("a"), [f.values for f in frames])
     policy, selection, solver = _settings(params, methods, a, params.get("noise_sd"))
-    # One pilot per target frame, shared by its methods; none for single alone at --lam.
-    pilot = args.lam is None or methods != ("single",)
 
     out = _out_dir(args)
     cases, tests = [], []  # the cases and, for each, (frame id, method, holdout split)
@@ -432,8 +445,7 @@ def cmd_evaluate(args) -> int:
         train, test = data_io.holdout_split(frames[t], fraction, (seed, t))
         sources = [frames[i].to_dataset(task_id=j + 1) for j, i in
                    enumerate(data_io.window_sources(len(frames), t, half_width))]
-        shared = (train, sources, policy.resolve(train, solver) if pilot else policy,
-                  selection and replace(selection, seed=(seed, 5, t)))
+        shared = (train, sources, policy, selection and replace(selection, seed=(seed, 5, t)))
         cases.extend((method, *shared) for method in methods)
         tests.extend((frames[t].frame_id, method, test) for method in methods)
 
@@ -548,7 +560,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: invalid-invocation: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, data_io.ParseError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return 2
     except SolverDivergedError as exc:

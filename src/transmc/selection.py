@@ -12,6 +12,7 @@ to map_in_workers at once.
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from numbers import Integral
 
 import numpy as np
 
@@ -41,6 +42,8 @@ class SelectionConfig:
     seed: int | tuple = 0
 
     def __post_init__(self):
+        if not isinstance(self.J, Integral):
+            raise ValueError(f"fold count J must be an integer, got {self.J!r}")
         if self.J < 2:
             raise ValueError(f"fold count J must be >= 2, got {self.J}")
         if self.epsilon0 is not None and not 0.0 < self.epsilon0 < math.inf:

@@ -267,3 +267,12 @@ PRESETS: dict[str, ScenarioSpec] = {
     for name, spec in _UNIFORM_PRESETS.items()
     for key, value in ((name, spec), (f"{name}-ss2", replace(spec, sampling="product")))
 }
+
+# The frame presets: synthetic_frames' arguments of each partially observed
+# frame sequence that `simulate` writes for the holdout pipeline.
+TEC_PRESETS = {
+    "tec-synthetic-small": dict(m1=91, m2=180, n_frames=12, rank=5, missing=0.25,
+                                noise_sd=1.0, drift=0.02, seed=42),
+    "tec-synthetic-tiny": dict(m1=20, m2=30, n_frames=6, rank=2, missing=0.25,
+                               noise_sd=0.5, drift=0.02, seed=42),
+}

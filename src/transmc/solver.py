@@ -48,6 +48,7 @@ compute_uv=False SVD.
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -72,8 +73,10 @@ class SolverConfig:
     max_iters: int = 500
 
     def __post_init__(self):
-        if self.epsilon is not None and not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        if not isinstance(self.max_iters, Integral):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
 

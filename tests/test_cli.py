@@ -97,6 +97,21 @@ def test_simulate_rerun_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_simulate_writes_an_eval_cfg_that_moves_with_its_workspace(tmp_path):
+    # The frame paths are written as --out was given, relative to the
+    # workspace, even under an absolute workspace root.
+    first, moved = tmp_path / "first", tmp_path / "moved"
+    first.mkdir()
+    assert run(["simulate", "--preset", "tec-synthetic-tiny", "--out", "tec"], first) == 0
+    frames = (first / "tec" / "eval.cfg").read_text().splitlines()[0]
+    assert frames == "frames: " + ",".join(f"tec/frame_{t:03d}.frame" for t in range(6))
+    first.rename(moved)
+    assert run(["evaluate", "--config", "tec/eval.cfg", "--out", "ev", "--max-iters", "300"],
+               moved) == 0
+    rows = list(csv.reader(open(moved / "ev" / "eval.csv")))
+    assert [r[1] for r in rows[1:]] == ["single", "transmc"] * 6
+
+
 def test_simulate_written_scenario_round_trips(tmp_path, tiny_cfg):
     assert run(["simulate", "--config", str(tiny_cfg), "--out", "sim"], tmp_path) == 0
     spec = read_scenario(tmp_path / "sim" / "scenario.cfg")
@@ -733,6 +748,71 @@ def test_evaluate_runs_every_case_when_a_fit_diverges(tmp_path, monkeypatch, set
     assert [r for r in rows if "nan" in r] == [["t003", "transmc", "nan", "nan"]]
     assert [line for line in outputs[0][1].splitlines() if line.startswith("error")] == [
         "error: solver-diverged: t003 transmc: diverged"]
+
+
+def test_evaluate_runs_every_case_when_a_noise_pilot_diverges(tmp_path, monkeypatch,
+                                                              set_workers, capsys):
+    # Without noise_sd, the pilot of target frame 2 diverges: a pilot follows
+    # the one failure rule, so each method of that frame alone gets nan and
+    # its own stderr line, every row is written and evaluate exits 3.
+    from transmc.data_io import holdout_split, read_frame
+    from transmc.solver import SolverDivergedError
+
+    cfg = _tiny_frames(tmp_path)
+    lines = [line for line in cfg.read_text().splitlines()
+             if not line.startswith(("noise_sd:", "methods:"))]
+    cfg.write_text("\n".join(lines + ["methods: single,transmc,s-transmc"]) + "\n")
+    train, _ = holdout_split(read_frame(tmp_path / "tec" / "frame_002.frame"), 0.2, (42, 2))
+    pilot = estimators.estimate_noise_scale
+
+    def failing(data, a, cfg):
+        if np.array_equal(data.values, train.values):
+            raise SolverDivergedError("objective non-finite at the zero start")
+        return pilot(data, a, cfg)
+
+    monkeypatch.setattr(estimators, "estimate_noise_scale", failing)
+    outputs = []
+    for workers in (1, 2):
+        set_workers(workers)
+        capsys.readouterr()
+        assert run(["evaluate", "--config", str(cfg), "--out", f"ev{workers}",
+                    "--max-iters", "300"], tmp_path) == 3
+        outputs.append(((tmp_path / f"ev{workers}" / "eval.csv").read_bytes(),
+                        capsys.readouterr().err))
+    assert outputs[0] == outputs[1]
+    methods = ("single", "transmc", "s-transmc")
+    rows = list(csv.reader(open(tmp_path / "ev1" / "eval.csv")))[1:]
+    assert [r[:2] for r in rows] == [[f"t{t:03d}", m] for t in range(6) for m in methods]
+    assert [r for r in rows if "nan" in r] == [["t002", m, "nan", "nan"] for m in methods]
+    assert all(np.isfinite(float(x)) for r in rows for x in r[2:] if r[0] != "t002")
+    assert [line for line in outputs[0][1].splitlines() if line.startswith("error")] == [
+        f"error: solver-diverged: t002 {m}: objective non-finite at the zero start"
+        for m in methods]
+
+
+@pytest.mark.parametrize("command, module, failing_name", [
+    (["fit", "--data", "sim/target.samples"], estimators, "estimate_noise_scale"),
+    (["transfer", "--target", "sim/target.samples", "--sources", "sim/source_01.samples"],
+     estimators, "estimate_noise_scale"),
+    (["select", "--target", "sim/target.samples", "--sources", "sim/source_01.samples"],
+     estimators, "estimate_noise_scale"),
+    (["fit", "--data", "sim/target.samples", "--lam", "0.1"], cli, "fit_single"),
+])
+def test_fit_transfer_and_select_exit_3_when_a_fit_or_pilot_diverges(tmp_path, tiny_cfg,
+                                                                     monkeypatch, capsys, command,
+                                                                     module, failing_name):
+    from transmc.solver import SolverDivergedError
+
+    def failing(*args):
+        raise SolverDivergedError("objective non-finite at the zero start")
+
+    assert run(["simulate", "--config", str(tiny_cfg), "--out", "sim"], tmp_path) == 0
+    monkeypatch.setattr(module, failing_name, failing)
+    capsys.readouterr()
+    assert run(command + ["--out", "x"], tmp_path) == 3
+    assert capsys.readouterr().err == ("error: solver-diverged: objective non-finite at "
+                                       "the zero start\n")
+    assert not (tmp_path / "x").exists()
 
 
 def test_evaluate_s_transmc_reuses_its_transfer_fit(tmp_path, monkeypatch, set_workers):

@@ -451,3 +451,9 @@ def test_selection_config_validation():
 def test_selection_config_rejects_non_finite_and_out_of_range_settings(field, value):
     with pytest.raises(ValueError, match=field):
         SelectionConfig(**{"c0": 2.0, "ck": 2.0, field: value})
+
+
+@pytest.mark.parametrize("J", [2.5, 3.0, "3"])
+def test_selection_config_rejects_a_fold_count_that_is_not_an_integer(J):
+    with pytest.raises(ValueError, match="fold count J"):
+        SelectionConfig(J=J, c0=2.0, ck=2.0)

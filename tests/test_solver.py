@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -319,6 +320,15 @@ def test_lamm_backtracking_stays_bounded():
     loss = MaskedSquaredLoss.from_dataset(ds)
     _, trace = lamm_solve(loss, 0.01, 10.0, SolverConfig(max_iters=200))
     assert trace.final_phi <= loss.curvature_bound()
+
+
+@pytest.mark.parametrize("field, value", [("epsilon", math.inf), ("epsilon", math.nan),
+                                          ("max_iters", 2.5), ("max_iters", 3.0),
+                                          ("max_iters", "3")])
+def test_solver_config_rejects_a_setting_the_solver_cannot_run(field, value):
+    # An infinite epsilon would stop every fit after one step as converged.
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
 
 
 def test_solver_config_validation():
