@@ -80,11 +80,13 @@ def _entries(entries, what, known=None):
     entries = tuple(entries)
     if not entries:
         raise CliError(f"no {what} listed")
-    for i, e in enumerate(entries):
+    seen = set()
+    for e in entries:
         if known is not None and e not in known:
             raise CliError(f"unknown {what} {e!r}; known: {', '.join(known)}")
-        if e in entries[:i]:
+        if e in seen:
             raise CliError(f"{what} {e!r} listed twice")
+        seen.add(e)
     return entries
 
 
@@ -214,6 +216,8 @@ def _run_cases(cases, solver, lam=None) -> list:
 def _simulate_tec_frames(args) -> int:
     if args.rep is not None:
         raise CliError(f"--rep is read by none of the frame presets {','.join(TEC_PRESETS)}")
+    if "," in args.out:  # eval.cfg's frames list separates its paths with commas
+        raise CliError(f"--out {args.out!r} holds a comma, which eval.cfg cannot list")
     params = dict(TEC_PRESETS[args.preset])
     if args.seed is not None:
         params["seed"] = args.seed

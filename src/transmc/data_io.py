@@ -40,7 +40,7 @@ class ParseError(ValueError):
 @dataclass(frozen=True)
 class FrameFile:
     """One partially observed matrix frame: checked_triplets' observations,
-    at unique coordinates and possibly none, under a frame id without spaces."""
+    at unique coordinates and possibly none, under a frame id without whitespace."""
 
     m1: int
     m2: int
@@ -55,8 +55,10 @@ class FrameFile:
         flat = np.sort(rows * self.m2 + cols)
         if np.any(flat[1:] == flat[:-1]):
             raise ValueError("duplicate coordinates within one frame")
-        if " " in self.frame_id or not self.frame_id:
-            raise ValueError("frame_id must be a nonempty token without spaces")
+        # The header parser's rule, so that every frame written reads back.
+        if self.frame_id.split() != [self.frame_id]:
+            raise ValueError(f"frame_id must be a nonempty token without whitespace, "
+                             f"got {self.frame_id!r}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "values", values)

@@ -27,7 +27,7 @@ class Estimate:
     matrix: np.ndarray
     penalty_used: float
     trace: SolveTrace
-    stage: str  # single | pooled | debiased | combined
+    stage: str  # single | pooled | debiased | combined, or fit_loss's label
 
 
 @dataclass(frozen=True)
@@ -96,22 +96,22 @@ def estimate_noise_scale(data: MaskedDataset, a: float, cfg: SolverConfig) -> fl
 
 
 def fit_loss(loss: MaskedSquaredLoss, lam: float, a: float, cfg: SolverConfig,
-             shift=None, stage: str = "single", label: str | None = None) -> Estimate:
+             shift=None, label: str = "single") -> Estimate:
     """Nuclear-norm penalized fit of loss, started from zero, over the box
     |A + shift|_inf <= a (|A|_inf <= a when shift is None).
 
-    stage is the returned Estimate's stage; label (default: stage) names the
-    fit in the solver warnings only, e.g. "fold 2", "source 7" or "pilot".
+    label names the fit, e.g. "pooled", "fold 2", "source 7" or "pilot": it
+    is the returned Estimate's stage and the fit's name in the solver warnings.
     """
     lam = float(lam)
     matrix, trace = lamm_solve(loss, lam, a, cfg, shift)
     if not trace.converged:
         log.warning("%s fit did not converge in %d iterations (lam = %.4g)",
-                    label or stage, trace.iterations, lam)
+                    label, trace.iterations, lam)
     if trace.box_active:
         log.warning("%s fit is not certified: the box clipped its last step "
-                    "(a = %.4g, lam = %.4g)", label or stage, a, lam)
-    return Estimate(matrix=matrix, penalty_used=lam, trace=trace, stage=stage)
+                    "(a = %.4g, lam = %.4g)", label, a, lam)
+    return Estimate(matrix=matrix, penalty_used=lam, trace=trace, stage=label)
 
 
 def fit_single(data: MaskedDataset, lam: float, a: float, cfg: SolverConfig) -> Estimate:
@@ -126,7 +126,7 @@ def pooled_fit(datasets, lam1: float, a: float, cfg: SolverConfig) -> Estimate:
     depend on how the caller ordered the sequence.
     """
     datasets = sorted(datasets, key=lambda ds: ds.task_id)
-    return fit_loss(MaskedSquaredLoss.from_datasets(datasets), lam1, a, cfg, stage="pooled")
+    return fit_loss(MaskedSquaredLoss.from_datasets(datasets), lam1, a, cfg, label="pooled")
 
 
 def debias_fit(target: MaskedDataset, a_tilde, lam2: float, a: float,
@@ -137,7 +137,7 @@ def debias_fit(target: MaskedDataset, a_tilde, lam2: float, a: float,
         raise ValueError(f"debiasing expects the target task (id 0), got {target.task_id}")
     a_tilde = np.asarray(a_tilde, dtype=np.float64)
     loss = MaskedSquaredLoss.from_dataset(target).shifted(a_tilde)
-    return fit_loss(loss, lam2, a, cfg, shift=a_tilde, stage="debiased")
+    return fit_loss(loss, lam2, a, cfg, shift=a_tilde, label="debiased")
 
 
 def _check_sample_balance(n0: int, n_total: int, a: float, v: float, pooled: np.ndarray):

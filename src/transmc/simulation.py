@@ -180,15 +180,10 @@ class ScenarioData:
     sources: list                  # MaskedDataset, task ids 1..K
 
 
-def scenario_matrices(spec: ScenarioSpec):
-    A0 = gen_target(spec)
-    sources, achieved = gen_sources(A0, spec)
-    return A0, sources, achieved
-
-
 def generate_scenario(spec: ScenarioSpec, rep: int = 0) -> ScenarioData:
     """Materialize one replicate: fixed matrices, fresh samples and noise."""
-    A0, source_truths, achieved = scenario_matrices(spec)
+    A0 = gen_target(spec)
+    source_truths, achieved = gen_sources(A0, spec)
     target = sample_observations(
         A0, gen_sampling(spec, 0), spec.n0, spec.noise_sd,
         (spec.seed, _OBS_STREAM, rep, 0), task_id=0,
@@ -207,7 +202,7 @@ def generate_scenario(spec: ScenarioSpec, rep: int = 0) -> ScenarioData:
 
 
 def synthetic_frames(*, m1: int, m2: int, n_frames: int, rank: int, missing: float,
-                     noise_sd: float, drift: float, a_cap: float = 30.0, seed: int):
+                     noise_sd: float, drift: float, seed: int):
     """Synthetic partially observed frame sequence for the holdout pipeline.
 
     Frame t observes a uniform random (1 - missing) share of cells of a
@@ -216,11 +211,11 @@ def synthetic_frames(*, m1: int, m2: int, n_frames: int, rank: int, missing: flo
     """
     if not (0.0 <= missing < 1.0):
         raise ValueError("missing fraction must lie in [0, 1)")
-    base_spec = ScenarioSpec(m1=m1, m2=m2, rank=rank, a_cap=a_cap, seed=seed)
+    base_spec = ScenarioSpec(m1=m1, m2=m2, rank=rank, seed=seed)
     base = gen_target(base_spec)
-    # Pin the field amplitude just under the cap so the observations carry a
-    # map-like signal well above the unit noise floor.
-    base *= 0.8 * a_cap / float(np.max(np.abs(base)))
+    # Pin the field amplitude just under the spec's default cap so the
+    # observations carry a map-like signal well above the unit noise floor.
+    base *= 0.8 * base_spec.a_cap / float(np.max(np.abs(base)))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
     U, Vt = _random_orthonormal_pair(rng, m1, m2)
     direction = (U[:, :2] * np.array([1.0, 0.5])) @ Vt[:2]

@@ -87,13 +87,11 @@ class SolveTrace:
     extrapolated candidate was dropped by a restart. objective_values holds
     the objective at the zero start and after each accepted step.
     prox_evals counts every proximal (soft-threshold) evaluation, accepted or
-    rejected by backtracking or restart. final_phi is the phi the next
-    iteration would start from. box_active is True when the box clipped the
-    last accepted step, so the result is not a certified minimizer."""
+    rejected by backtracking or restart. box_active is True when the box
+    clipped the last accepted step, so the result is not a certified minimizer."""
 
     iterations: int
     objective_values: list[float]
-    final_phi: float
     converged: bool
     prox_evals: int
     box_active: bool
@@ -203,7 +201,6 @@ def lamm_solve(loss, lam: float, a: float, cfg: SolverConfig, shift=None):
     trace = SolveTrace(
         iterations=iterations,
         objective_values=objective,
-        final_phi=phi,
         converged=converged,
         prox_evals=prox_evals,
         box_active=box_active,

@@ -82,37 +82,43 @@ def majorizer_term_by_term(A, B, phi, loss_value, grad):
     return acc
 
 
-def prox_gradient_fixed_step(rows, cols, values, shape, lam, box, n_iters=100_000,
-                             step=None):
+def prox_gradient_fixed_step(problems, shape, box, n_iters=100_000):
     """Fixed-step proximal gradient for the masked squared loss plus lam * ||.||_*
-    over |A|_inf <= box, run from zero for n_iters iterations.
+    over |A|_inf <= box, run from zero for n_iters iterations, for each
+    (rows, cols, values, lam) of problems; returns the list of results.
 
-    The default step is 1 / (2 * max entry multiplicity), i.e. 1 over
+    A problem's step is 1 / (2 * max entry multiplicity), i.e. 1 over
     (2 * max entry-probability * n) for the empirical sampling measure.
     A step is a deterministic function of A alone, so once one returns A
-    bit for bit every later step would too, and the loop stops there with
-    the same result.
+    bit for bit every later step would too, and that problem stops there with
+    the same result. The problems still running share one stacked SVD per
+    iteration, which factors each matrix as a call on it alone does; every
+    other operation is per problem.
     """
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    if step is None:
-        flat = rows * shape[1] + cols
-        _, counts = np.unique(flat, return_counts=True)
-        step = 1.0 / (2.0 * counts.max())
-    A = np.zeros(shape)
+    problems = [(np.asarray(rows), np.asarray(cols), np.asarray(values, dtype=float), lam)
+                for rows, cols, values, lam in problems]
+    steps = [1.0 / (2.0 * np.unique(rows * shape[1] + cols, return_counts=True)[1].max())
+             for rows, cols, _, _ in problems]
+    A = [np.zeros(shape) for _ in problems]
+    running = list(range(len(problems)))
     for _ in range(n_iters):
-        grad = np.zeros(shape)
-        np.add.at(grad, (rows, cols), (2.0 / n) * (A[rows, cols] - values))
-        B = A - step * grad
-        U, s, Vt = np.linalg.svd(B, full_matrices=False)
-        s = np.maximum(s - lam * step, 0.0)
-        A_next = (U * s) @ Vt
-        np.clip(A_next, -box, box, out=A_next)
-        if np.array_equal(A_next, A):
+        if not running:
             break
-        A = A_next
+        B = np.empty((len(running), *shape))
+        for j, i in enumerate(running):
+            rows, cols, values, _ = problems[i]
+            grad = np.zeros(shape)
+            np.add.at(grad, (rows, cols), (2.0 / values.size) * (A[i][rows, cols] - values))
+            B[j] = A[i] - steps[i] * grad
+        U, s, Vt = np.linalg.svd(B, full_matrices=False)
+        still = []
+        for j, i in enumerate(running):
+            A_next = (U[j] * np.maximum(s[j] - problems[i][3] * steps[i], 0.0)) @ Vt[j]
+            np.clip(A_next, -box, box, out=A_next)
+            if not np.array_equal(A_next, A[i]):
+                A[i] = A_next
+                still.append(i)
+        running = still
     return A
 
 

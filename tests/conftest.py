@@ -26,6 +26,23 @@ def pilot_calls(monkeypatch):
 
 
 @pytest.fixture
+def thresholds(monkeypatch):
+    """The threshold of each soft_threshold call that lamm_solve makes, in
+    call order: lam / phi of every proximal evaluation."""
+    from transmc import solver
+
+    soft_threshold = solver.soft_threshold
+    taus = []
+
+    def recording(B, tau):
+        taus.append(tau)
+        return soft_threshold(B, tau)
+
+    monkeypatch.setattr(solver, "soft_threshold", recording)
+    return taus
+
+
+@pytest.fixture
 def set_workers(monkeypatch):
     """set_workers(k) makes map_in_workers run min(n, k) processes for n items
     outside a fan-out and one inside a fan-out, as the real worker count does,

@@ -2,6 +2,7 @@ import csv
 import logging
 import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -1146,6 +1147,9 @@ BAD_CONFIG_VALUES = {("methods", "single, single"), ("targets", "1, 0-2"),
     ("transfer", "--sources", ",", "no source file listed"),
     ("select", "--sources", " , ", "no source file listed"),
     ("evaluate", "frames", ",", "no frame listed"),
+    # 50 000 target frames: a repeat check that compares each entry with every
+    # earlier one took 17 s on 2 vCPUs.
+    ("evaluate", "targets", "0-49999", "target frame index 6 out of range (0..5)"),
     # Every missing file is named, not only the first.
     ("transfer", "--sources", "sim/s8.samples,sim/source_01.samples,sim/s9.samples",
      "missing input files: {ws}/sim/s8.samples, {ws}/sim/s9.samples"),
@@ -1172,7 +1176,9 @@ def test_lists_and_input_files_are_checked_before_any_work(tmp_path, inputs, mon
     monkeypatch.setattr(cli.data_io, "read_frame", parsed.append)
     monkeypatch.setattr(cli, "run_benchmark", lambda *args, **kwargs: parsed.append(args))
     capsys.readouterr()
+    start = time.perf_counter()
     assert run([command, *base, "--out", "x"], tmp_path) == 2
+    assert time.perf_counter() - start < 1.0  # every check is linear in its list
     named = named.format(ws=tmp_path, real=os.path.realpath(tmp_path))
     assert capsys.readouterr().err == f"error: {kind}: {named}\n"
     assert parsed == []
@@ -1211,6 +1217,14 @@ def test_simulate_frame_preset_rejects_what_it_does_not_read(tmp_path, tiny_cfg,
                tmp_path) == 2
     assert capsys.readouterr().err == f"error: invalid-invocation: {named}\n"
     assert not (tmp_path / "x").exists()
+
+
+def test_simulate_frame_preset_rejects_an_out_that_eval_cfg_cannot_list(tmp_path, capsys):
+    # eval.cfg's frames list is split on commas, so it could not name a frame under a,b.
+    assert run(["simulate", "--preset", "tec-synthetic-tiny", "--out", "a,b"], tmp_path) == 2
+    assert capsys.readouterr().err == ("error: invalid-invocation: --out 'a,b' holds a comma, "
+                                       "which eval.cfg cannot list\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_scenario_without_rep_writes_replicate_0(tmp_path, tiny_cfg):

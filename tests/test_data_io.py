@@ -66,6 +66,22 @@ def test_empty_frame_is_valid(tmp_path):
     assert back.n == 0 and (back.m1, back.m2) == (3, 4)
 
 
+@pytest.mark.parametrize("frame_id, accepted", [
+    ("t000", True), ("taskforce", True), ("\u00e9t\u00e9", True), ("a-b_c.1", True),
+    ("a\u200bb", True),  # a zero-width space is not whitespace to str.split
+    ("", False), ("a b", False), (" a", False), ("a\tb", False), ("a\u00a0b", False),
+    ("a\nb", False), ("a\rb", False), ("a\n", False), ("a\u2028b", False), ("a\x1cb", False),
+])
+def test_a_frame_takes_exactly_the_ids_that_read_back(tmp_path, frame_id, accepted):
+    # The header is split on whitespace, so an id holding any would not read back.
+    if not accepted:
+        with pytest.raises(ValueError, match="frame_id"):
+            FrameFile(2, 2, frame_id, [0], [1], [1.5])
+        return
+    write_frame(FrameFile(2, 2, frame_id, [0], [1], [1.5]), tmp_path / "f.frame")
+    assert read_frame(tmp_path / "f.frame").frame_id == frame_id
+
+
 def test_frame_duplicate_coordinate_parse_error(tmp_path):
     path = tmp_path / "dup.frame"
     path.write_text("2 2 f\n0 0 1.0\n0 0 2.0\n")

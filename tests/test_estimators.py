@@ -75,8 +75,8 @@ def test_fit_single_matches_prox_gradient_oracle():
     ds = ds.subset(np.sort(keep))
     cfg = SolverConfig(max_iters=5000, epsilon=1e-10)
     est = fit_single(ds, 0.05, 50.0, cfg)
-    oracle = prox_gradient_fixed_step(ds.rows, ds.cols, ds.values, (6, 5), 0.05,
-                                      box=50.0, n_iters=30000)
+    oracle, = prox_gradient_fixed_step([(ds.rows, ds.cols, ds.values, 0.05)], (6, 5),
+                                       box=50.0, n_iters=30000)
     assert np.linalg.norm(est.matrix - oracle) <= 1e-5 * (1 + np.linalg.norm(oracle))
 
 

@@ -16,10 +16,7 @@ ALLOWED = {
 }
 
 # Dataclass fields, as (class, field), kept without an attribute read in src.
-ALLOWED_FIELDS = {
-    # The solver tests check through it that phi never exceeds the curvature bound.
-    ("SolveTrace", "final_phi"),
-}
+ALLOWED_FIELDS = set()
 
 
 def _referenced(node) -> set[str]:

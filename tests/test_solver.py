@@ -169,8 +169,8 @@ def test_lamm_matches_long_run_prox_gradient_oracle():
     lam = 0.1
     cfg = SolverConfig(epsilon=1e-10, max_iters=5000)
     A, trace = lamm_solve(loss, lam, 50.0, cfg)
-    oracle = prox_gradient_fixed_step(ds.rows, ds.cols, ds.values, T.shape,
-                                      lam, box=50.0, n_iters=20000)
+    oracle, = prox_gradient_fixed_step([(ds.rows, ds.cols, ds.values, lam)], T.shape,
+                                       box=50.0, n_iters=20000)
     assert np.linalg.norm(A - oracle) <= 1e-6 * (1 + np.linalg.norm(oracle))
 
 
@@ -207,42 +207,48 @@ def _prox_evals_problem():
     return loss, float(np.max(np.abs(T)))
 
 
-def test_lamm_prox_evals_per_iteration():
+def test_lamm_prox_evals_per_iteration(thresholds):
     # Every rejected candidate costs a full prox evaluation. Lowering phi
     # after each single step with slack gets the next step rejected often
     # (about 1.65 prox evaluations per iteration here); waiting for PATIENCE
     # slack steps in a row and jumping straight to the rejected step's
     # curvature give about 1.17.
     loss, a = _prox_evals_problem()
-    _, trace = lamm_solve(loss, 0.005, a, SolverConfig())
+    lam = 0.005
+    _, trace = lamm_solve(loss, lam, a, SolverConfig())
     assert trace.prox_evals >= trace.iterations
     assert trace.prox_evals / trace.iterations < 1.3
-    assert trace.final_phi <= loss.curvature_bound()
+    # phi never exceeds the curvature bound: each threshold lam / phi is at
+    # least lam / L, exactly, as correctly rounded division is monotone.
+    assert len(thresholds) == trace.prox_evals
+    assert all(tau >= lam / loss.curvature_bound() for tau in thresholds)
 
 
-def test_lamm_first_iteration_ramp_is_short():
+def test_lamm_first_iteration_ramp_is_short(thresholds):
     # phi starts at 1e-3 * L. Doubling from there took 10 prox evaluations in
     # the first iteration of this problem; a rejected candidate's exact
     # curvature along its step gets there in 4.
     loss, a = _prox_evals_problem()
-    _, trace = lamm_solve(loss, 0.005, a, SolverConfig(max_iters=1))
+    lam = 0.005
+    _, trace = lamm_solve(loss, lam, a, SolverConfig(max_iters=1))
     assert trace.iterations == 1
     assert trace.prox_evals <= 5
-    assert trace.final_phi <= loss.curvature_bound()
+    assert all(tau >= lam / loss.curvature_bound() for tau in thresholds)
 
 
-def test_lamm_tight_solve_step_rule_ignores_roundoff():
+def test_lamm_tight_solve_step_rule_ignores_roundoff(thresholds):
     # At epsilon = 1e-10 the last steps are so short that L(c) - L(Y) -
     # <grad L(Y), c - Y> computed from loss values is roundoff; a step rule
     # fed by it kept phi near L and took 7183 prox evaluations here (3259
     # under the rule that halves phi after every slack step). The gradient
     # form of the same curvature takes 1953.
     loss, a = _prox_evals_problem()
+    lam = 0.005
     cfg = SolverConfig(epsilon=1e-10, max_iters=20000)
-    _, trace = lamm_solve(loss, 0.005, a, cfg)
+    _, trace = lamm_solve(loss, lam, a, cfg)
     assert trace.converged
     assert trace.prox_evals < 2600
-    assert trace.final_phi <= loss.curvature_bound()
+    assert all(tau >= lam / loss.curvature_bound() for tau in thresholds)
 
 
 @pytest.mark.parametrize("a", [100.0, 3.0])
@@ -261,6 +267,7 @@ def test_lamm_final_objective_matches_fresh_svd(a, caplog):
     with caplog.at_level(logging.WARNING, logger="transmc"):
         est = fit_loss(loss, lam, a, SolverConfig(), label="fold 1")
     A, trace = est.matrix, est.trace
+    assert est.stage == "fold 1"
     assert trace.converged
     assert np.count_nonzero(np.abs(A) == a) == (1 if a == 3.0 else 0)
     assert trace.box_active == (a == 3.0)
@@ -315,11 +322,12 @@ def test_lamm_infeasible_init_rejected():
         lamm_solve(loss, 0.0, 0.5, SolverConfig(max_iters=5), shift=np.zeros((1, 3)))
 
 
-def test_lamm_backtracking_stays_bounded():
+def test_lamm_backtracking_stays_bounded(thresholds):
     ds = random_dataset(8, 6, 60)
     loss = MaskedSquaredLoss.from_dataset(ds)
-    _, trace = lamm_solve(loss, 0.01, 10.0, SolverConfig(max_iters=200))
-    assert trace.final_phi <= loss.curvature_bound()
+    lam = 0.01
+    lamm_solve(loss, lam, 10.0, SolverConfig(max_iters=200))
+    assert thresholds and all(tau >= lam / loss.curvature_bound() for tau in thresholds)
 
 
 @pytest.mark.parametrize("field, value", [("epsilon", math.inf), ("epsilon", math.nan),
