@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from transmc import data_io, metrics, simulation
+from transmc import data_io, estimators, metrics, simulation
 from transmc.estimators import PenaltyPolicy, fit_single, trans_mc
 from transmc.fanout import map_in_chunks, map_in_workers
 from transmc.selection import SelectionConfig, s_trans_mc
@@ -145,8 +145,8 @@ def _estimate(method, target, sources, policy, selection, solver, lam=None):
     """Run method, one of METHODS; returns (Estimate, SelectionReport or None).
 
     lam is the single-task penalty (None: the policy's rule with c2) and
-    selection the s-transmc SelectionConfig. policy is resolved wherever
-    method reads the noise scale, as _run_cases leaves it, so no pilot runs here.
+    selection the s-transmc SelectionConfig. policy has its noise scale v
+    wherever method reads it, as _run_cases leaves it, so no pilot runs here.
     """
     if method == "single":
         if lam is None:
@@ -162,9 +162,9 @@ def _run_cases(cases, solver, lam=None) -> list:
     """Each case's (Estimate, SelectionReport or None), or the
     SolverDivergedError its fit or noise pilot raised; a case is _estimate's
     (method, target, sources, policy, selection). First, here and in case
-    order, the policy of each distinct (target, policy) that a case reads v on
-    (all but single at an explicit lam) is resolved, by a pilot fit where v is
-    not given; a diverged pilot is the outcome of each case that needed it.
+    order, each distinct (target, policy) that a case reads v on (all but single
+    at an explicit lam) and that lacks v gets it from estimate_noise_scale, the
+    one pilot call in transmc; a diverged pilot is the outcome of each case that needed it.
     The s-transmc cases run next, one at a time here so that their screening
     fans out, and record their transfer fits. The other cases run in one
     map_in_workers call, one fit per key: cases that share a fit share its
@@ -177,14 +177,15 @@ def _run_cases(cases, solver, lam=None) -> list:
     def reads_v(method):
         return method != "single" or lam is None
 
-    resolved = {}  # (target by identity, policy) -> policy with v, or its pilot's error
+    pilots = {}  # (target by identity, policy) -> policy with v, or its pilot's error
     for method, target, _, policy, _ in cases:
-        if reads_v(method) and (id(target), policy) not in resolved:
+        if reads_v(method) and policy.v is None and (id(target), policy) not in pilots:
             try:
-                resolved[id(target), policy] = policy.resolve(target, solver)
+                pilots[id(target), policy] = replace(
+                    policy, v=estimators.estimate_noise_scale(target, policy.a, solver))
             except SolverDivergedError as exc:
-                resolved[id(target), policy] = exc
-    cases = [(m, t, s, resolved[id(t), p] if reads_v(m) else p, sel)
+                pilots[id(target), policy] = exc
+    cases = [(m, t, s, pilots.get((id(t), p), p) if reads_v(m) else p, sel)
              for m, t, s, p, sel in cases]
 
     def attempt(case):
@@ -245,8 +246,8 @@ def cmd_simulate(args) -> int:
     if args.preset in TEC_PRESETS and not args.config:  # with --config, _load_spec rejects it
         return _simulate_tec_frames(args)
     spec = _load_spec(args, also_known=TEC_PRESETS)
-    out = _out_dir(args)
     data = generate_scenario(spec, rep=args.rep or 0)
+    out = _out_dir(args)
 
     data_io.write_scenario(spec, out / "scenario.cfg")
     data_io.write_dense(data.truth, out / "truth_task00.txt", label="task0")

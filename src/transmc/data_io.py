@@ -261,9 +261,10 @@ def write_scenario(spec: ScenarioSpec, path):
               **{**asdict(spec), "contrasts": ",".join(map(str, spec.contrasts))})
 
 
-# How read_scenario parses the value of a ScenarioSpec field of each type.
+# How read_scenario parses the value of a ScenarioSpec field of each type; an
+# empty comma list is (), and float rejects an empty entry, as in '1,,2'.
 _FIELD_PARSERS = {int: int, float: float, str: str,
-                  tuple[float, ...]: lambda raw: tuple(float(x) for x in raw.split(",") if x)}
+                  tuple[float, ...]: lambda raw: tuple(map(float, raw.split(","))) if raw else ()}
 
 
 def read_scenario(path) -> ScenarioSpec:

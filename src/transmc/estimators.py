@@ -38,7 +38,8 @@ class PenaltyPolicy:
     trans_mc takes lam1 with c1 over the pooled sample count N and lam2 with
     c2 over the target sample count n0; the single-task fit takes c2 over n0.
     Source screening takes its own multipliers c0 and ck (SelectionConfig).
-    v left None is estimated from a pilot fit on the target by resolve().
+    v is taken as given, and v = None raises a ValueError before any fit: where
+    the noise is unknown, pass v = estimate_noise_scale(target, a, solver).
     """
 
     a: float
@@ -56,19 +57,11 @@ class PenaltyPolicy:
         if self.v is not None and not 0.0 <= self.v < math.inf:
             raise ValueError(f"noise scale v must be finite and at least 0, got {self.v}")
 
-    def resolve(self, target: MaskedDataset, cfg: SolverConfig) -> "PenaltyPolicy":
-        """This policy with v filled in: unchanged when v is given, else v is
-        the residual scale of a pilot fit on target (estimate_noise_scale).
-
-        Every estimator resolves its policy on the target; pass the resolved
-        policy on so that the pilot runs once per target dataset.
-        """
-        if self.v is not None:
-            return self
-        return replace(self, v=estimate_noise_scale(target, self.a, cfg))
-
     def penalty(self, c: float, n: float, m: int) -> float:
-        """theorem_penalty(c, a, v, n, m) of a resolved policy."""
+        """theorem_penalty(c, a, v, n, m) of this policy."""
+        if self.v is None:
+            raise ValueError("the penalty rule needs the noise scale v; estimate it "
+                             "with estimate_noise_scale(target, a, solver) and pass it as v")
         return theorem_penalty(c, self.a, self.v, n, m)
 
 
@@ -170,7 +163,6 @@ def trans_mc(target: MaskedDataset, sources, policy: PenaltyPolicy,
     """
     sources = list(sources)
     check_compatible([target, *sources])
-    policy = policy.resolve(target, cfg)
     a = policy.a
     n0 = target.n
     n_total = n0 + sum(ds.n for ds in sources)

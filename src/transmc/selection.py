@@ -167,14 +167,13 @@ def screen_sources(target: MaskedDataset, sources, cfg: SelectionConfig,
     """
     sources = list(sources)
     check_compatible([target, *sources])
-    policy = policy.resolve(target, solver)
     a = policy.a
     m = min(target.m1, target.m2)
     J = cfg.J
+    lam0 = policy.penalty(cfg.c0, (J - 1) / J * target.n, m)
     epsilon0 = cfg.epsilon0 if cfg.epsilon0 is not None else 0.05 * policy.v * policy.v
 
     folds = split_folds(target, J, cfg.seed)
-    lam0 = policy.penalty(cfg.c0, (J - 1) / J * target.n, m)
     fits = map_in_workers(lambda fit: fit(), _fold_fits(folds, lam0, a, solver) + [
         partial(fit_loss, MaskedSquaredLoss.from_dataset(ds), policy.penalty(cfg.ck, ds.n, m),
                 a, solver, label=f"source {k}")
@@ -191,10 +190,9 @@ def screen_sources(target: MaskedDataset, sources, cfg: SelectionConfig,
 def s_trans_mc(target: MaskedDataset, sources, cfg: SelectionConfig,
                policy: PenaltyPolicy, solver: SolverConfig):
     """Full selection pipeline: screen_sources, then trans_mc on the selected
-    sources; returns (SelectionReport, transfer Estimate). Both stages share
-    one resolved policy, so a pilot fit estimates v (when None) only once."""
+    sources; returns (SelectionReport, transfer Estimate). Both stages read
+    the policy's noise scale v, which must be given (see PenaltyPolicy)."""
     sources = list(sources)
-    policy = policy.resolve(target, solver)
     report = screen_sources(target, sources, cfg, policy, solver)
     chosen = [sources[k - 1] for k in report.selected]
     return report, trans_mc(target, chosen, policy, solver)

@@ -22,7 +22,7 @@ _SAMPLING_STREAM = 1
 _OBS_STREAM = 2
 
 
-class GenerationError(RuntimeError):
+class GenerationError(ValueError):
     """Matrix generation could not satisfy the configured constraints."""
 
 

@@ -110,8 +110,8 @@ def lamm_solve(loss, lam: float, a: float, cfg: SolverConfig, shift=None):
     trace.converged = False, not an error; a non-finite loss raises
     SolverDivergedError.
     """
-    if not lam >= 0.0:
-        raise ValueError(f"lam must be nonnegative, got {lam!r}")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and at least 0, got {lam!r}")
     if not a > 0.0:
         raise ValueError(f"box level a must be positive, got {a!r}")
     if shift is not None:

@@ -9,8 +9,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 @pytest.fixture
 def pilot_calls(monkeypatch):
     """The noise scales returned by each estimate_noise_scale call, in call
-    order, counted through every transmc module that binds the name."""
-    from transmc import cli, estimators, selection
+    order; its one caller in transmc, cli._run_cases, calls it through the
+    estimators module."""
+    from transmc import estimators
 
     pilot = estimators.estimate_noise_scale
     calls = []
@@ -19,9 +20,7 @@ def pilot_calls(monkeypatch):
         calls.append(pilot(*args, **kwargs))
         return calls[-1]
 
-    for module in (estimators, selection, cli):
-        if hasattr(module, "estimate_noise_scale"):
-            monkeypatch.setattr(module, "estimate_noise_scale", counting)
+    monkeypatch.setattr(estimators, "estimate_noise_scale", counting)
     return calls
 
 

@@ -144,6 +144,18 @@ def test_simulate_rejects_a_nan_noise_sd_and_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "sim").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "benchmark"])
+def test_a_scenario_that_cannot_be_drawn_is_a_validation_error(tmp_path, capsys, command):
+    # Rank 1 at a_cap 30 leaves no contrast of nuclear norm 1e6 inside the box.
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("m1: 6\nm2: 5\nrank: 1\ncontrasts: 1e6\n")
+    assert run([command, "--config", str(cfg), "--out", "x"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation: source 1: no contrast draw ")
+    assert err.count("\n") == 1
+    assert not any((tmp_path / "x").glob("*"))
+
+
 def test_unknown_preset_rejected(tmp_path, capsys):
     assert run(["simulate", "--preset", "nope", "--out", "x"], tmp_path) == 2
     err = capsys.readouterr().err

@@ -432,10 +432,11 @@ def test_window_sources_rejects_a_negative_half_width():
 # ---------------------------------------------------------------------------
 
 def test_scenario_round_trip(tmp_path):
-    spec = PRESETS["paper-5.2-small-ss2"]
     path = tmp_path / "s.cfg"
-    write_scenario(spec, path)
-    assert read_scenario(path) == spec
+    # An empty contrasts value is no sources.
+    for spec in (PRESETS["paper-5.2-small-ss2"], ScenarioSpec(6, 5, 1, contrasts=())):
+        write_scenario(spec, path)
+        assert read_scenario(path) == spec
 
 
 def test_scenario_missing_keys_take_the_spec_defaults(tmp_path):
@@ -451,7 +452,9 @@ def test_scenario_parse_error_line_numbers(tmp_path):
     path = tmp_path / "bad.cfg"
     for text, message in [("m1: 4\nnot a key-value line\n", "expected 'key: value'"),
                           ("m1: 4\nn0_fraction: 0.9\n", "unknown key 'n0_fraction'"),
-                          ("m1: 4\nrank: two\n", "bad value of key 'rank'")]:
+                          ("m1: 4\nrank: two\n", "bad value of key 'rank'"),
+                          ("m1: 4\ncontrasts: 1,,2\n", "bad value of key 'contrasts'"),
+                          ("m1: 4\ncontrasts: 1,\n", "bad value of key 'contrasts'")]:
         path.write_text(text)
         with pytest.raises(ParseError, match=message) as err:
             read_scenario(path)

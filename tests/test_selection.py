@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from transmc import selection
 from transmc.datasets import MaskedDataset
 from transmc.cli import DEFAULT_MULTIPLIER
 from transmc.estimators import (PenaltyPolicy, estimate_noise_scale, fit_loss, fit_single,
-                                theorem_penalty)
+                                theorem_penalty, trans_mc)
 from transmc.losses import MaskedSquaredLoss
 from transmc.selection import (
     SelectionConfig,
@@ -376,20 +377,36 @@ def test_screening_failure_logs_the_warnings_of_the_fits_before_it(set_workers, 
     assert warned == ["fold 0", "fold 1", "fold 2", "source 1"]
 
 
-def test_s_trans_mc_runs_the_noise_pilot_once(pilot_calls):
+def test_the_estimators_take_v_as_given(monkeypatch, pilot_calls, set_workers):
+    # The noise pilot is the caller's: v = None raises before any solve, and a
+    # given v runs no pilot. epsilon0 is left None, so screening reads v twice.
+    from transmc import estimators
+
+    set_workers(1)
+    solve = estimators.lamm_solve
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "lamm_solve", counting)
     rng = np.random.default_rng(17)
     T = np.outer(rng.standard_normal(6), rng.standard_normal(5)) * 2
     target = uniform_task(T, 90, (17, 0), 0)
     sources = [uniform_task(T, 60, (17, k), k) for k in (1, 2)]
-    cfg = SelectionConfig(J=3, seed=5, epsilon0=0.5, c0=0.3, ck=0.3)
-    report, est = s_trans_mc(target, sources, cfg, PenaltyPolicy(a=8.0, c1=0.3, c2=0.3),
-                             CFG)
-    assert len(pilot_calls) == 1
-    given = PenaltyPolicy(a=8.0, c1=0.3, c2=0.3, v=pilot_calls[0])
-    report_given, est_given = s_trans_mc(target, sources, cfg, given, CFG)
-    assert len(pilot_calls) == 1
-    assert report == report_given
-    assert np.array_equal(est.matrix, est_given.matrix)
+    cfg = SelectionConfig(J=3, seed=5, c0=0.3, ck=0.3)
+    estimators_of = [lambda policy: trans_mc(target, sources, policy, CFG),
+                     lambda policy: screen_sources(target, sources, cfg, policy, CFG),
+                     lambda policy: s_trans_mc(target, sources, cfg, policy, CFG)]
+    unknown = PenaltyPolicy(a=8.0, c1=0.3, c2=0.3)
+    for estimate in estimators_of:
+        with pytest.raises(ValueError, match="estimate_noise_scale"):
+            estimate(unknown)
+    assert solves == []
+    for estimate in estimators_of:
+        estimate(replace(unknown, v=0.3))
+    assert len(solves) == 2 + 5 + 7 and pilot_calls == []
 
 
 # ---------------------------------------------------------------------------

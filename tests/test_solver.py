@@ -322,6 +322,15 @@ def test_lamm_infeasible_init_rejected():
         lamm_solve(loss, 0.0, 0.5, SolverConfig(max_iters=5), shift=np.zeros((1, 3)))
 
 
+@pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan, -0.1])
+def test_lamm_rejects_a_penalty_that_is_not_finite_and_at_least_0(lam):
+    # An infinite lam makes the objective inf * 0 = nan at the zero start,
+    # which would stop the fit after one step as converged.
+    loss = MaskedSquaredLoss.from_dataset(random_dataset(4, 3, 10))
+    with pytest.raises(ValueError, match="lam must be finite and at least 0"):
+        lamm_solve(loss, lam, 1.0, SolverConfig(max_iters=5))
+
+
 def test_lamm_backtracking_stays_bounded(thresholds):
     ds = random_dataset(8, 6, 60)
     loss = MaskedSquaredLoss.from_dataset(ds)
