@@ -13,7 +13,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -90,9 +90,17 @@ def _entries(entries, what, known=None):
     return entries
 
 
+def _split(raw, what):
+    """Stripped comma-list entries, none if all are empty; a CliError if only some are."""
+    entries = [e.strip() for e in raw.split(",")]
+    if any(entries) and not all(entries):
+        raise CliError(f"empty entry in the {what} list {raw!r}")
+    return [e for e in entries if e]
+
+
 def _comma_list(raw, what, known=None):
-    """The entries of a comma list, checked by _entries."""
-    return _entries((e.strip() for e in raw.split(",") if e.strip()), what, known)
+    """The entries of a comma list, split by _split and checked by _entries."""
+    return _entries(_split(raw, what), what, known)
 
 
 def _input_files(entries, what):
@@ -362,13 +370,6 @@ def run_benchmark(spec: ScenarioSpec, reps: int, methods, params,
             for i, scheme in enumerate(schemes)}
 
 
-def _summarize_fits(errors):
-    """metrics.summarize of the replicate errors whose fit did not fail (is not
-    None); nan for every statistic when every fit failed."""
-    ok = [e for e in errors if e is not None]
-    return metrics.summarize(ok) if ok else metrics.RepSummary(*[math.nan] * 5)
-
-
 def cmd_benchmark(args) -> int:
     spec = _load_spec(args)
     methods = _comma_list(args.methods, "method", tuple(READS))
@@ -388,15 +389,14 @@ def cmd_benchmark(args) -> int:
         results = block["results"]
         for rep, r in enumerate(results):
             failures.extend(f"{label} rep {rep} {message}" for message in r["failures"])
-        summary_rows.extend((method, label, _summarize_fits(r["errors"][method] for r in results))
-                            for method in methods if method != "curve")
-        if "curve" in methods:
-            points = []
-            for k in range(len(spec.contrasts) + 1):
-                s = _summarize_fits(r["curve"][k] for r in results)
-                points.append((k, s.mean, s.sd))
-            metrics.write_curve_csv(out / f"curve_{label.lower()}.csv", points)
-    metrics.write_summary_csv(out / "summary.csv", summary_rows)
+        summary_rows += [[m, label, *astuple(metrics.summarize(r["errors"][m] for r in results))]
+                         for m in methods if m != "curve"]
+        if "curve" in methods:  # point k summarizes the k-th error of every replicate
+            curve = map(metrics.summarize, zip(*(r["curve"] for r in results)))
+            metrics.write_csv(out / f"curve_{label.lower()}.csv", ("k_sources", "mean_err", "sd"),
+                              [(k, s.mean, s.sd) for k, s in enumerate(curve)])
+    metrics.write_csv(out / "summary.csv",
+                      ("method", "scheme", "mean", "median", "min", "max", "sd"), summary_rows)
 
     data_io._write_kv(out / "run_report.txt", replications=args.reps,
                       schemes=",".join(bench), methods=",".join(methods),
@@ -412,9 +412,9 @@ def cmd_benchmark(args) -> int:
 
 def _parse_targets(raw):
     """The frame indices of an evaluate `targets` list of entries N and
-    ascending ranges N-M, checked by _entries."""
+    ascending ranges N-M, split by _split and checked by _entries."""
     out = []
-    for chunk in (c.strip() for c in raw.split(",") if c.strip()):
+    for chunk in _split(raw, "target frame"):
         match = re.fullmatch(r"([0-9]+)\s*(?:-\s*([0-9]+))?", chunk)
         if match is None:
             raise CliError(f"bad target entry {chunk!r}; expected N or N-M")
@@ -444,15 +444,21 @@ def cmd_evaluate(args) -> int:
     a = _box_level(params.get("a"), [f.values for f in frames])
     policy, selection, solver = _settings(params, methods, a, params.get("noise_sd"))
 
-    out = _out_dir(args)
+    def of_frame(i, convert, *args):  # convert(frames[i], *args), naming its file on error
+        try:
+            return convert(frames[i], *args)
+        except ValueError as exc:
+            raise ValueError(f"{frame_paths[i]}: {exc}") from None
+
     cases, tests = [], []  # the cases and, for each, (frame id, method, holdout split)
     for t in targets:
-        train, test = data_io.holdout_split(frames[t], fraction, (seed, t))
-        sources = [frames[i].to_dataset(task_id=j + 1) for j, i in
+        train, test = of_frame(t, data_io.holdout_split, fraction, (seed, t))
+        sources = [of_frame(i, data_io.FrameFile.to_dataset, j + 1) for j, i in
                    enumerate(data_io.window_sources(len(frames), t, half_width))]
         shared = (train, sources, policy, selection and replace(selection, seed=(seed, 5, t)))
         cases.extend((method, *shared) for method in methods)
         tests.extend((frames[t].frame_id, method, test) for method in methods)
+    out = _out_dir(args)
 
     rows, status = [], 0
     for (frame_id, method, test), outcome in zip(tests, _run_cases(cases, solver, args.lam)):

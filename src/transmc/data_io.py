@@ -73,6 +73,8 @@ class FrameFile:
                          self.rows[order], self.cols[order], self.values[order])
 
     def to_dataset(self, task_id: int = 0) -> MaskedDataset:
+        if not self.n:
+            raise ValueError(f"frame {self.frame_id} has no observations")
         return MaskedDataset(self.m1, self.m2, self.rows, self.cols, self.values, task_id)
 
 
@@ -179,19 +181,17 @@ def write_frame(frame: FrameFile, path):
 
 
 def holdout_split(frame: FrameFile, fraction: float, seed):
-    """Disjoint uniform split of the observed entries into train and test.
+    """Disjoint uniform split of the n observed entries into train and test.
 
     The test set holds round(fraction * n) entries; both halves are returned
-    as datasets with task_id 0.
+    as datasets with task_id 0. A fraction outside (0, 1), or one that
+    leaves either half empty, is a ValueError that names the frame.
     """
-    if not (0.0 < fraction < 1.0):
-        raise ValueError("holdout fraction must lie in (0, 1)")
     n = frame.n
-    if n < 2:
-        raise ValueError("need at least two observations to split")
-    n_test = round(fraction * n)
-    if n_test < 1 or n_test >= n:
-        raise ValueError(f"holdout of {n_test} entries from {n} leaves an empty half")
+    n_test = round(fraction * n) if 0.0 < fraction < 1.0 else 0
+    if not 0 < n_test < n:
+        raise ValueError(f"frame {frame.frame_id}: a holdout of {fraction} of its {n} "
+                         f"observations leaves a half empty")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     perm = rng.permutation(n)
     test_idx = np.sort(perm[:n_test])
@@ -301,7 +301,10 @@ def read_dataset(path, task_id: int = 0) -> MaskedDataset:
             return _read_records(path, fh, m1, m2,
                                  partial(MaskedDataset, m1, m2, task_id=task_id), unique=False)
         frame = _read_records(path, fh, m1, m2, partial(FrameFile, m1, m2, token), unique=True)
-    return frame.to_dataset(task_id)
+    try:
+        return frame.to_dataset(task_id)
+    except ValueError as exc:  # a frame with no observations
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_dense(matrix, path, label: str = "matrix"):

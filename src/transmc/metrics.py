@@ -8,9 +8,6 @@ import numpy as np
 
 from transmc.datasets import MaskedDataset
 
-SUMMARY_COLUMNS = ("method", "scheme", "mean", "median", "min", "max", "sd")
-CURVE_COLUMNS = ("k_sources", "mean_err", "sd")
-
 
 @dataclass(frozen=True)
 class RepSummary:
@@ -50,15 +47,16 @@ def holdout_errors(est, test: MaskedDataset) -> tuple[float, float]:
 
 
 def summarize(errors) -> RepSummary:
-    """Mean, median, min, max and sample standard deviation of replicate errors.
+    """Mean, median, min, max and sample standard deviation of replicate errors,
+    skipping each None (a failed fit); nan for every statistic when no error
+    is left.
 
     Reductions run over the sorted sequence, so the summary is exactly
     invariant to the order the errors arrive in.
     """
-    arr = np.asarray(list(errors), dtype=np.float64)
+    arr = np.sort(np.asarray([e for e in errors if e is not None], dtype=np.float64))
     if arr.size == 0:
-        raise ValueError("cannot summarize an empty error sequence")
-    arr = np.sort(arr)
+        return RepSummary(*[math.nan] * 5)
     sd = 0.0 if arr.size == 1 else float(np.std(arr, ddof=1))
     return RepSummary(
         mean=float(arr.mean()),
@@ -79,13 +77,3 @@ def write_csv(path, header, rows):
         writer.writerows([f"{x:.12g}" if isinstance(x, float) else x for x in row]
                          for row in rows)
 
-
-def write_summary_csv(path, rows):
-    """rows: iterable of (method, scheme, RepSummary)."""
-    write_csv(path, SUMMARY_COLUMNS, ([method, scheme, s.mean, s.median, s.min, s.max, s.sd]
-                                      for method, scheme, s in rows))
-
-
-def write_curve_csv(path, points):
-    """points: iterable of (k_sources, mean_err, sd)."""
-    write_csv(path, CURVE_COLUMNS, points)

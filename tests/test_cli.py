@@ -624,8 +624,12 @@ def test_benchmark_writes_a_curve_point_that_failed_in_every_replicate(
     assert run(["benchmark", "--config", str(tiny_cfg), "--out", "b", "--reps", "2",
                 "--methods", "transmc,curve", "--schemes", "uniform"], tmp_path) == 3
     out = tmp_path / "b"
-    assert list(csv.reader(open(out / "summary.csv")))[1:] == [["transmc", "SS1", *["nan"] * 5]]
+    assert list(csv.reader(open(out / "summary.csv"))) == [
+        ["method", "scheme", "mean", "median", "min", "max", "sd"],
+        ["transmc", "SS1", *["nan"] * 5]]
     curve = list(csv.reader(open(out / "curve_ss1.csv")))
+    assert curve[0] == ["k_sources", "mean_err", "sd"]
+    assert [row[0] for row in curve[1:]] == ["0", "1", "2"]
     assert curve[3] == ["2", "nan", "nan"] and "nan" not in curve[1] + curve[2]
     assert (out / "run_report.txt").read_text().splitlines()[3:] == [
         "solver_failures: 4",
@@ -1042,6 +1046,28 @@ def test_evaluate_reports_a_bad_frame_line_at_any_worker_count(tmp_path, set_wor
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("command, named", [
+    # Frame 2 is a source of target 0, and in target2.cfg the one target.
+    (["evaluate", "--config", "tec/eval.cfg"], "frame t002 has no observations"),
+    (["evaluate", "--config", "tec/target2.cfg"],
+     "frame t002: a holdout of 0.2 of its 0 observations leaves a half empty"),
+    (["transfer", "--target", "tec/frame_000.frame", "--sources",
+      "tec/frame_001.frame,tec/frame_002.frame"], "frame t002 has no observations"),
+    (["transfer", "--target", "tec/frame_002.frame", "--sources", "tec/frame_001.frame"],
+     "frame t002 has no observations"),
+], ids=["evaluate-source", "evaluate-target", "transfer-source", "transfer-target"])
+def test_an_empty_frame_is_named_by_its_file_and_id(tmp_path, capsys, command, named):
+    # A frame with no observation reads and writes, but no fit can use it.
+    cfg = _tiny_frames(tmp_path)
+    cfg.with_name("target2.cfg").write_text(cfg.read_text().replace("targets: 0-5", "targets: 2"))
+    frame = tmp_path / "tec" / "frame_002.frame"
+    frame.write_text(frame.read_text().splitlines(keepends=True)[0])
+    capsys.readouterr()
+    assert run([*command, "--out", "x", "--noise-sd", "0.5"], tmp_path) == 2
+    assert capsys.readouterr().err == f"error: validation: {frame}: {named}\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_config_key_given_twice_exits_2(tmp_path, tiny_cfg, capsys):
     tiny_cfg.write_text(TINY_SCENARIO + "seed: 4\n")
     cfg = _tiny_frames(tmp_path)
@@ -1134,7 +1160,9 @@ def inputs(tmp_path, tiny_cfg):
 # The evaluate config values below that their key's parser rejects: each one
 # is a bad value at its file and line, not a bad invocation.
 BAD_CONFIG_VALUES = {("methods", "single, single"), ("targets", "1, 0-2"),
-                     ("frames", "tec/frame_000.frame, tec/frame_000.frame"), ("frames", ",")}
+                     ("frames", "tec/frame_000.frame, tec/frame_000.frame"), ("frames", ","),
+                     ("methods", "single,,transmc"), ("targets", "0, ,2"),
+                     ("frames", "tec/frame_000.frame,")}
 
 
 @pytest.mark.parametrize("command, key, value, named", [
@@ -1159,6 +1187,16 @@ BAD_CONFIG_VALUES = {("methods", "single, single"), ("targets", "1, 0-2"),
     ("transfer", "--sources", ",", "no source file listed"),
     ("select", "--sources", " , ", "no source file listed"),
     ("evaluate", "frames", ",", "no frame listed"),
+    # An empty entry among others, a trailing comma's too, names its list.
+    ("benchmark", "--methods", "single,,transmc",
+     "empty entry in the method list 'single,,transmc'"),
+    ("benchmark", "--schemes", "uniform,", "empty entry in the sampling scheme list 'uniform,'"),
+    ("select", "--sources", "sim/source_01.samples,,sim/source_02.samples",
+     "empty entry in the source file list 'sim/source_01.samples,,sim/source_02.samples'"),
+    ("evaluate", "methods", "single,,transmc", "empty entry in the method list 'single,,transmc'"),
+    ("evaluate", "targets", "0, ,2", "empty entry in the target frame list '0, ,2'"),
+    ("evaluate", "frames", "tec/frame_000.frame,",
+     "empty entry in the frame list 'tec/frame_000.frame,'"),
     # 50 000 target frames: a repeat check that compares each entry with every
     # earlier one took 17 s on 2 vCPUs.
     ("evaluate", "targets", "0-49999", "target frame index 6 out of range (0..5)"),

@@ -1,4 +1,5 @@
 import pickle
+import re
 import warnings
 from functools import partial
 
@@ -146,6 +147,18 @@ def test_empty_frame_reads_without_warning(tmp_path):
             warnings.simplefilter("error")
             frame = read_frame(path)
         assert frame.n == 0 and (frame.m1, frame.m2) == (3, 4)
+
+
+def test_a_frame_of_no_observation_is_an_error_naming_it(tmp_path):
+    empty = FrameFile(3, 4, "t007", [], [], [])
+    with pytest.raises(ValueError, match="^frame t007 has no observations$"):
+        empty.to_dataset()
+    with pytest.raises(ValueError, match="^frame t007: a holdout of 0.2 of its 0 observations"):
+        holdout_split(empty, 0.2, seed=0)
+    path = tmp_path / "e.frame"
+    path.write_text("3 4 t007\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: frame t007 has no obs")):
+        read_dataset(path)
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +397,9 @@ def test_holdout_split_rejects_bad_inputs():
     tiny = random_frame(n=1)
     with pytest.raises(ValueError):
         holdout_split(tiny, 0.5, seed=0)
+    for fraction in (0.0, -0.5, 1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"^frame t000: a holdout of {fraction} of its 10 "):
+            holdout_split(frame, fraction, seed=0)
 
 
 @settings(max_examples=150, deadline=None)

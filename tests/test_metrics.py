@@ -1,18 +1,12 @@
 import csv
+import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from transmc.datasets import MaskedDataset
-from transmc.metrics import (
-    CURVE_COLUMNS,
-    SUMMARY_COLUMNS,
-    holdout_errors,
-    rel_frob_error,
-    summarize,
-    write_curve_csv,
-    write_summary_csv,
-)
+from transmc.metrics import RepSummary, holdout_errors, rel_frob_error, summarize, write_csv
 
 RNG = np.random.default_rng(55)
 
@@ -89,24 +83,36 @@ def test_summarize_recomputable_and_permutation_invariant():
     assert shuffled.mean == s.mean and shuffled.sd == s.sd and shuffled.median == s.median
 
 
-def test_summarize_rejects_empty():
-    with pytest.raises(ValueError):
-        summarize([])
+def test_summarize_skips_failed_fits():
+    # None marks a replicate whose fit failed; it is left out of every statistic.
+    s = summarize([None, 0.3, 0.1, None])
+    assert s == summarize([0.1, 0.3]) and s.mean == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("errors", [[], [None, None]], ids=["empty", "all-failed"])
+def test_summarize_is_nan_when_no_error_is_left(errors):
+    s = summarize(errors)
+    assert isinstance(s, RepSummary)
+    assert all(math.isnan(x) for x in (s.mean, s.median, s.min, s.max, s.sd))
 
 
 def test_summary_csv_format(tmp_path):
+    # A summary.csv row as the benchmark writes it: method, scheme, then the
+    # RepSummary fields in order, each float to 12 significant digits.
     path = tmp_path / "summary.csv"
-    write_summary_csv(path, [("transmc", "SS1", summarize([0.1, 0.2]))])
+    header = ("method", "scheme", "mean", "median", "min", "max", "sd")
+    write_csv(path, header, [["transmc", "SS1", *astuple(summarize([0.1, 0.2]))]])
     rows = list(csv.reader(open(path)))
-    assert rows[0] == list(SUMMARY_COLUMNS)
-    assert rows[1][0] == "transmc"
-    assert rows[1][1] == "SS1"
-    assert float(rows[1][2]) == pytest.approx(0.15)
+    assert rows[0] == list(header)
+    assert rows[1][:6] == ["transmc", "SS1", "0.15", "0.15", "0.1", "0.2"]
+    assert float(rows[1][6]) == pytest.approx(np.std([0.1, 0.2], ddof=1))
 
 
 def test_curve_csv_format(tmp_path):
+    # The k_sources column stays an integer; only float cells are formatted.
     path = tmp_path / "curve.csv"
-    write_curve_csv(path, [(0, 0.5, 0.01), (1, 0.4, 0.02)])
+    header = ("k_sources", "mean_err", "sd")
+    write_csv(path, header, [(0, 0.5, 0.01), (1, 0.4, 0.02)])
     rows = list(csv.reader(open(path)))
-    assert rows[0] == list(CURVE_COLUMNS)
+    assert rows[0] == list(header)
     assert [r[0] for r in rows[1:]] == ["0", "1"]
