@@ -321,7 +321,7 @@ def _write_selection_report(path, report):
         ["unconverged", "", ";".join(report.unconverged)],
         *(["fit", name, f"iterations={t.iterations} prox_evals={t.prox_evals} "
                         f"converged={t.converged} box_active={t.box_active}"]
-          for name, t in report.fit_traces()),
+          for name, t in report.fits),
     ])
 
 
@@ -377,11 +377,10 @@ def cmd_benchmark(args) -> int:
     schemes = _comma_list(args.schemes, "sampling scheme", tuple(SCHEME_LABELS))
     if args.reps < 1:
         raise CliError(f"--reps must be at least 1, got {args.reps}")
-    # Checked before --out is made; each replicate builds its own.
+    # Checked before the replicates run; each replicate builds its own.
     _settings(vars(args), methods, spec.a_cap, spec.noise_sd)
-    out = _out_dir(args)
-
     bench = run_benchmark(spec, args.reps, methods, vars(args), schemes=schemes)
+    out = _out_dir(args)  # made once every replicate has drawn its scenario
 
     summary_rows = []
     failures = []  # "scheme rep r tag: message", in (scheme, replicate) order

@@ -56,27 +56,25 @@ class SelectionConfig:
 
 @dataclass(frozen=True)
 class SelectionReport:
+    """One screening: the fold and source losses, the threshold that
+    select_sources derives from them, the sources kept, and every fit's trace
+    under the label fit_loss gave it."""
+
     fold_losses: tuple[float, ...]
     benchmark: float                 # mean of fold_losses
     source_losses: tuple[float, ...]
-    sigma_hat: float
+    sigma_hat: float                 # sample standard deviation of fold_losses
     epsilon0: float
     threshold: float                 # c_tilde * max(sigma_hat, epsilon0)
     selected: tuple[int, ...]        # 1-based source indices, ascending
-    fold_traces: tuple[SolveTrace, ...] = ()    # as fold_losses
-    source_traces: tuple[SolveTrace, ...] = ()  # as source_losses
-
-    def fit_traces(self) -> list[tuple[str, SolveTrace]]:
-        """(name, trace) of every fold and source-only fit, e.g. ("fold 2", ...)
-        or ("source 7", ...): folds are numbered as in fold_losses (from 0),
-        sources as in selected (from 1)."""
-        return ([(f"fold {j}", t) for j, t in enumerate(self.fold_traces)]
-                + [(f"source {k}", t) for k, t in enumerate(self.source_traces, start=1)])
+    # (label, trace) of each fit: "fold 0", ... as in fold_losses, then
+    # "source 1", ... as in selected
+    fits: tuple[tuple[str, SolveTrace], ...] = ()
 
     @property
     def unconverged(self) -> tuple[str, ...]:
-        """Names of the fits that stopped at max_iters (see fit_traces)."""
-        return tuple(name for name, t in self.fit_traces() if not t.converged)
+        """Labels of the fits that stopped at max_iters."""
+        return tuple(name for name, t in self.fits if not t.converged)
 
 
 def split_folds(target: MaskedDataset, J: int, seed) -> list[MaskedDataset]:
@@ -107,11 +105,11 @@ def benchmark_loss(target: MaskedDataset, folds, lam0: float, a: float,
                    cfg: SolverConfig):
     """Cross-validated target loss: fit on each fold complement, score on the fold.
 
-    Returns (fold_losses, benchmark mean, sigma_hat, fitted fold estimates);
-    sigma_hat is the sample standard deviation (denominator J - 1).
+    Returns (fold_losses, fitted fold estimates); select_sources derives the
+    benchmark and sigma_hat from fold_losses.
     """
     fits = map_in_workers(lambda fit: fit(), _fold_fits(folds, lam0, a, cfg))
-    return (*_cv_scores(folds, fits), fits)
+    return [fold_loss(fold, est.matrix) for fold, est in zip(folds, fits)], fits
 
 
 def _fold_fits(folds, lam0: float, a: float, cfg: SolverConfig) -> list[partial]:
@@ -119,14 +117,6 @@ def _fold_fits(folds, lam0: float, a: float, cfg: SolverConfig) -> list[partial]
     return [partial(fit_loss, MaskedSquaredLoss.from_datasets(folds[:j] + folds[j + 1:]),
                     lam0, a, cfg, label=f"fold {j}")
             for j in range(len(folds))]
-
-
-def _cv_scores(folds, fits):
-    """(fold_losses, their mean, sample standard deviation) of the fold fits."""
-    losses = np.asarray([fold_loss(fold, est.matrix) for fold, est in zip(folds, fits)])
-    mean = float(losses.mean())
-    sigma = float(np.sqrt(np.sum((losses - mean) ** 2) / (losses.size - 1)))
-    return tuple(float(x) for x in losses), mean, sigma
 
 
 def source_losses(target: MaskedDataset, source_fits) -> tuple[float, ...]:
@@ -137,20 +127,25 @@ def source_losses(target: MaskedDataset, source_fits) -> tuple[float, ...]:
 
 
 def select_sources(fold_losses, source_loss_values, c_tilde: float,
-                   epsilon0: float, sigma_hat: float) -> SelectionReport:
-    """Apply the threshold rule L_k - L_0 <= c_tilde * max(sigma_hat, epsilon0)."""
-    fold_losses = tuple(float(x) for x in fold_losses)
+                   epsilon0: float) -> SelectionReport:
+    """Apply the threshold rule L_k - L_0 <= c_tilde * max(sigma_hat, epsilon0),
+    where L_0 is the mean of the fold losses and sigma_hat their sample
+    standard deviation (denominator J - 1), so at least two are needed."""
+    losses = np.asarray(fold_losses, dtype=np.float64)
+    if losses.size < 2:
+        raise ValueError(f"need at least 2 fold losses for sigma_hat, got {losses.size}")
+    benchmark = float(losses.mean())
+    sigma_hat = float(np.sqrt(np.sum((losses - benchmark) ** 2) / (losses.size - 1)))
     source_loss_values = tuple(float(x) for x in source_loss_values)
-    benchmark = float(np.mean(fold_losses))
     threshold = c_tilde * max(sigma_hat, epsilon0)
     selected = tuple(
         k + 1 for k, lk in enumerate(source_loss_values) if lk - benchmark <= threshold
     )
     return SelectionReport(
-        fold_losses=fold_losses,
+        fold_losses=tuple(float(x) for x in losses),
         benchmark=benchmark,
         source_losses=source_loss_values,
-        sigma_hat=float(sigma_hat),
+        sigma_hat=sigma_hat,
         epsilon0=float(epsilon0),
         threshold=float(threshold),
         selected=selected,
@@ -178,13 +173,12 @@ def screen_sources(target: MaskedDataset, sources, cfg: SelectionConfig,
         partial(fit_loss, MaskedSquaredLoss.from_dataset(ds), policy.penalty(cfg.ck, ds.n, m),
                 a, solver, label=f"source {k}")
         for k, ds in enumerate(sources, start=1)])
-    fold_fits, source_fits = fits[:J], fits[J:]
-    fold_vals, _, sigma_hat = _cv_scores(folds, fold_fits)
-    source_vals = source_losses(target, [est.matrix for est in source_fits])
+    # zip pairs the J folds with the J fold fits that come first.
+    fold_vals = [fold_loss(fold, est.matrix) for fold, est in zip(folds, fits)]
+    source_vals = source_losses(target, [est.matrix for est in fits[J:]])
 
-    report = select_sources(fold_vals, source_vals, cfg.c_tilde, epsilon0, sigma_hat)
-    return replace(report, fold_traces=tuple(est.trace for est in fold_fits),
-                   source_traces=tuple(est.trace for est in source_fits))
+    report = select_sources(fold_vals, source_vals, cfg.c_tilde, epsilon0)
+    return replace(report, fits=tuple((est.stage, est.trace) for est in fits))
 
 
 def s_trans_mc(target: MaskedDataset, sources, cfg: SelectionConfig,

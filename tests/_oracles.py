@@ -3,7 +3,7 @@ and the matrix, solver and sampling helpers only tests use.
 
 The oracles are deliberately written from scratch against the defining
 formulas (double loops, characteristic polynomials, finite differences,
-fixed-step proximal gradient, one record per line) so a bug in the library
+fixed-step proximal gradient, a duality gap, one record per line) so a bug in the library
 cannot hide in its own oracle.
 """
 
@@ -120,6 +120,36 @@ def prox_gradient_fixed_step(problems, shape, box, n_iters=100_000):
                 still.append(i)
         running = still
     return A
+
+
+def duality_gap(A, rows, cols, values, lam):
+    """(gap, P(A)) of the masked squared loss L(A) = (1/n) sum_i (y_i - A[r_i, c_i])^2
+    plus lam * ||A||_*, from the cell counts W, cell means Ybar and rss0 of the
+    observations.
+
+    The dual point Z = -grad L(A) * min(1, lam / ||grad L(A)||_2), with the
+    exact spectral norm, is zero on unobserved cells and has ||Z||_2 <= lam, so
+    D(Z) = rss0/n + sum_obs [Z Ybar - n Z^2 / (4 W)] = min_A L(A) + <Z, A> is a
+    lower bound on the minimum over any box, and gap = P(A) - D(Z) >= 0 bounds
+    how far P(A) is above it.
+    """
+    A = np.asarray(A, dtype=float)
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    W = np.zeros(A.shape)
+    sums = np.zeros(A.shape)
+    np.add.at(W, (rows, cols), 1.0)
+    np.add.at(sums, (rows, cols), values)
+    obs = W > 0
+    Ybar = np.divide(sums, W, out=np.zeros(A.shape), where=obs)
+    rss0 = float(np.sum((values - Ybar[rows, cols]) ** 2))
+    primal = loss_double_loop(A, rows, cols, values) + lam * float(
+        np.linalg.svd(A, compute_uv=False).sum())
+    G = grad_double_loop(A, rows, cols, values)
+    Z = -G * min(1.0, lam / np.linalg.norm(G, 2)) if G.any() else G
+    dual = rss0 / n + float(np.sum(Z[obs] * Ybar[obs] - n * Z[obs] ** 2 / (4.0 * W[obs])))
+    return primal - dual, primal
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from transmc.simulation import (
 )
 from transmc.solver import SolverConfig, lamm_solve
 from _oracles import (
+    duality_gap,
     grad_finite_difference,
     numerical_rank,
     project_rowcol,
@@ -143,6 +144,7 @@ def test_criterion_5_solver_oracle_equivalence(thresholds):
     rng = np.random.default_rng(4242)
     problems, solutions = [], []
     monotone = True
+    gaps = []  # duality gap relative to the objective, per problem
     for _ in range(10):
         truth = np.outer(rng.standard_normal(6), rng.standard_normal(5))
         n = 24
@@ -161,14 +163,18 @@ def test_criterion_5_solver_oracle_equivalence(thresholds):
         monotone = monotone and all(
             obj[i + 1] <= obj[i] + tol for i in range(len(obj) - 1)
         )
+        gap, primal = duality_gap(A, rows, cols, values, lam)
+        gaps.append(gap / primal)
         problems.append((rows, cols, values, lam))
         solutions.append(A)
     oracles = prox_gradient_fixed_step(problems, (6, 5), box=50.0, n_iters=100_000)
     worst = max(float(np.linalg.norm(A - oracle) / max(np.linalg.norm(oracle), 1e-12))
                 for A, oracle in zip(solutions, oracles))
-    ok = worst <= 1e-5 and monotone
+    # A gap below -1e-14 would break weak duality: the certificate is wrong.
+    ok = worst <= 1e-5 and monotone and -1e-14 <= min(gaps) and max(gaps) <= 1e-10
     report(5, "solver matches fixed-step proximal-gradient oracle",
-           ok, f"worst relative gap {worst:.2e}, trace monotone {monotone}")
+           ok, f"worst relative gap {worst:.2e}, trace monotone {monotone}, "
+               f"worst relative duality gap {max(gaps):.2e}")
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,7 @@ def test_a_scenario_that_cannot_be_drawn_is_a_validation_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: validation: source 1: no contrast draw ")
     assert err.count("\n") == 1
-    assert not any((tmp_path / "x").glob("*"))
+    assert not (tmp_path / "x").exists()
 
 
 def test_unknown_preset_rejected(tmp_path, capsys):
@@ -234,12 +234,13 @@ def test_selection_report_has_a_row_per_fit(tmp_path, tiny_cfg):
                            [read_dataset(p, task_id=k)
                             for k, p in enumerate(sources.split(","), start=1)],
                            cfg, policy, SolverConfig(max_iters=3))
-    assert report.fold_traces[0].converged is False
+    assert [name for name, _ in report.fits] == ["fold 0", "fold 1", "source 1", "source 2"]
+    assert report.fits[0][1].converged is False
     rows = list(csv.reader(open(tmp_path / "sel" / "selection_report.csv")))
     fits = {r[1]: dict(kv.split("=") for kv in r[2].split()) for r in rows if r[0] == "fit"}
     assert list(fits) == ["fold 0", "fold 1", "source 1", "source 2"]
     assert fits["fold 0"]["converged"] == "False"
-    for name, trace in report.fit_traces():
+    for name, trace in report.fits:
         assert fits[name] == {"iterations": str(trace.iterations),
                               "prox_evals": str(trace.prox_evals),
                               "converged": str(trace.converged),

@@ -119,10 +119,11 @@ def test_benchmark_loss_near_zero_in_easy_regime():
     T = np.outer([1.0, 2.0, -1.0, 0.5], [1.0, -0.5, 2.0])
     ds = uniform_task(T, 400, 5, noise=0.0)
     folds = split_folds(ds, 4, seed=1)
-    losses, mean, sigma, fits = benchmark_loss(ds, folds, 1e-6, 10.0, CFG)
-    assert mean <= 1e-4
-    assert sigma <= 1e-4
-    assert len(fits) == 4
+    losses, fits = benchmark_loss(ds, folds, 1e-6, 10.0, CFG)
+    assert len(losses) == len(fits) == 4
+    report = select_sources(losses, (), 1.0, 0.01)
+    assert report.benchmark <= 1e-4
+    assert report.sigma_hat <= 1e-4
 
 
 def test_benchmark_loss_fits_each_fold_complement(monkeypatch, set_workers):
@@ -155,18 +156,23 @@ def test_benchmark_loss_fits_each_fold_complement(monkeypatch, set_workers):
 
 
 def test_benchmark_sigma_closed_forms():
-    # constant fold losses -> sigma 0; {1, 3} -> mean 2, sigma sqrt(2)
-    losses = np.array([1.0, 3.0])
-    mean = losses.mean()
-    sigma_sample = np.sqrt(np.sum((losses - mean) ** 2) / (len(losses) - 1))
-    assert mean == pytest.approx(2.0)
-    assert sigma_sample == pytest.approx(np.sqrt(2.0))
-    report = select_sources((1.0, 3.0), (), 1.0, 0.01, sigma_sample)
+    # select_sources derives both: {1, 3} -> mean 2, sample sd sqrt(2);
+    # constant fold losses -> sd 0
+    report = select_sources((1.0, 3.0), (), 1.0, 0.01)
     assert report.benchmark == pytest.approx(2.0)
     assert report.sigma_hat == pytest.approx(np.sqrt(2.0))
-    same = select_sources((5.0, 5.0, 5.0), (), 1.0, 0.01, 0.0)
+    assert report.threshold == pytest.approx(np.sqrt(2.0))
+    same = select_sources((5.0, 5.0, 5.0), (), 1.0, 0.01)
     assert same.benchmark == pytest.approx(5.0)
     assert same.sigma_hat == 0.0
+    assert same.threshold == pytest.approx(0.01)
+
+
+@pytest.mark.parametrize("fold_losses", [(), (1.0,)])
+def test_select_sources_needs_two_fold_losses(fold_losses):
+    # a sample standard deviation needs two values; one used to give a nan threshold
+    with pytest.raises(ValueError, match="at least 2 fold losses"):
+        select_sources(fold_losses, (1.0,), 1.0, 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -213,44 +219,45 @@ def test_source_loss_orders_by_contrast():
 # ---------------------------------------------------------------------------
 
 def test_select_all_when_losses_equal_benchmark():
-    report = select_sources((2.0, 2.0, 2.0, 2.0), (2.0, 2.0), 1.0, 0.01, 0.0)
+    report = select_sources((2.0, 2.0, 2.0, 2.0), (2.0, 2.0), 1.0, 0.01)
     assert report.selected == (1, 2)
     assert report.threshold == pytest.approx(0.01)
 
 
 def test_select_threshold_arithmetic():
     # sigma 0, eps0 0.01, c_tilde 1, excess 0.02 -> excluded
-    report = select_sources((1.0, 1.0), (1.02,), 1.0, 0.01, 0.0)
+    report = select_sources((1.0, 1.0), (1.02,), 1.0, 0.01)
     assert report.selected == ()
-    report = select_sources((1.0, 1.0), (1.005,), 1.0, 0.01, 0.0)
+    report = select_sources((1.0, 1.0), (1.005,), 1.0, 0.01)
     assert report.selected == (1,)
 
 
 def test_selection_rule_monotonicity():
     fold_losses = (1.0, 1.2, 0.8, 1.0)
-    base = select_sources(fold_losses, (1.4, 1.9), 2.0, 0.05, 0.1)
-    lower = select_sources(fold_losses, (1.2, 1.9), 2.0, 0.05, 0.1)
+    base = select_sources(fold_losses, (1.4, 1.9), 2.0, 0.05)
+    lower = select_sources(fold_losses, (1.2, 1.9), 2.0, 0.05)
     assert set(base.selected) <= set(lower.selected)
-    wider = select_sources(fold_losses, (1.4, 1.9), 3.0, 0.05, 0.1)
+    wider = select_sources(fold_losses, (1.4, 1.9), 3.0, 0.05)
     assert set(base.selected) <= set(wider.selected)
-    wider_eps = select_sources(fold_losses, (1.4, 1.9), 2.0, 0.5, 0.1)
+    wider_eps = select_sources(fold_losses, (1.4, 1.9), 2.0, 0.5)
     assert set(base.selected) <= set(wider_eps.selected)
 
 
 def test_selection_relabel_invariance():
     fold_losses = (1.0, 1.1, 0.9, 1.0)
     lks = (1.05, 3.0, 1.1)
-    report = select_sources(fold_losses, lks, 2.0, 0.05, 0.1)
+    report = select_sources(fold_losses, lks, 2.0, 0.05)
     perm = (2, 0, 1)  # relabeled source order
-    permuted = select_sources(fold_losses, tuple(lks[i] for i in perm), 2.0, 0.05, 0.1)
+    permuted = select_sources(fold_losses, tuple(lks[i] for i in perm), 2.0, 0.05)
     relabeled = tuple(sorted(perm.index(k - 1) + 1 for k in report.selected))
     assert permuted.selected == relabeled
 
 
 def test_selection_report_invariants():
-    report = select_sources((1.0, 2.0, 3.0), (2.5, 1.0), 1.5, 0.2, 0.7)
+    report = select_sources((1.0, 2.0, 3.0), (2.5, 1.0), 1.5, 0.2)
     assert report.benchmark == pytest.approx(np.mean(report.fold_losses), abs=1e-12)
-    assert report.threshold == pytest.approx(1.5 * max(0.7, 0.2))
+    assert report.sigma_hat == pytest.approx(1.0)  # sample sd of (1, 2, 3)
+    assert report.threshold == pytest.approx(1.5 * max(1.0, 0.2))
     expected = tuple(
         k + 1 for k, lk in enumerate(report.source_losses)
         if lk - report.benchmark <= report.threshold
@@ -346,7 +353,8 @@ def test_s_trans_mc_does_not_depend_on_the_worker_count(set_workers, caplog, max
                                      SolverConfig(max_iters=max_iters))
         runs.append((report, est, [rec.getMessage() for rec in caplog.records]))
     (r1, e1, w1), (r2, e2, w2) = runs
-    assert (len(r1.fold_traces), len(r1.source_traces)) == (4, 3)
+    assert [name for name, _ in r1.fits] == [
+        "fold 0", "fold 1", "fold 2", "fold 3", "source 1", "source 2", "source 3"]
     assert r1 == r2
     assert np.array_equal(e1.matrix, e2.matrix)
     assert w1 == w2

@@ -9,6 +9,8 @@ from transmc.estimators import fit_loss
 from transmc.losses import MaskedSquaredLoss
 from transmc.solver import SolverConfig, SolverDivergedError, lamm_solve
 from _oracles import (
+    duality_gap,
+    grad_double_loop,
     grad_finite_difference,
     majorizer,
     majorizer_term_by_term,
@@ -172,6 +174,26 @@ def test_lamm_matches_long_run_prox_gradient_oracle():
     oracle, = prox_gradient_fixed_step([(ds.rows, ds.cols, ds.values, lam)], T.shape,
                                        box=50.0, n_iters=20000)
     assert np.linalg.norm(A - oracle) <= 1e-6 * (1 + np.linalg.norm(oracle))
+
+
+def test_duality_gap_bounds_the_distance_to_the_optimum():
+    # Weak duality: P(A) - P* <= gap(A) at every A. The gap closes to roundoff
+    # at a tight solve, and at zero once lam reaches ||grad L(0)||_2.
+    rng = np.random.default_rng(41)
+    ds = random_dataset(6, 5, 24, rng=rng)
+    lam = 0.08
+    A_star, _ = lamm_solve(MaskedSquaredLoss.from_dataset(ds), lam, 50.0,
+                           SolverConfig(epsilon=1e-12, max_iters=20000))
+    gap_star, p_star = duality_gap(A_star, ds.rows, ds.cols, ds.values, lam)
+    assert abs(gap_star) <= 1e-10 * p_star
+    for scale in (1e-3, 1e-1, 1.0):
+        A = A_star + scale * rng.standard_normal(A_star.shape)
+        gap, primal = duality_gap(A, ds.rows, ds.cols, ds.values, lam)
+        assert 0.0 < primal - p_star <= gap
+    zero = np.zeros((6, 5))
+    lam_max = np.linalg.norm(grad_double_loop(zero, ds.rows, ds.cols, ds.values), 2)
+    gap0, p0 = duality_gap(zero, ds.rows, ds.cols, ds.values, lam_max)
+    assert abs(gap0) <= 1e-14 * p0
 
 
 def test_lamm_objective_monotone_and_feasible():
