@@ -566,6 +566,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if _resolve(args.out).exists() and not _resolve(args.out).is_dir():
+            raise CliError(f"--out {args.out!r} exists and is not a directory")
         return args.func(args)
     except CliError as exc:
         print(f"error: invalid-invocation: {exc}", file=sys.stderr)

@@ -39,8 +39,8 @@ def soft_threshold(A, lam: float) -> tuple[np.ndarray, float]:
     C, a Rayleigh-Ritz refinement that keeps them, and the returned nuclear
     norm, at full accuracy although w carries the squared condition number.
     Then S = (U_k * (1 - lam / sigma)) @ C; a tall A is handled as the
-    transpose of a wide one, so S(A.T) == S(A).T exactly. With lam = 0, S is
-    an exact copy of A.
+    transpose of a wide one, so S(A.T) == S(A).T exactly, and S is returned
+    C-ordered either way. With lam = 0, S is an exact copy of A.
 
     The SVD of G is `np.linalg.svd(G, hermitian=True)`, which numpy computes
     with the symmetric eigensolver (the call stays `np.linalg.svd` because
@@ -80,7 +80,7 @@ def soft_threshold(A, lam: float) -> tuple[np.ndarray, float]:
     C = U.T @ B
     sigma = np.sqrt(np.einsum("ij,ij->i", C, C))
     S = (U * (1.0 - lam / np.maximum(sigma, lam))) @ C
-    return (S if wide else S.T), float(np.maximum(sigma - lam, 0.0).sum())
+    return (S if wide else np.ascontiguousarray(S.T)), float(np.maximum(sigma - lam, 0.0).sum())
 
 
 def box_bounds(a: float, shift=None):

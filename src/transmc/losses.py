@@ -1,10 +1,11 @@
 """Squared-error loss oracles over masked observations.
 
-A loss oracle exposes value(A) and gradient(A) for the solver; both must be
-pure functions of A. The same oracle form covers the single-task objective,
-the pooled multi-task objective (every task's samples), a cross-validation
-fold complement (the other folds' samples) and the debiasing objective
-(observations re-centered by a fixed base matrix).
+A loss oracle exposes value(A), gradient(A) and excess(D) for the solver; each
+must be a pure function of its argument. excess(D) is the loss's quadratic
+form, L(A + D) - L(A) - <grad L(A), D>, the same for every A. The same oracle
+form covers the single-task objective, the pooled multi-task objective (every
+task's samples), a cross-validation fold complement (the other folds' samples)
+and the debiasing objective (observations re-centered by a fixed base matrix).
 
 Over samples drawn with replacement the loss depends on the data only through
 per-cell statistics, built once with np.bincount (dataset by dataset for a
@@ -97,6 +98,10 @@ class MaskedSquaredLoss:
         out = np.subtract(A, self.means, out=out)
         out *= self._weights
         return out
+
+    def excess(self, D) -> float:
+        """L(A + D) - L(A) - <grad L(A), D> for every A: (1/n) sum W * D^2."""
+        return float(np.vdot(self.counts * D, D)) / self.n
 
     def shifted(self, base) -> "MaskedSquaredLoss":
         """Loss in D for observations of base + D: values re-centered by base."""

@@ -7,14 +7,14 @@ raises phi until the local quadratic model at Y majorizes the loss at the
 candidate. The loss is quadratic with Hessian at most L =
 loss.curvature_bound(), so every phi >= L majorizes it exactly: phi starts
 at 1e-3 * L, never exceeds L, and a candidate at phi = L is accepted without
-the comparison, which there can only fail by roundoff. A candidate c rejected
-at phi would have passed at any phi >= rho, its exact curvature along the step,
-rho = 2 (L(c) - L(Y) - <grad L(Y), c - Y>) / ||c - Y||^2, so backtracking jumps
-to min(L, max(GAMMA * phi, rho)) instead of climbing by doublings. For the
-quadratic loss the numerator equals <grad L(c) - grad L(Y), c - Y>, and the
-test uses that form: the loss-value difference cancels to roundoff once steps
-are small, which would leave phi stuck at L in tight solves. phi is
-carried from one iteration to the next and halved, down to 1e-3 * L, only
+the comparison, which there can only fail by roundoff. The test reads the
+excess L(c) - L(Y) - <grad L(Y), c - Y> of a candidate c from the loss's
+quadratic form, loss.excess(c - Y), a sum of nonnegative terms that a
+difference of loss values would lose to cancellation once steps are small.
+A candidate rejected at phi would have passed at any phi >= rho =
+2 excess / ||c - Y||^2, its exact curvature along the step, so backtracking
+jumps to min(L, max(GAMMA * phi, rho)) instead of climbing by doublings. phi
+is carried from one iteration to the next and halved, down to 1e-3 * L, only
 after PATIENCE accepted steps in a row showed slack, that is when the model
 at phi / 2 would also have majorized the loss there (the slack test of I-LAMM,
 Fan, Liu, Sun and Zhang, Ann. Statist. 2018; step sizes that grow and shrink
@@ -134,12 +134,9 @@ def lamm_solve(loss, lam: float, a: float, cfg: SolverConfig, shift=None):
     if not math.isfinite(obj_A):
         raise SolverDivergedError("objective non-finite at the zero start")
 
-    # Work buffers reused across iterations: the extrapolated point Y, the
-    # gradients at Y and at the candidate, the gradient step B and the step
-    # candidate - Y.
+    # Reused buffers: the extrapolated point Y, the gradient at Y, the gradient step B, c - Y.
     Y = np.empty_like(A)
     grad = np.empty_like(A)
-    grad_c = np.empty_like(A)
     B = np.empty_like(A)
     diff = np.empty_like(A)
     A_prev = A
@@ -167,16 +164,11 @@ def lamm_solve(loss, lam: float, a: float, cfg: SolverConfig, shift=None):
             shrunk, nuclear = soft_threshold(B, lam / phi)
             candidate, clipped = clamp_box(shrunk, lo, hi)
             np.subtract(candidate, point, out=diff)
-            linear = float(np.vdot(grad, diff))
             sq_step = float(np.vdot(diff, diff))
             value_c = loss.value(candidate)
             if not math.isfinite(value_c):
                 raise SolverDivergedError("loss value non-finite at candidate")
-            # L(c) - L(Y) - <grad L(Y), c - Y> of the quadratic loss, taken as
-            # <grad L(c) - grad L(Y), c - Y> / 2: the value difference cancels
-            # to roundoff once steps are small, this form does not.
-            grad_c = loss.gradient(candidate, out=grad_c)
-            excess = 0.5 * (float(np.vdot(grad_c, diff)) - linear)
+            excess = loss.excess(diff)
             if phi >= curvature or excess <= 0.5 * phi * sq_step:
                 break
             # A rejected step has sq_step > 0: at candidate == point the test passes.

@@ -489,6 +489,29 @@ def test_a_non_finite_or_negative_lam_exits_2_before_any_fit(tmp_path, tiny_cfg,
     assert fit_count() == 0
 
 
+def test_an_out_that_names_a_file_exits_2_before_any_work(tmp_path, tiny_cfg, capsys,
+                                                          fit_count):
+    assert run(["simulate", "--config", str(tiny_cfg), "--out", "sim"], tmp_path) == 0
+    commands = {
+        "simulate": ["simulate", "--preset", "tec-synthetic-tiny"],
+        "fit": ["fit", "--data", "sim/target.samples"],
+        "transfer": ["transfer", "--target", "sim/target.samples",
+                     "--sources", "sim/source_01.samples"],
+        "select": ["select", "--target", "sim/target.samples",
+                   "--sources", "sim/source_01.samples"],
+        "benchmark": ["benchmark", "--config", str(tiny_cfg), "--reps", "1"],
+        "evaluate": ["evaluate", "--config", str(_tiny_frames(tmp_path))],
+    }
+    (tmp_path / "xf").write_text("a file\n")
+    for command in commands.values():
+        capsys.readouterr()
+        assert run(command + ["--out", "xf"], tmp_path) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid-invocation: --out 'xf' exists and is not a directory\n")
+    assert (tmp_path / "xf").read_text() == "a file\n"
+    assert fit_count() == 0
+
+
 # ---------------------------------------------------------------------------
 # benchmark
 # ---------------------------------------------------------------------------

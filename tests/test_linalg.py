@@ -186,6 +186,14 @@ def test_soft_threshold_diagonal():
     assert np.allclose(out, np.diag([2.0, 0.0]), atol=1e-12)
 
 
+def test_soft_threshold_returns_a_c_ordered_tall_result():
+    # A tall input is shrunk as the transpose of a wide one; the solver's
+    # buffers are C-ordered, so the result must not come back as that transpose.
+    A = np.random.default_rng(4).standard_normal((60, 30))
+    S, _ = linalg.soft_threshold(A, 1.0)
+    assert S.shape == (60, 30) and S.flags.c_contiguous
+
+
 def test_soft_threshold_rejects_negative():
     with pytest.raises(ValueError):
         linalg.soft_threshold(np.eye(2), -0.5)

@@ -95,6 +95,26 @@ def test_shifted_matches_recentered_values():
         shifted.shifted(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("shift", [False, True])
+def test_excess_is_the_quadratic_form_of_the_loss(shift):
+    # random_instance repeats a cell, so some counts W exceed 1.
+    A, rows, cols, values = random_instance()
+    loss = MaskedSquaredLoss.from_dataset(MaskedDataset(*A.shape, rows, cols, values))
+    if shift:
+        loss = loss.shifted(RNG.standard_normal(A.shape))
+    assert loss.excess(np.zeros(loss.shape)) == 0.0
+    for _ in range(5):
+        A = RNG.standard_normal(loss.shape)
+        D = RNG.standard_normal(loss.shape)
+        excess = loss.excess(D)
+        assert excess >= 0.0
+        expected = loss.value(A + D) - loss.value(A) - float(np.vdot(loss.gradient(A), D))
+        assert excess == pytest.approx(expected, rel=1e-10)
+        Dl = D.astype(np.longdouble)
+        reference = float(np.sum(loss.counts.astype(np.longdouble) * Dl * Dl) / loss.n)
+        assert abs(excess - reference) <= 4 * np.spacing(reference)
+
+
 def test_curvature_bound_is_twice_max_count_over_n():
     rows = np.array([0, 1, 1, 2, 1, 0])
     cols = np.array([0, 2, 2, 1, 2, 0])

@@ -218,6 +218,23 @@ def test_lamm_max_iters_reports_not_converged():
     assert trace.iterations == 3
 
 
+def test_lamm_takes_one_gradient_per_iteration(monkeypatch):
+    # The majorization test reads the step's excess from loss.excess, so a
+    # proximal evaluation, accepted or rejected, takes no gradient at its candidate.
+    calls = []
+    gradient = MaskedSquaredLoss.gradient
+
+    def counting(self, A, out=None):
+        calls.append(None)
+        return gradient(self, A, out=out)
+
+    monkeypatch.setattr(MaskedSquaredLoss, "gradient", counting)
+    loss, a = _prox_evals_problem()
+    _, trace = lamm_solve(loss, 0.005, a, SolverConfig())
+    assert trace.prox_evals > trace.iterations
+    assert len(calls) == trace.iterations
+
+
 def _prox_evals_problem():
     # Seeded 60x30 rank-3 problem with 300 observations and a small penalty.
     rng = np.random.default_rng(0)
@@ -262,8 +279,8 @@ def test_lamm_tight_solve_step_rule_ignores_roundoff(thresholds):
     # At epsilon = 1e-10 the last steps are so short that L(c) - L(Y) -
     # <grad L(Y), c - Y> computed from loss values is roundoff; a step rule
     # fed by it kept phi near L and took 7183 prox evaluations here (3259
-    # under the rule that halves phi after every slack step). The gradient
-    # form of the same curvature takes 1953.
+    # under the rule that halves phi after every slack step). The same
+    # curvature read from the loss's quadratic form (loss.excess) takes 2012.
     loss, a = _prox_evals_problem()
     lam = 0.005
     cfg = SolverConfig(epsilon=1e-10, max_iters=20000)
